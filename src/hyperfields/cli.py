@@ -22,6 +22,7 @@ from .finite import (FiniteHyperfield, MalformedTableError, build_K, build_S,
                      enumerate_hyperfields, find_isomorphism, is_field,
                      list_hyperideals, quotient_hyperfield, squares_subgroup,
                      subgroup_closure, validate)
+from .galois import is_prime, prime_power
 from .leading_terms import (CollapsedConstantsContext, CompositeContext,
                             LTContext)
 from .ordgroup import Cut, invariance_group
@@ -419,6 +420,26 @@ def cmd_scenario(args) -> int:
 
 # -- argument parsing ------------------------------------------------------------
 
+def _int_arg(ok, what: str):
+    """argparse type: an int passing ``ok``; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if not ok(n):
+            raise argparse.ArgumentTypeError(f"{n} is not {what}")
+        return n
+
+    return parse
+
+
+NONNEGATIVE = _int_arg(lambda n: n >= 0, "non-negative")
+PRIME = _int_arg(is_prime, "a prime")
+PRIME_POWER = _int_arg(lambda n: prime_power(n) is not None, "a prime power")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyperval",
@@ -436,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "a tropical carrier")
     sp.add_argument("input", help="builtin:K|S|W|F<q>, tropical:<rank>, "
                     "tropical-strict:<rank>, or a JSON table path")
-    sp.add_argument("--window-bound", type=int, default=3)
+    sp.add_argument("--window-bound", type=NONNEGATIVE, default=3)
     out(sp)
     sp.set_defaults(func=cmd_axioms)
 
@@ -478,19 +499,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="kgamma | composite | collapsed | "
                         "tropical:<rank> | tropical-strict:<rank> | "
                         "builtin:... | table path")
-        sp.add_argument("--q", type=int, default=3,
+        sp.add_argument("--q", type=PRIME_POWER, default=3,
                         help="residue field size for kgamma")
-        sp.add_argument("--gamma", type=int, default=1,
+        sp.add_argument("--gamma", type=NONNEGATIVE, default=1,
                         help="unit level for kgamma")
-        sp.add_argument("--p", type=int, default=2,
+        sp.add_argument("--p", type=PRIME, default=2,
                         help="prime for the composite backend")
-        sp.add_argument("--window-bound", type=int, default=bound_default)
+        sp.add_argument("--window-bound", type=NONNEGATIVE, default=bound_default)
         out(sp)
 
     sp = sub.add_parser("krasner", help="valuation axioms plus the Krasner "
                         "conditions KVH1/KVH2")
     backend(sp)
-    sp.add_argument("--norm-bound", type=int, default=0,
+    sp.add_argument("--norm-bound", type=NONNEGATIVE, default=0,
                     help="norm cut bound for tropical backends")
     sp.set_defaults(func=cmd_krasner)
 
@@ -500,17 +521,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coarsen", help="invariance group of the composite "
                         "backend's norm and the coarsening theorem verdict")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--window-bound", type=int, default=3)
+    sp.add_argument("--p", type=PRIME, default=2)
+    sp.add_argument("--window-bound", type=NONNEGATIVE, default=3)
     out(sp)
     sp.set_defaults(func=cmd_coarsen)
 
     sp = sub.add_parser("scenario", help="replay a named end-to-end scenario")
     sp.add_argument("name", help=", ".join(sorted(SCENARIOS)))
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--gamma", type=int, default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--window-bound", type=int, default=None)
+    sp.add_argument("--q", type=PRIME_POWER, default=None)
+    sp.add_argument("--gamma", type=NONNEGATIVE, default=None)
+    sp.add_argument("--p", type=PRIME, default=None)
+    sp.add_argument("--window-bound", type=NONNEGATIVE, default=None)
     out(sp)
     sp.set_defaults(func=cmd_scenario)
 

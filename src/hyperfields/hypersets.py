@@ -1,12 +1,15 @@
 """Symbolic hypersum results.
 
 A hypersum over an infinite carrier cannot always be materialized, but every
-hypersum this package produces falls into one of three shapes: a singleton,
-an explicit finite set, or "everything of value above a cut".  The functions
-here implement membership, equality, inclusion and intersection for those
-shapes.  AboveValue membership needs to know element values, so the relevant
-functions take a ``value_of`` callable (the carrier's intrinsic valuation;
-``None`` means infinity and belongs to every AboveValue set).
+hypersum this package produces falls into one of four shapes: a singleton,
+an explicit finite set, "everything of value above a cut" (AboveValue: the
+rays of the tropical carriers and the fully cancelling sums of the
+leading-term ones), or a TailClass (below).  The functions here implement
+membership, equality, inclusion, intersection, listing against a window and
+the image under the valuation for those shapes.  AboveValue membership needs
+to know element values, so the relevant functions take a ``value_of``
+callable (the carrier's intrinsic valuation; ``None`` means infinity and
+belongs to every AboveValue set).
 
 TailClass is the overflow shape for finite hypersums too large to list: the
 set of all elements of one value whose leading coefficients extend a forced
@@ -155,15 +158,6 @@ def values_of(hs: HyperSet, value_of: ValueOf):
     if isinstance(hs, AboveValue):
         return ("above", hs.cut)
     raise TypeError(f"not a hyperset: {hs!r}")
-
-
-def all_values_gt(hs: HyperSet, cut: Cut, value_of: ValueOf) -> bool:
-    """Does every member have value strictly above the cut?"""
-    kind, data = values_of(hs, value_of)
-    if kind == "finite":
-        return all(value_gt_cut(v, cut) for v in data)
-    # {v > data} subset of {v > cut}  iff  cut subset of data
-    return cut.subseteq(data)
 
 
 def all_values_ge(hs: HyperSet, m: Value, value_of: ValueOf) -> bool:

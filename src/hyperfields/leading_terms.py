@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import hypersets as hs
-from .galois import GaloisField
+from .galois import GaloisField, is_prime
 from .ordgroup import Cut, Value
 
 
@@ -199,7 +199,7 @@ class CompositeContext:
     leading coefficient), modulo the 1-units 1 + X Q[[X]] it determines."""
 
     def __init__(self, p: int = 2):
-        if p < 2:
+        if not is_prime(p):
             raise ValueError("p must be a prime")
         self.p = p
         self.zero: Optional[CompositeElement] = None

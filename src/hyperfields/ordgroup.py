@@ -93,10 +93,6 @@ def vneg(a: Value) -> Value:
     return None if a is None else gneg(a)
 
 
-def vge_zero(a: Value, rank: int) -> bool:
-    return a is None or a >= gzero(rank)
-
-
 @dataclass(frozen=True)
 class ConvexSubgroup:
     """{0}^zeros x Z^(rank-zeros): the convex subgroups of Z^rank under lex."""
@@ -135,10 +131,6 @@ class ConvexSubgroup:
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "zeros": self.zeros}
-
-
-def quotient_by_convex(g: GroupElem, delta: ConvexSubgroup) -> GroupElem:
-    return delta.project(g)
 
 
 @dataclass(frozen=True)
@@ -248,17 +240,9 @@ class Cut:
         return cls(rank, data["prefix_len"], tuple(data["bound"]), data["inclusive"])
 
 
-def cut_contains(cut: Cut, g: GroupElem) -> bool:
-    return cut.contains(g)
-
-
 def value_gt_cut(v: Value, cut: Cut) -> bool:
     """v > cut in the sense 'v is not a member' (infinity beats every cut)."""
     return v is None or not cut.contains(v)
-
-
-def cut_shift(cut: Cut, g: GroupElem) -> Cut:
-    return cut.shift(g)
 
 
 def invariance_group(cut: Cut) -> ConvexSubgroup:

@@ -3,7 +3,8 @@
 Elements are value-group vectors plus ``None`` for infinity, the additive
 zero.  Two variants share the code path: the inclusive one (x boxplus x is
 the closed ray [x, infinity]) and the strict one (the open ray).  Hypersums
-are symbolic: a Singleton or a Ray, never a materialized set.
+are symbolic: a ``hypersets.Singleton`` or the ray ``hypersets.AboveValue``
+(everything of value above a cut), never a materialized set.
 
 The rank-0 group Z^0 = {()} is allowed; it shows up as the value group of a
 trivial valuation.
@@ -11,45 +12,12 @@ trivial valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import hypersets as hs
 from .finite import FiniteHyperfield
-from .ordgroup import (Cut, ConvexSubgroup, GroupElem, Value, gadd, gneg,
-                       gzero, window)
+from .ordgroup import Cut, ConvexSubgroup, Value, gadd, gneg, gzero, window
 from .report import ValidationReport
 
 TropElem = Value  # tuple for a group element, None for infinity
-
-
-@dataclass(frozen=True)
-class Ray:
-    """{z : z >= bound} (inclusive) or {z : z > bound}, plus infinity."""
-
-    bound: GroupElem
-    inclusive: bool
-
-    def as_cut(self) -> Cut:
-        """The cut c with the ray equal to {z : z > c}."""
-        rank = len(self.bound)
-        return Cut.lt(rank, self.bound) if self.inclusive else Cut.le(rank, self.bound)
-
-    def contains(self, x: TropElem) -> bool:
-        if x is None:
-            return True
-        return x >= self.bound if self.inclusive else x > self.bound
-
-    def __eq__(self, other):
-        if isinstance(other, Ray):
-            return self.as_cut() == other.as_cut()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_cut())
-
-    def to_json(self) -> dict:
-        return {"bound": list(self.bound), "inclusive": self.inclusive}
 
 
 def t_mul(x: TropElem, y: TropElem) -> TropElem:
@@ -68,6 +36,11 @@ def t_inv(x: TropElem) -> TropElem:
     return gneg(x)
 
 
+def t_value(x: TropElem) -> Value:
+    """The intrinsic valuation of T(Z^n): the identity."""
+    return x
+
+
 def t_add(x: TropElem, y: TropElem, strict: bool = False):
     """Hypersum: {min} when the values differ, the ray above the common
     value when they agree (closed ray, or open in the strict variant)."""
@@ -77,34 +50,20 @@ def t_add(x: TropElem, y: TropElem, strict: bool = False):
         return hs.Singleton(x)
     if x != y:
         return hs.Singleton(min(x, y))
-    return Ray(x, inclusive=not strict)
+    rank = len(x)
+    return hs.AboveValue(Cut.le(rank, x) if strict else Cut.lt(rank, x))
 
 
 def _sum_sets(a, b, strict: bool):
-    """Pointwise hypersum of two symbolic sets; closed on {Singleton, Ray}."""
+    """Pointwise hypersum of two symbolic sets; closed on {Singleton, AboveValue}."""
     if isinstance(a, hs.Singleton) and isinstance(b, hs.Singleton):
         return t_add(a.elem, b.elem, strict)
-    if isinstance(a, Ray) and isinstance(b, hs.Singleton):
+    if isinstance(a, hs.AboveValue) and isinstance(b, hs.Singleton):
         a, b = b, a
-    if isinstance(a, hs.Singleton) and isinstance(b, Ray):
+    if isinstance(a, hs.Singleton):
         c = a.elem
-        if c is None:
-            return b
-        if (c < b.bound) if b.inclusive else (c <= b.bound):
-            return hs.Singleton(c)
-        return b
-    if isinstance(a, Ray) and isinstance(b, Ray):
-        assert a.inclusive == b.inclusive
-        return Ray(min(a.bound, b.bound), a.inclusive)
-    raise TypeError("expected Singleton or Ray")
-
-
-def _set_eq(a, b) -> bool:
-    if isinstance(a, hs.Singleton) and isinstance(b, hs.Singleton):
-        return a.elem == b.elem
-    if isinstance(a, Ray) and isinstance(b, Ray):
-        return a == b
-    return False
+        return a if c is not None and b.cut.contains(c) else b
+    return a if a.cut.subseteq(b.cut) else b
 
 
 class TropicalHyperfield:
@@ -129,13 +88,9 @@ class TropicalHyperfield:
         return t_inv(x)
 
     def add(self, x, y):
-        out = t_add(x, y, self.strict)
-        if isinstance(out, Ray):
-            return hs.AboveValue(out.as_cut())
-        return out
+        return t_add(x, y, self.strict)
 
-    def value_of(self, x: TropElem) -> Value:
-        return x  # the identity is the intrinsic valuation
+    value_of = staticmethod(t_value)
 
     def elements(self, bound: int) -> list[TropElem]:
         return [None] + window(self.rank, bound)
@@ -164,60 +119,30 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
     def sadd(x, y):
         return t_add(x, y, strict)
 
-    w = None
-    for x in U:
-        for y in U:
-            if not _set_eq(sadd(x, y), sadd(y, x)):
-                w = (T.elem_json(x), T.elem_json(y))
-                break
-        if w:
-            break
+    j = T.elem_json
+
+    w = next(((j(x), j(y)) for x in U for y in U
+              if not hs.equal(sadd(x, y), sadd(y, x))), None)
     rep.add("CH2", w is None, w)
 
     w = None
     for x in U:
-        inverses = []
-        for u in U:
-            s = sadd(x, u)
-            member = (s.elem is None) if isinstance(s, hs.Singleton) else s.contains(None)
-            if member:
-                inverses.append(u)
+        inverses = [u for u in U if hs.contains(sadd(x, u), None, t_value)]
         if len(inverses) != 1:
-            w = (T.elem_json(x), [T.elem_json(u) for u in inverses])
+            w = (j(x), [j(u) for u in inverses])
             break
     rep.add("CH3", w is None, w)
 
-    w = None
-    for x in U:
-        for y in U:
-            s = sadd(x, y)
-            zs = [s.elem] if isinstance(s, hs.Singleton) else [u for u in U if s.contains(u)]
-            for z in zs:
-                back = sadd(z, t_neg(x))
-                member = (back.elem == y) if isinstance(back, hs.Singleton) else back.contains(y)
-                if not member:
-                    w = (T.elem_json(x), T.elem_json(y), T.elem_json(z))
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(((j(x), j(y), j(z)) for x in U for y in U
+              for z in hs.members(sadd(x, y), U, t_value)
+              if not hs.contains(sadd(z, t_neg(x)), y, t_value)), None)
     rep.add("CH4", w is None, w)
 
-    w = None
-    for x in U:
-        for y in U:
-            left = sadd(x, y)
-            for z in U:
-                l2 = _sum_sets(left, hs.Singleton(z), strict)
-                r2 = _sum_sets(hs.Singleton(x), sadd(y, z), strict)
-                if not _set_eq(l2, r2):
-                    w = (T.elem_json(x), T.elem_json(y), T.elem_json(z))
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(((j(x), j(y), j(z)) for x in U for y in U
+              for left in (sadd(x, y),) for z in U
+              if not hs.equal(_sum_sets(left, hs.Singleton(z), strict),
+                              _sum_sets(hs.Singleton(x), sadd(y, z), strict))),
+             None)
     rep.add("CH1", w is None, w)
 
     def scale(x, s):
@@ -225,31 +150,23 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
             return hs.Singleton(t_mul(x, s.elem))
         if x is None:
             return hs.Singleton(None)
-        return Ray(gadd(x, s.bound), s.inclusive)
+        return hs.AboveValue(s.cut.shift(x))
 
-    w = None
-    for x in U:
-        for y in U:
-            for z in U:
-                if not _set_eq(scale(x, sadd(y, z)), sadd(t_mul(x, y), t_mul(x, z))):
-                    w = (T.elem_json(x), T.elem_json(y), T.elem_json(z))
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(((j(x), j(y), j(z)) for x in U for y in U for z in U
+              if not hs.equal(scale(x, sadd(y, z)), sadd(t_mul(x, y), t_mul(x, z)))),
+             None)
     rep.add("HR3", w is None, w)
 
     one_plus_one = sadd(T.one, T.one)
-    rep.observe("char2", one_plus_one.contains(None),
+    rep.observe("char2", hs.contains(one_plus_one, None, t_value),
                 note="0 belongs to 1+1")
-    rep.observe("cchar1", one_plus_one.contains(T.one),
+    rep.observe("cchar1", hs.contains(one_plus_one, T.one, t_value),
                 note="1 belongs to 1+1")
     stringent = True
     for x in U:
         for y in U:
             s = sadd(x, y)
-            if isinstance(s, Ray) and not s.contains(None):
+            if isinstance(s, hs.AboveValue) and not hs.contains(s, None, t_value):
                 stringent = False  # cannot happen: rays contain infinity
     rep.observe("stringent", stringent,
                 note="every cell avoiding 0 is a singleton")
@@ -275,45 +192,22 @@ def pi_delta_report(rank: int, delta: ConvexSubgroup, bound: int = 3,
         mode="bounded verification", window={"bound": bound})
 
     p = lambda x: pi_delta(x, delta)
+    j = src.elem_json
     rep.add("HH1", p(src.zero) is None)
     rep.add("HH4", p(src.one) == dst.one)
 
-    w = None
-    for x in U:
-        for y in U:
-            if p(t_mul(x, y)) != t_mul(p(x), p(y)):
-                w = (src.elem_json(x), src.elem_json(y))
-                break
-        if w:
-            break
+    w = next(((j(x), j(y)) for x in U for y in U
+              if p(t_mul(x, y)) != t_mul(p(x), p(y))), None)
     rep.add("HH2", w is None, w)
 
-    w = None
-    for x in U:
-        for y in U:
-            s = t_add(x, y, strict)
-            target = t_add(p(x), p(y), strict)
-            zs = [s.elem] if isinstance(s, hs.Singleton) else [u for u in U if s.contains(u)]
-            for z in zs:
-                img = p(z)
-                member = (target.elem == img) if isinstance(target, hs.Singleton) \
-                    else target.contains(img)
-                if not member:
-                    w = (src.elem_json(x), src.elem_json(y), src.elem_json(z))
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(((j(x), j(y), j(z)) for x in U for y in U
+              for target in (t_add(p(x), p(y), strict),)
+              for z in hs.members(t_add(x, y, strict), U, t_value)
+              if not hs.contains(target, p(z), t_value)), None)
     rep.add("HH3", w is None, w)
 
-    w = None
-    for x in U:
-        if x is None:
-            continue
-        if p(t_inv(x)) != t_inv(p(x)):
-            w = (src.elem_json(x),)
-            break
+    w = next(((j(x),) for x in U
+              if x is not None and p(t_inv(x)) != t_inv(p(x))), None)
     rep.add("HH5", w is None, w)
 
     hit = {p(x) for x in U}
@@ -344,8 +238,7 @@ def two_element_subhyperfield(rank: int, strict: bool = False) -> FiniteHyperfie
     for i, x in enumerate(S):
         for j, y in enumerate(S):
             s = t_add(x, y, strict)
-            cell = [k for k, z in enumerate(S)
-                    if (s.elem == z if isinstance(s, hs.Singleton) else s.contains(z))]
+            cell = [k for k, z in enumerate(S) if hs.contains(s, z, t_value)]
             add[i][j] = tuple(cell)
     mul = [[0, 0], [0, 1]]
     return FiniteHyperfield(["0", "1"], mul, add,

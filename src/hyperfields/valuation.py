@@ -25,7 +25,7 @@ from .finite import FiniteHyperfield, ZERO, ONE
 from .ordgroup import (Cut, ConvexSubgroup, Value, gzero, invariance_group,
                        value_gt_cut, vadd, vcompare, vmin, vneg)
 from .report import ValidationReport
-from .tropical import t_add, t_mul
+from .tropical import t_add, t_mul, t_value
 
 
 class FiniteBackend:
@@ -197,10 +197,7 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
             target = t_add(v(x), v(y))
             s = backend.add(x, y)
             for z in hs.members(s, U, backend.value_of):
-                img = v(z)
-                member = (target.elem == img) if isinstance(target, hs.Singleton) \
-                    else target.contains(img)
-                if not member:
+                if not hs.contains(target, v(z), t_value):
                     w = _j(backend, x, y, z)
                     break
             if w:
@@ -266,10 +263,7 @@ def valuation_ring(backend, v: Valuation) -> RingPredicate:
 
     def pred(x):
         primary = v.ge_zero(x)
-        img = v(x)
-        via_trop = (target.elem == img) if isinstance(target, hs.Singleton) \
-            else target.contains(img)
-        if primary != via_trop:
+        if primary != hs.contains(target, v(x), t_value):
             raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
         return primary
 

@@ -72,6 +72,30 @@ def test_usage_errors_exit_2():
     assert e.value.code == 2
 
 
+# Each of these exited 3 (internal error), 1 or 0 (a vacuous PASS on an empty
+# window) before the parser checked parameter ranges.
+@pytest.mark.parametrize("argv", [
+    ("krasner", "kgamma", "--q", "6"),
+    ("krasner", "kgamma", "--gamma", "-1"),
+    ("krasner", "composite", "--p", "1"),
+    ("krasner", "composite", "--p", "4"),
+    ("krasner", "tropical:1", "--norm-bound", "-1"),
+    ("krasner", "collapsed", "--window-bound", "-1"),
+    ("residue", "kgamma", "--gamma", "-1"),
+    ("axioms", "tropical:1", "--window-bound", "-1"),
+    ("coarsen", "--p", "1"),
+    ("coarsen", "--window-bound", "-1"),
+    ("scenario", "kgamma", "--q", "6"),
+    ("scenario", "kgamma", "--window-bound", "-1"),
+    ("scenario", "example-last", "--p", "4"),
+])
+def test_out_of_range_parameters_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
 def test_classify_reports_the_flag_vector(capsys):
     code, rep = run(capsys, "classify", "builtin:K")
     assert code == 0

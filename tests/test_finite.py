@@ -14,6 +14,7 @@ from hyperfields.finite import (FiniteHyperfield, MalformedTableError,
                                 quotient_hyperfield, quotient_search,
                                 scalar_hyperideal, squares_subgroup,
                                 subgroup_closure, validate)
+from hyperfields.valuation import FiniteBackend, check_superiorly_canonical
 
 
 def _cells(F):
@@ -82,6 +83,9 @@ def test_validate_reports_witnesses_for_broken_tables():
     assert "CH2" in failed
     wit = rep.check("CH2").witness
     assert wit == (1, 2)
+    # first witnesses in x, y, z order, pinned at seed
+    assert rep.check("CH4").witness == (1, 2, 1)
+    assert rep.check("CH1").witness == (1, 1, 2)
 
 
 def test_validate_skips_ch4_when_inverses_are_missing():
@@ -288,6 +292,9 @@ def test_enumeration_counts_are_stable():
     assert len(enumerate_hyperfields(2)) == 2
     assert len(enumerate_hyperfields(3)) == 5
     assert len(enumerate_hyperfields(4)) == 7
+    # pinned at seed, not yet checked against Baker-Jin
+    assert len(enumerate_hyperfields(5)) == 27
+    assert len(enumerate_hyperfields(6)) == 16
 
 
 def test_enumeration_contains_the_named_structures():
@@ -328,6 +335,9 @@ def test_enumeration_superiorly_canonical_iff_field():
         for F in enumerate_hyperfields(order):
             c = classify(F)
             assert c.superiorly_canonical == c.is_field
+            # the generic checker is the reference for the bitmask one
+            assert c.superiorly_canonical == \
+                check_superiorly_canonical(FiniteBackend(F)).ok
 
 
 def test_enumeration_charTGamma_predicates():

@@ -5,9 +5,9 @@ import pytest
 from hyperfields import hypersets as hs
 from hyperfields.finite import build_K, build_finite_field, find_isomorphism
 from hyperfields.ordgroup import ConvexSubgroup, Cut
-from hyperfields.tropical import (Ray, TropicalHyperfield, pi_delta,
+from hyperfields.tropical import (TropicalHyperfield, pi_delta,
                                   pi_delta_report, t_add, t_inv, t_mul, t_neg,
-                                  tropical_axiom_suite,
+                                  t_value, tropical_axiom_suite,
                                   two_element_subhyperfield,
                                   valuation_ring_of_pi_delta)
 
@@ -32,21 +32,24 @@ def test_hypersum_of_distinct_values_is_the_smaller():
 
 def test_hypersum_of_equal_values_is_a_ray():
     r = t_add((2,), (2,))
-    assert isinstance(r, Ray) and r.inclusive
-    assert r.contains((2,)) and r.contains((5,)) and r.contains(None)
-    assert not r.contains((1,))
+    assert r == hs.AboveValue(Cut.lt(1, (2,)))
+    for x in ((2,), (5,), None):
+        assert hs.contains(r, x, t_value)
+    assert not hs.contains(r, (1,), t_value)
 
     r = t_add((2,), (2,), strict=True)
-    assert isinstance(r, Ray) and not r.inclusive
-    assert not r.contains((2,))
-    assert r.contains((3,)) and r.contains(None)
+    assert r == hs.AboveValue(Cut.le(1, (2,)))
+    assert not hs.contains(r, (2,), t_value)
+    assert hs.contains(r, (3,), t_value) and hs.contains(r, None, t_value)
 
 
 def test_rays_compare_through_their_cuts():
-    assert Ray((3,), True) == Ray((2,), False)
-    assert hash(Ray((3,), True)) == hash(Ray((2,), False))
-    assert Ray((3,), True) != Ray((3,), False)
-    assert Ray((0, 0), True).as_cut() == Cut.lt(2, (0, 0))
+    closed_at_3 = t_add((3,), (3,))
+    open_at_2 = t_add((2,), (2,), strict=True)
+    assert hs.equal(closed_at_3, open_at_2)
+    assert hash(closed_at_3) == hash(open_at_2)
+    assert not hs.equal(closed_at_3, t_add((3,), (3,), strict=True))
+    assert t_add((0, 0), (0, 0)).cut == Cut.lt(2, (0, 0))
 
 
 def test_backend_add_wraps_rays_as_hypersets():
