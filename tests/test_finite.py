@@ -1,9 +1,13 @@
 """Finite hyperfields: tables, axioms, quotients, morphisms, enumeration."""
 
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperfields import finite
 from hyperfields.finite import (FiniteHyperfield, MalformedTableError,
                                 Morphism, build_K, build_S, build_W,
                                 build_finite_field, classify,
@@ -20,6 +24,92 @@ from hyperfields.valuation import FiniteBackend, check_superiorly_canonical
 def _cells(F):
     return {(x, y): frozenset(F.add_cell(x, y))
             for x in range(F.size) for y in range(F.size)}
+
+
+# -- full-scan reference kernels ---------------------------------------------------
+# The library's kernels visit only the set bits of a mask; these scan every
+# index, as the kernels once did, and are what the property tests hold them to.
+
+def _ref_mask_to_cell(mask, n):
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _ref_sumset(add, mask_a, mask_b):
+    out = 0
+    n = len(add)
+    for a in range(n):
+        if mask_a >> a & 1:
+            for b in range(n):
+                if mask_b >> b & 1:
+                    out |= add[a][b]
+    return out
+
+
+def _ref_mul_mask(row, mask):
+    out = 0
+    for a in range(len(row)):
+        if mask >> a & 1:
+            out |= 1 << row[a]
+    return out
+
+
+def _ref_witnesses(F):
+    """(passed, witness) of CH4 (when CH3 holds), CH1 and HR3 by full scans,
+    first witness in x, y, z order."""
+    n, add, mul = F.size, F._add, F.mul
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    out = {}
+    if all(sum(add[x][y] & 1 for y in range(n)) == 1 for x in range(n)):
+        w = next(((x, y, z) for x, y, z in triples if add[x][y] >> z & 1
+                  and not add[z][F.neg(x)] >> y & 1), None)
+        out["CH4"] = (w is None, w)
+    w = next(((x, y, z) for x, y, z in triples
+              if _ref_sumset(add, add[x][y], 1 << z)
+              != _ref_sumset(add, 1 << x, add[y][z])), None)
+    out["CH1"] = (w is None, w)
+    w = next(((x, y, z) for x, y, z in triples
+              if _ref_mul_mask(mul[x], add[y][z])
+              != _ref_sumset(add, 1 << mul[x][y], 1 << mul[x][z])), None)
+    out["HR3"] = (w is None, w)
+    return out
+
+
+def _small_hyperfields():
+    out = [build_K(), build_S(), build_W()]
+    out += [build_finite_field(q) for q in (2, 3, 4, 5, 7, 8)]
+    for q in (7, 13):
+        F = build_finite_field(q)
+        quotients = (quotient_hyperfield(F, [u]) for u in F.units)
+        out += [Q for Q in quotients if Q.size <= 8]
+    return out
+
+
+SMALL_HYPERFIELDS = _small_hyperfields()
+
+
+@st.composite
+def mask_tables(draw):
+    """A table of order 2..8: a hyperfield with up to two add cells and one
+    mul entry redrawn (often no longer a hyperfield), or an arbitrary one."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(SMALL_HYPERFIELDS))
+        n = base.size
+        mul = [list(row) for row in base.mul]
+        add = [list(row) for row in base._add]
+        for _ in range(draw(st.integers(0, 2))):
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            add[x][y] = draw(st.integers(1, (1 << n) - 1))
+        if draw(st.booleans()):
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            mul[x][y] = draw(st.integers(0, n - 1))
+    else:
+        n = draw(st.integers(2, 8))
+        mul = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+        add = draw(st.lists(st.lists(st.integers(1, (1 << n) - 1), min_size=n,
+                                     max_size=n), min_size=n, max_size=n))
+    cells = [[_ref_mask_to_cell(m, n) for m in row] for row in add]
+    return FiniteHyperfield([str(i) for i in range(n)], mul, cells)
 
 
 # -- construction and validation ------------------------------------------------
@@ -86,6 +176,49 @@ def test_validate_reports_witnesses_for_broken_tables():
     # first witnesses in x, y, z order, pinned at seed
     assert rep.check("CH4").witness == (1, 2, 1)
     assert rep.check("CH1").witness == (1, 1, 2)
+    # 2(1 + -1) = {0, -1} but 2*1 + 2*(-1) = -1 + 1 = S; pinned before the
+    # set-bit kernel
+    assert rep.check("HR3").witness == (2, 1, 2)
+
+
+def test_validate_pins_a_ch1_witness_on_a_multivalued_sum():
+    # W with 1 + (-1) = {0, -1}: the first CH1 failure has |x+y| = 2
+    W = build_W()
+    add = [[sorted(W.add_cell(x, y)) for y in range(3)] for x in range(3)]
+    add[1][2] = add[2][1] = [0, 2]
+    rep = validate(FiniteHyperfield(W.names, W.mul, add))
+    # pinned before the set-bit kernel
+    assert [(c.axiom, c.witness) for c in rep.failed()] == [
+        ("CH4", (1, 1, 1)), ("CH1", (1, 2, 2)), ("HR3", (2, 1, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_tables(), st.data())
+def test_set_bit_kernels_match_full_scans(F, data):
+    n = F.size
+    masks = st.integers(0, (1 << n) - 1)
+    a, b = data.draw(masks), data.draw(masks)
+    x = data.draw(st.integers(0, n - 1))
+    assert finite._sumset(F._add, a, b) == _ref_sumset(F._add, a, b)
+    assert finite._mul_mask(F.mul[x], a) == _ref_mul_mask(F.mul[x], a)
+    assert finite._mask_to_cell(a) == _ref_mask_to_cell(a, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_tables())
+def test_validate_matches_full_scan_references(F):
+    ref = _ref_witnesses(F)
+    got = {c.axiom: (c.passed, c.witness) for c in validate(F).checks
+           if c.axiom in ref}
+    assert got == ref
+
+
+def test_validate_f64_within_budget():
+    F = build_finite_field(64)
+    t0 = time.perf_counter()
+    assert validate(F).ok
+    dt = time.perf_counter() - t0
+    assert dt < 3.0, f"validate(F64) took {dt:.2f}s, budget 3s"
 
 
 def test_validate_skips_ch4_when_inverses_are_missing():
