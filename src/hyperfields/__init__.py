@@ -21,8 +21,8 @@ from .leading_terms import (CollapsedConstantsContext, CompositeContext,
                             LTContext, LTElement)
 from .ordgroup import ConvexSubgroup, Cut, invariance_group
 from .report import AxiomCheck, ValidationReport
-from .tropical import (TropicalHyperfield, pi_delta, pi_delta_report,
-                       tropical_axiom_suite, two_element_subhyperfield)
+from .tropical import (TropicalHyperfield, tropical_axiom_suite,
+                       two_element_subhyperfield)
 from .valuation import (FiniteBackend, Valuation, canonical_valuation_from_ring,
                         check_coarsening_theorem, check_krasner,
                         check_superiorly_canonical, coarsening, equivalent,

@@ -25,7 +25,7 @@ from .finite import (FiniteHyperfield, MalformedTableError, build_K, build_S,
 from .galois import is_prime, prime_power
 from .leading_terms import (CollapsedConstantsContext, CompositeContext,
                             LTContext)
-from .ordgroup import Cut, invariance_group
+from .ordgroup import Cut, WindowTooLarge, invariance_group
 from .tropical import TropicalHyperfield, tropical_axiom_suite
 
 
@@ -548,6 +548,9 @@ def main(argv=None) -> int:
         return 2
     except MalformedTableError as e:
         print(f"hyperval: malformed table: {e}", file=sys.stderr)
+        return 2
+    except WindowTooLarge as e:
+        print(f"hyperval: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001  -- contract: internal errors exit 3
         print(f"hyperval: internal error: {type(e).__name__}: {e}",

@@ -10,13 +10,12 @@ S, the weak sign hyperfield W), finite fields as degenerate hyperfields,
 quotients of finite fields by multiplicative subgroups, morphism predicates,
 a brute-force isomorphism search, classification flags, hyperideal
 enumeration, and an exhaustive enumeration of all hyperfields of a given
-small order with a prescribed multiplicative group.
+small order.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .galois import GaloisField, prime_power
@@ -779,9 +778,8 @@ def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
     return table
 
 
-def enumerate_hyperfields(order: int, mult_group=None, cap: int = 6) -> list[FiniteHyperfield]:
-    """Every hyperfield of the given order (up to isomorphism) whose unit
-    group matches the descriptor (None means all abelian groups).
+def enumerate_hyperfields(order: int, cap: int = 6) -> list[FiniteHyperfield]:
+    """Every hyperfield of the given order, up to isomorphism.
 
     Distributivity forces x+y = x(1 + x^(-1) y), so a structure is pinned
     down by the row h(a) = 1+a; candidate rows are enumerated subject to
@@ -795,17 +793,8 @@ def enumerate_hyperfields(order: int, mult_group=None, cap: int = 6) -> list[Fin
     if order > cap:
         raise ValueError(f"order {order} above the enumeration cap {cap}")
     m = order - 1
-    if mult_group is None:
-        descriptors = _abelian_groups(m)
-    elif mult_group == "cyclic":
-        descriptors = [(m,)] if m > 1 else [()]
-    else:
-        descriptors = [tuple(sorted(int(d) for d in mult_group))]
-        if math.prod(descriptors[0]) != m:
-            raise ValueError("descriptor does not match the unit count")
-
     found: list[FiniteHyperfield] = []
-    for divisors in descriptors:
+    for divisors in _abelian_groups(m):
         unit_mul = _group_mul_table(divisors, m)
         mul = [[0] * order for _ in range(order)]
         for a in range(1, order):

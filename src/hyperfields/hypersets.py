@@ -1,19 +1,15 @@
 """Symbolic hypersum results.
 
 A hypersum over an infinite carrier cannot always be materialized, but every
-hypersum this package produces falls into one of four shapes: a singleton,
-an explicit finite set, "everything of value above a cut" (AboveValue: the
-rays of the tropical carriers and the fully cancelling sums of the
-leading-term ones), or a TailClass (below).  The functions here implement
-membership, equality, inclusion, intersection, listing against a window and
-the image under the valuation for those shapes.  AboveValue membership needs
-to know element values, so the relevant functions take a ``value_of``
-callable (the carrier's intrinsic valuation; ``None`` means infinity and
-belongs to every AboveValue set).
-
-TailClass is the overflow shape for finite hypersums too large to list: the
-set of all elements of one value whose leading coefficients extend a forced
-prefix.  It only appears above a configurable cap.
+hypersum this package produces falls into one of three shapes: a singleton,
+an explicit finite set, or "everything of value above a cut" (AboveValue:
+the rays of the tropical carriers and the fully cancelling sums of the
+leading-term ones).  The functions here implement membership, equality,
+inclusion, intersection, listing against a window and the image under the
+valuation for those shapes.  AboveValue membership needs to know element
+values, so the relevant functions take a ``value_of`` callable (the
+carrier's intrinsic valuation; ``None`` means infinity and belongs to every
+AboveValue set).
 """
 
 from __future__ import annotations
@@ -41,17 +37,7 @@ class AboveValue:
     cut: Cut
 
 
-@dataclass(frozen=True)
-class TailClass:
-    """All elements of the given (integer) value whose coefficient vector
-    starts with ``forced``; ``size`` members in total."""
-
-    value: int
-    forced: tuple
-    size: int
-
-
-HyperSet = Union[Singleton, FiniteSet, AboveValue, TailClass]
+HyperSet = Union[Singleton, FiniteSet, AboveValue]
 
 ValueOf = Callable[[object], Value]
 
@@ -73,9 +59,6 @@ def contains(hs: HyperSet, x, value_of: ValueOf) -> bool:
         return x in hs.elems
     if isinstance(hs, AboveValue):
         return value_gt_cut(value_of(x), hs.cut)
-    if isinstance(hs, TailClass):
-        return (x is not None and x.value == hs.value
-                and tuple(x.coeffs[: len(hs.forced)]) == hs.forced)
     raise TypeError(f"not a hyperset: {hs!r}")
 
 
@@ -93,8 +76,6 @@ def equal(a: HyperSet, b: HyperSet) -> bool:
         return a.elems == b.elems
     if isinstance(a, AboveValue) and isinstance(b, AboveValue):
         return a.cut == b.cut
-    if isinstance(a, TailClass) and isinstance(b, TailClass):
-        return a == b
     return False
 
 
@@ -107,13 +88,6 @@ def subset(a: HyperSet, b: HyperSet, value_of: ValueOf) -> bool:
         if isinstance(b, AboveValue):
             return b.cut.subseteq(a.cut)
         return False  # an infinite set never fits in a finite one
-    if isinstance(a, TailClass):
-        if isinstance(b, AboveValue):
-            return value_gt_cut((a.value,), b.cut)
-        if isinstance(b, TailClass):
-            return (a.value == b.value and len(a.forced) >= len(b.forced)
-                    and a.forced[: len(b.forced)] == b.forced)
-        return False
     raise TypeError(f"not a hyperset: {a!r}")
 
 
@@ -126,13 +100,6 @@ def intersects(a: HyperSet, b: HyperSet, value_of: ValueOf) -> bool:
     if isinstance(a, AboveValue) and isinstance(b, AboveValue):
         # Both contain every infinite-valued element (the additive zero).
         return True
-    if isinstance(a, TailClass) and isinstance(b, AboveValue):
-        return value_gt_cut((a.value,), b.cut)
-    if isinstance(a, AboveValue) and isinstance(b, TailClass):
-        return value_gt_cut((b.value,), a.cut)
-    if isinstance(a, TailClass) and isinstance(b, TailClass):
-        k = min(len(a.forced), len(b.forced))
-        return a.value == b.value and a.forced[:k] == b.forced[:k]
     raise TypeError("not hypersets")
 
 
@@ -153,8 +120,6 @@ def values_of(hs: HyperSet, value_of: ValueOf):
         return ("finite", frozenset([value_of(hs.elem)]))
     if isinstance(hs, FiniteSet):
         return ("finite", frozenset(value_of(x) for x in hs.elems))
-    if isinstance(hs, TailClass):
-        return ("finite", frozenset([(hs.value,)]))
     if isinstance(hs, AboveValue):
         return ("above", hs.cut)
     raise TypeError(f"not a hyperset: {hs!r}")

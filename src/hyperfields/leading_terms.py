@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from . import hypersets as hs
 from .galois import GaloisField, is_prime
-from .ordgroup import Cut, Value
+from .ordgroup import Cut, Value, check_window
 
 
 class LTElement(NamedTuple):
@@ -46,15 +46,14 @@ class CompositeElement(NamedTuple):
 class LTContext:
     """Truncated leading-term arithmetic for F_q((t)) at unit level [0, level]."""
 
-    def __init__(self, q: int, level: int, modulus: tuple[int, ...] | None = None,
-                 finite_cap: int = 10_000):
+    def __init__(self, q: int, level: int):
         if level < 0:
             raise ValueError("level must be >= 0")
-        self.gf = GaloisField(q, modulus)
+        check_window(q - 1, q, level)  # the units of one value
+        self.gf = GaloisField(q)
         self.q = q
         self.level = level
         self.width = level + 1
-        self.finite_cap = finite_cap
         self.zero: Optional[LTElement] = None
         self.one = LTElement(0, (1,) + (0,) * level)
         self.value_rank = 1
@@ -129,9 +128,6 @@ class LTContext:
         if k == 0:
             return hs.Singleton(LTElement(x.value, s))
         forced = s[k:]
-        count = self.q ** k
-        if count > self.finite_cap:
-            return hs.TailClass(x.value + k, forced, count)
         return hs.FiniteSet(frozenset(
             LTElement(x.value + k, forced + tail)
             for tail in itertools.product(range(self.q), repeat=k)))
@@ -143,9 +139,7 @@ class LTContext:
         return Cut.le(1, (self.level,))
 
     def elements(self, bound: int) -> list:
-        count = (2 * bound + 1) * (self.q - 1) * self.q ** self.level
-        if count > 200_000:
-            raise ValueError(f"window too large ({count} elements)")
+        check_window((2 * bound + 1) * (self.q - 1), self.q, self.level)
         out = [None]
         for v in range(-bound, bound + 1):
             out.extend(self.elements_with_value(v))
@@ -172,7 +166,7 @@ class LTContext:
 
     def to_json(self) -> dict:
         out = {"q": self.q, "gamma": self.level}
-        if self.gf.modulus is not None:
+        if self.gf.modulus is not None:  # the default modulus of F_q
             out["modulus"] = list(self.gf.modulus)
         return out
 

@@ -217,18 +217,7 @@ class Cut:
         """Does the cut contain every element strictly below g?"""
         if len(g) != self.rank:
             raise ValueError("rank mismatch")
-        if self.is_whole:
-            return True
-        if self.is_empty:
-            return self.rank == 0  # rank 0 has nothing below its one element
-        nxt = succ(self.bound)
-        if self.prefix_len < self.rank:
-            # Some element with prefix nxt and a very negative tail sits
-            # below g exactly when nxt <= g's prefix.
-            escapes = nxt <= g[: self.prefix_len]
-        else:
-            escapes = nxt < g
-        return not escapes
+        return Cut.lt(self.rank, g).subseteq(self)
 
     def to_json(self) -> dict:
         return {"prefix_len": self.prefix_len,
@@ -253,6 +242,24 @@ def invariance_group(cut: Cut) -> ConvexSubgroup:
     whole/empty segments are fixed by everything).
     """
     return ConvexSubgroup(cut.rank, cut.prefix_len)
+
+
+# Largest window a carrier builds.  The checkers visit |U|^2 to |U|^4 tuples
+# of a window U, so even this is far beyond what they finish.
+WINDOW_LIMIT = 200_000
+
+
+class WindowTooLarge(ValueError):
+    """A window above WINDOW_LIMIT elements, refused before it is built."""
+
+
+def check_window(factor: int, base: int, exp: int) -> None:
+    """Refuse a window of factor * base**exp elements above WINDOW_LIMIT."""
+    # base**bits > WINDOW_LIMIT for base >= 2, so capping the exponent there
+    # keeps the verdict and a huge exponent costs nothing.
+    if factor * base ** min(exp, WINDOW_LIMIT.bit_length()) > WINDOW_LIMIT:
+        raise WindowTooLarge(f"window too large ({factor} * {base}^{exp} "
+                             f"elements, limit {WINDOW_LIMIT})")
 
 
 def window(rank: int, bound: int) -> list[GroupElem]:

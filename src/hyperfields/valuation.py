@@ -366,8 +366,6 @@ def _same_residue_class(backend, v: Valuation, x, y, U) -> bool:
     diff = backend.add(x, backend.neg(y))
     if isinstance(diff, hs.AboveValue):
         return True  # the additive zero lies in the set and in M_v
-    if isinstance(diff, hs.TailClass):
-        raise NotImplementedError("residue classes across a TailClass")
     for z in hs.members(diff, U, backend.value_of):
         if z == backend.zero or v.gt_zero(z):
             return True
@@ -378,6 +376,12 @@ def residue_hyperfield(backend, v: Valuation, bound: int = 2,
                        cap: int = 64) -> FiniteHyperfield:
     """O_v / M_v with (x+M) + (y+M) = {z+M : z in x+y}, built from window
     representatives and validated."""
+    return _residue(backend, v, bound, cap)[0]
+
+
+def _residue(backend, v: Valuation, bound: int, cap: int):
+    """The residue table and its class representatives (reps[k] stands for
+    class k; 0 and 1 come first)."""
     U = backend.elements(bound)
     pool = [x for x in U if v.ge_zero(x)]
     reps = [backend.zero, backend.one]
@@ -413,8 +417,6 @@ def residue_hyperfield(backend, v: Valuation, bound: int = 2,
             if value_gt_cut(gzero(v.rank), s.cut):
                 return tuple(range(n))
             return (0,)
-        if isinstance(s, hs.TailClass):
-            raise NotImplementedError("residue cells across a TailClass")
         return tuple(sorted({class_of(z) for z in hs.members(s, U, backend.value_of)}))
 
     add = [[cell(a, b) for b in reps] for a in reps]
@@ -425,7 +427,7 @@ def residue_hyperfield(backend, v: Valuation, bound: int = 2,
     vrep = validate(H)
     if not vrep.ok:
         raise RuntimeError(f"residue table failed validation: {vrep.failed()}")
-    return H
+    return H, reps
 
 
 def residue_embedding_check(ctx, bound: int = 2) -> bool:
@@ -434,41 +436,18 @@ def residue_embedding_check(ctx, bound: int = 2) -> bool:
     deeper levels two distinct cosets share a residue class, so the map is
     not even well defined.  Verified on a window: well-definedness first,
     then the embedding condition for the section."""
-    v = intrinsic_valuation(ctx)
-    U = ctx.elements(bound)
     units = ctx.elements_with_value(0)
-    for i, x in enumerate(units):
-        for y in units[i + 1:]:
-            if _same_residue_class(ctx, v, x, y, U):
-                return False  # same class, distinct cosets: ill defined
+    # Every class holds Zero or a unit, so there are never more than this.
+    R, reps = _residue(ctx, intrinsic_valuation(ctx), bound, 1 + len(units))
+    if len(reps) != 1 + len(units):
+        return False  # two distinct unit cosets share a class: ill defined
 
-    # Here distinct unit cosets mean distinct classes; the section sends the
-    # zero class to Zero and each unit class to its unique coset.
-    image = set(units) | {ctx.zero}
-    section = {None: ctx.zero}
-    for x in units:
-        section[x] = x
-
-    for a in [ctx.zero] + units:
-        for b in [ctx.zero] + units:
+    # The section sends class k to reps[k]; its image is every unit and Zero.
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
             s = ctx.add(a, b)
-            # left side: image of the residue cell under the section
-            lhs = set()
-            if isinstance(s, hs.AboveValue):
-                lhs.add(ctx.zero)
-                if value_gt_cut(gzero(v.rank), s.cut):
-                    lhs.update(units)
-            else:
-                for z in hs.members(s, U, ctx.value_of):
-                    matched = [u for u in units
-                               if _same_residue_class(ctx, v, z, u, U)]
-                    if matched:
-                        lhs.add(matched[0])
-                    elif z == ctx.zero or v.gt_zero(z):
-                        lhs.add(ctx.zero)
-            # right side: the hypersum intersected with the section's image
-            rhs = {t for t in image if hs.contains(s, t, ctx.value_of)}
-            if lhs != rhs:
+            if ({reps[k] for k in R.add_cell(i, j)}
+                    != {t for t in reps if hs.contains(s, t, ctx.value_of)}):
                 return False
     return True
 
@@ -714,9 +693,7 @@ def _hs_key(s) -> tuple:
         return ("s", repr(s.elem))
     if isinstance(s, hs.FiniteSet):
         return ("f", tuple(sorted(map(repr, s.elems))))
-    if isinstance(s, hs.AboveValue):
-        return ("a", s.cut.prefix_len, s.cut.bound, s.cut.inclusive)
-    return ("t", s.value, s.forced)
+    return ("a", s.cut.prefix_len, s.cut.bound, s.cut.inclusive)
 
 
 def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,25 @@ def test_out_of_range_parameters_exit_2(argv, capsys):
         main(list(argv))
     assert e.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+# Windows above the size limit are refused with exit 2 before any of them is
+# built (these exited 3, or had no guard at all, before).
+@pytest.mark.parametrize("argv", [
+    ("krasner", "kgamma", "--q", "49", "--gamma", "3", "--window-bound", "100"),
+    ("krasner", "kgamma", "--q", "3", "--gamma", "11"),
+    ("axioms", "tropical:12", "--window-bound", "3"),
+])
+def test_oversize_windows_exit_2(argv, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("window built before the size check")
+
+    monkeypatch.setattr("hyperfields.leading_terms.GaloisField", built)
+    monkeypatch.setattr("hyperfields.tropical.window", built)
+    t0 = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "window too large" in capsys.readouterr().err
 
 
 def test_classify_reports_the_flag_vector(capsys):

@@ -8,7 +8,7 @@ from hyperfields import hypersets as hs
 from hyperfields.leading_terms import (CollapsedConstantsContext,
                                        CompositeContext, CompositeElement,
                                        LTContext, LTElement, ord_p)
-from hyperfields.ordgroup import Cut
+from hyperfields.ordgroup import Cut, WindowTooLarge
 from hyperfields.tropical import t_add
 
 from oracles import composite_realize, lift_product_coset, lift_sum_cosets
@@ -99,19 +99,26 @@ def test_hypersum_cases_by_hand():
         assert None in m
 
 
-def test_deep_cancellation_is_capped_into_a_tail_class():
-    ctx = LTContext(3, 3, finite_cap=10)
+def test_deep_cancellation_lists_every_member():
+    ctx = LTContext(3, 3)
     x = ctx.elem(0, (1, 1, 1, 1))
     y = ctx.elem(0, (2, 2, 2, 1))
     got = ctx.add(x, y)
-    assert got == hs.TailClass(3, (2,), 27)
+    # cancellation to depth 3 frees three slots: 27 members of value 3
+    assert isinstance(got, hs.FiniteSet) and len(got.elems) == 27
+    assert all(m.value == 3 and m.coeffs[0] == 2 for m in got.elems)
     assert hs.contains(got, ctx.elem(3, (2, 0, 1, 2)), ctx.value_of)
     assert not hs.contains(got, ctx.elem(3, (1, 0, 1, 2)), ctx.value_of)
     assert not hs.contains(got, None, ctx.value_of)
-    # same sum without the cap: the explicit 27-element set
-    uncapped = LTContext(3, 3).add(x, y)
-    assert isinstance(uncapped, hs.FiniteSet) and len(uncapped.elems) == 27
-    assert all(hs.contains(got, m, ctx.value_of) for m in uncapped.elems)
+
+
+def test_oversize_context_is_refused_before_it_is_built():
+    # 2 * 3^11 = 354,294 units of one value, more than a window may hold
+    with pytest.raises(WindowTooLarge):
+        LTContext(3, 11)
+    ctx = LTContext(3, 10)  # 2 * 3^10 = 118,098 fits at bound 0 ...
+    with pytest.raises(WindowTooLarge):
+        ctx.elements(1)  # ... but not three values of it
 
 
 def test_neg_is_an_additive_inverse_window():

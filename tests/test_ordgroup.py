@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfields.ordgroup import (Cut, ConvexSubgroup, gadd, gneg, gzero,
-                                  invariance_group, lex_compare, pred, succ,
-                                  value_gt_cut, vadd, vcompare, vmin, window)
+from hyperfields.ordgroup import (WINDOW_LIMIT, Cut, ConvexSubgroup,
+                                  WindowTooLarge, check_window, gadd, gneg,
+                                  gzero, invariance_group, lex_compare, pred,
+                                  succ, value_gt_cut, vadd, vcompare, vmin,
+                                  window)
 
 pairs2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
@@ -159,3 +161,13 @@ def test_cut_rank_guards():
         Cut.le(1, (0,)).shift((1, 1))
     with pytest.raises(ValueError):
         Cut.le(1, (0,)).subseteq(Cut.le(2, (0,)))
+
+
+def test_check_window_stops_at_the_limit():
+    check_window(WINDOW_LIMIT, 1, 10 ** 12)  # 1^n never grows
+    check_window(2, 10, 5)  # exactly the limit
+    with pytest.raises(WindowTooLarge):
+        check_window(2, 10, 5 + 1)
+    with pytest.raises(WindowTooLarge):
+        check_window(1, 7, 10 ** 12)  # refused without forming 7^(10^12)
+    assert issubclass(WindowTooLarge, ValueError)

@@ -4,12 +4,12 @@ import pytest
 
 from hyperfields import hypersets as hs
 from hyperfields.finite import build_K, build_finite_field, find_isomorphism
-from hyperfields.ordgroup import ConvexSubgroup, Cut
-from hyperfields.tropical import (TropicalHyperfield, pi_delta,
-                                  pi_delta_report, t_add, t_inv, t_mul, t_neg,
-                                  t_value, tropical_axiom_suite,
-                                  two_element_subhyperfield,
-                                  valuation_ring_of_pi_delta)
+from hyperfields.ordgroup import ConvexSubgroup, Cut, WindowTooLarge
+from hyperfields.tropical import (TropicalHyperfield, t_add, t_inv, t_mul,
+                                  t_neg, t_value, tropical_axiom_suite,
+                                  two_element_subhyperfield)
+from hyperfields.valuation import (coarsening, intrinsic_valuation,
+                                   is_valuation, valuation_ring)
 
 
 def test_multiplication_adds_values_with_absorbing_infinity():
@@ -85,26 +85,41 @@ def test_two_element_subhyperfield_depends_on_strictness():
                             build_finite_field(2))
 
 
+def _projection(rank, delta):
+    """The projection T(Z^rank) -> T(Z^rank / delta) as a valuation."""
+    T = TropicalHyperfield(rank)
+    return T, coarsening(intrinsic_valuation(T), delta)
+
+
 def test_projection_along_a_convex_subgroup():
     delta = ConvexSubgroup(2, 1)
-    assert pi_delta((3, -5), delta) == (3,)
-    assert pi_delta(None, delta) is None
-    rep = pi_delta_report(2, delta, bound=2)
+    T, p = _projection(2, delta)
+    assert p((3, -5)) == (3,)
+    assert p(None) is None
+    rep = is_valuation(T, p, bound=2)
     assert rep.ok, rep.failed()
     assert rep.check("surjective-on-window").passed
 
 
-def test_projection_report_rejects_rank_mismatch():
+def test_projection_rejects_rank_mismatch():
     with pytest.raises(ValueError):
-        pi_delta_report(1, ConvexSubgroup(2, 1), bound=2)
+        _projection(1, ConvexSubgroup(2, 1))
 
 
 def test_valuation_ring_of_projection_membership():
-    member = valuation_ring_of_pi_delta(ConvexSubgroup(2, 1))
+    T, p = _projection(2, ConvexSubgroup(2, 1))
+    member = valuation_ring(T, p).contains
     assert member(None)
     assert member((0, -9)) and member((0, 4))
     assert member((1, -100))
     assert not member((-1, 100))
     # full projection: ring of the identity valuation is the nonnegatives
-    member = valuation_ring_of_pi_delta(ConvexSubgroup(1, 1))
+    T, p = _projection(1, ConvexSubgroup(1, 1))
+    member = valuation_ring(T, p).contains
     assert member((0,)) and member((3,)) and not member((-1,))
+
+
+def test_oversize_window_is_refused_before_it_is_built():
+    with pytest.raises(WindowTooLarge):
+        TropicalHyperfield(12).elements(3)  # 7^12 vectors
+    assert len(TropicalHyperfield(12).elements(0)) == 2

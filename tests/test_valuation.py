@@ -167,10 +167,11 @@ def test_residue_of_trivial_valuation_is_the_hyperfield_itself():
     assert find_isomorphism(R, F) is not None
 
 
-def test_residue_embedding_only_at_level_zero():
-    for q in (2, 3):
-        assert residue_embedding_check(LTContext(q, 0))
-        assert not residue_embedding_check(LTContext(q, 1))
+@pytest.mark.parametrize("bound", (1, 2))
+@pytest.mark.parametrize("level", (0, 1, 2))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_residue_embedding_only_at_level_zero(q, level, bound):
+    assert residue_embedding_check(LTContext(q, level), bound) == (level == 0)
 
 
 # -- Krasner conditions ---------------------------------------------------------------
