@@ -33,13 +33,9 @@ class ParseFailure(Exception):
     """Bad input: wrong URI, unreadable file, malformed table."""
 
 
-def _tool() -> dict:
-    return {"name": "hyperval", "version": __version__}
-
-
 def _report(verb: str, params: dict, payload: dict, passed: bool) -> dict:
-    out = {"report_version": 1, "tool": _tool(), "verb": verb,
-           "params": params, "passed": passed}
+    out = {"report_version": 1, "verb": verb, "params": params, "passed": passed,
+           "tool": {"name": "hyperval", "version": __version__}}
     out.update(payload)
     return out
 
@@ -147,7 +143,7 @@ def _load_backend(args):
 
 # -- verbs ---------------------------------------------------------------------
 
-def cmd_axioms(args) -> int:
+def cmd_axioms(args) -> dict:
     trop = _tropical_spec(args.input)
     if trop is not None:
         rep = tropical_axiom_suite(trop.rank, bound=args.window_bound,
@@ -156,23 +152,19 @@ def cmd_axioms(args) -> int:
     else:
         rep = validate(load_finite(args.input))
         params = {"input": args.input}
-    _emit(_report("axioms", params, {"report": rep.to_json()}, rep.ok),
-          args.output)
-    return 0 if rep.ok else 1
+    return _report("axioms", params, {"report": rep.to_json()}, rep.ok)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     F = load_finite(args.input)
     rep = validate(F)
     cls = classify(F)
     payload = {"classification": cls.to_json(), "axioms_pass": rep.ok,
                "size": F.size}
-    _emit(_report("classify", {"input": args.input}, payload, rep.ok),
-          args.output)
-    return 0 if rep.ok else 1
+    return _report("classify", {"input": args.input}, payload, rep.ok)
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args) -> dict:
     try:
         F = build_finite_field(args.field)
     except ValueError as e:
@@ -184,71 +176,61 @@ def cmd_quotient(args) -> int:
         raise ParseFailure(str(e))
     payload = {"table": H.to_json(),
                "subgroup": sorted(T), "order": H.size}
-    _emit(_report("quotient", {"field": args.field, "subgroup": args.subgroup},
-                  payload, True), args.output)
-    return 0
+    return _report("quotient", {"field": args.field, "subgroup": args.subgroup},
+                   payload, True)
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> dict:
     F = load_finite(args.left)
     G = load_finite(args.right)
     m = find_isomorphism(F, G)
     payload = {"isomorphic": m is not None,
                "map": None if m is None else list(m.map)}
-    _emit(_report("iso", {"left": args.left, "right": args.right},
-                  payload, m is not None), args.output)
-    return 0 if m is not None else 1
+    return _report("iso", {"left": args.left, "right": args.right},
+                   payload, m is not None)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> dict:
     try:
-        found = enumerate_hyperfields(args.order, cap=args.cap)
+        found = enumerate_hyperfields(args.order)
     except ValueError as e:
         raise ParseFailure(str(e))
     tables = [F.to_json() for F in found]
     fields = sum(1 for F in found if is_field(F))
     payload = {"order": args.order, "count": len(found), "fields": fields,
                "tables": tables}
-    _emit(_report("enumerate", {"order": args.order, "cap": args.cap},
-                  payload, True), args.output)
-    return 0
+    return _report("enumerate", {"order": args.order}, payload, True)
 
 
-def cmd_hyperideals(args) -> int:
+def cmd_hyperideals(args) -> dict:
     F = load_finite(args.input)
     ideals = list_hyperideals(F)
     dichotomy = (len(ideals) == 2 and frozenset({0}) in ideals
                  and frozenset(range(F.size)) in ideals)
     payload = {"hyperideals": [sorted(s) for s in ideals],
                "only_trivial_and_whole": dichotomy}
-    _emit(_report("hyperideals", {"input": args.input}, payload, dichotomy),
-          args.output)
-    return 0 if dichotomy else 1
+    return _report("hyperideals", {"input": args.input}, payload, dichotomy)
 
 
-def cmd_krasner(args) -> int:
+def cmd_krasner(args) -> dict:
     backend, v, rho = _load_backend(args)
     vrep = vn.is_valuation(backend, v, args.window_bound)
     krep = vn.check_krasner(backend, v, rho, args.window_bound)
     ok = vrep.ok and krep.ok
     payload = {"valuation": vrep.to_json(), "krasner": krep.to_json(),
                "norm": rho.to_json()}
-    params = _backend_params(args)
-    _emit(_report("krasner", params, payload, ok), args.output)
-    return 0 if ok else 1
+    return _report("krasner", _backend_params(args), payload, ok)
 
 
-def cmd_residue(args) -> int:
+def cmd_residue(args) -> dict:
     backend, v, _ = _load_backend(args)
     R = vn.residue_hyperfield(backend, v, args.window_bound)
     payload = {"residue": R.to_json(), "order": R.size,
                "is_field": is_field(R)}
-    _emit(_report("residue", _backend_params(args), payload, True),
-          args.output)
-    return 0
+    return _report("residue", _backend_params(args), payload, True)
 
 
-def cmd_coarsen(args) -> int:
+def cmd_coarsen(args) -> dict:
     ctx = CompositeContext(args.p)
     v = vn.intrinsic_valuation(ctx)
     rho = ctx.norm_cut()
@@ -256,9 +238,8 @@ def cmd_coarsen(args) -> int:
     verdict = vn.check_coarsening_theorem(ctx, v, rho, args.window_bound)
     payload = {"norm": rho.to_json(), "invariance_group": delta.to_json(),
                "coarsening_matches_induced_ring": verdict}
-    _emit(_report("coarsen", {"p": args.p, "window_bound": args.window_bound},
-                  payload, verdict), args.output)
-    return 0 if verdict else 1
+    return _report("coarsen", {"p": args.p, "window_bound": args.window_bound},
+                   payload, verdict)
 
 
 def _backend_params(args) -> dict:
@@ -401,7 +382,7 @@ SCENARIOS = {
 }
 
 
-def cmd_scenario(args) -> int:
+def cmd_scenario(args) -> dict:
     if args.name not in SCENARIOS:
         raise ParseFailure(f"unknown scenario {args.name!r}; available: "
                            + ", ".join(sorted(SCENARIOS)))
@@ -410,12 +391,8 @@ def cmd_scenario(args) -> int:
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     params, claims = func(args)
-    passed = all(c["passed"] for c in claims)
-    out = {"report_version": 1, "tool": _tool(), "verb": "scenario",
-           "scenario": args.name, "params": params, "claims": claims,
-           "passed": passed}
-    _emit(out, args.output)
-    return 0 if passed else 1
+    return _report("scenario", params, {"scenario": args.name, "claims": claims},
+                   all(c["passed"] for c in claims))
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -485,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="all hyperfields of a given order "
                         "up to isomorphism")
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=6, help="refuse orders above")
     out(sp)
     sp.set_defaults(func=cmd_enumerate)
 
@@ -542,15 +518,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ParseFailure as e:
+        report = args.func(args)
+        _emit(report, args.output)
+        return 0 if report["passed"] else 1
+    except (ParseFailure, WindowTooLarge) as e:
         print(f"hyperval: {e}", file=sys.stderr)
         return 2
     except MalformedTableError as e:
         print(f"hyperval: malformed table: {e}", file=sys.stderr)
-        return 2
-    except WindowTooLarge as e:
-        print(f"hyperval: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001  -- contract: internal errors exit 3
         print(f"hyperval: internal error: {type(e).__name__}: {e}",

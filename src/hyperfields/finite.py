@@ -429,9 +429,6 @@ class Morphism:
         if self.map[ZERO] != ZERO or self.map[ONE] != ONE:
             raise MalformedTableError("morphisms must send 0 to 0 and 1 to 1")
 
-    def image(self) -> frozenset:
-        return frozenset(self.map)
-
 
 def is_homomorphism(m: Morphism) -> bool:
     F, G, s = m.source, m.target, m.map
@@ -778,7 +775,7 @@ def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
     return table
 
 
-def enumerate_hyperfields(order: int, cap: int = 6) -> list[FiniteHyperfield]:
+def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
     """Every hyperfield of the given order, up to isomorphism.
 
     Distributivity forces x+y = x(1 + x^(-1) y), so a structure is pinned
@@ -790,8 +787,8 @@ def enumerate_hyperfields(order: int, cap: int = 6) -> list[FiniteHyperfield]:
     """
     if order < 2:
         raise ValueError("need at least 0 and 1")
-    if order > cap:
-        raise ValueError(f"order {order} above the enumeration cap {cap}")
+    if order > 6:  # order 7 would search roughly 128^4 candidate rows
+        raise ValueError(f"order {order} above the enumeration cap 6")
     m = order - 1
     found: list[FiniteHyperfield] = []
     for divisors in _abelian_groups(m):

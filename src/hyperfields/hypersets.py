@@ -124,14 +124,3 @@ def values_of(hs: HyperSet, value_of: ValueOf):
         return ("above", hs.cut)
     raise TypeError(f"not a hyperset: {hs!r}")
 
-
-def all_values_ge(hs: HyperSet, m: Value, value_of: ValueOf) -> bool:
-    """Does every member have value >= m?  (m None means only infinity passes.)"""
-    kind, data = values_of(hs, value_of)
-    if kind == "finite":
-        if m is None:
-            return all(v is None for v in data)
-        return all(v is None or v >= m for v in data)
-    if m is None:
-        return False  # an AboveValue set has members of finite value
-    return data.all_below_in(m)

@@ -13,9 +13,10 @@ all presented through the data a coset actually determines:
   element is Zero or (n, c) with c a nonzero rational.
 
 * `CollapsedConstantsContext`: Q(X) with the entire constant group Q^x
-  collapsed, keeping only the X-adic order.  Its hypersum is the inclusive
-  tropical one; it exists here to witness a residue hyperfield that is K
-  rather than a field.
+  collapsed, keeping only the X-adic order.  As a hyperfield it is the
+  inclusive tropical T(Z), so it is `tropical.TropicalHyperfield` of rank 1
+  with its own norm and names; it witnesses a residue hyperfield that is K
+  rather than a field.  An element is Zero or the 1-tuple (order,).
 
 Hypersums are returned as hypersets: Singleton, FiniteSet (exactly q^k
 members when cancellation stops at depth k), or AboveValue (full
@@ -31,6 +32,7 @@ from typing import NamedTuple, Optional
 from . import hypersets as hs
 from .galois import GaloisField, is_prime
 from .ordgroup import Cut, Value, check_window
+from .tropical import TropicalHyperfield, t_add, t_mul
 
 
 class LTElement(NamedTuple):
@@ -244,6 +246,7 @@ class CompositeContext:
             for b in range(1, frac_bound + 1):
                 fracs.add(Fraction(a, b))
                 fracs.add(Fraction(-a, b))
+        check_window(len(fracs), 2 * bound + 1, 1)
         out = [None]
         for n in range(-bound, bound + 1):
             for c in sorted(fracs):
@@ -265,53 +268,34 @@ class CompositeContext:
         return f"Q(X) with composite (X-adic, {self.p}-adic) leading terms"
 
 
-class CollapsedConstantsContext:
+class CollapsedConstantsContext(TropicalHyperfield):
     """Q(X) modulo the whole constant group: only the X-adic order is left.
 
     Cancellation can dig arbitrarily deep (constants are unconstrained), so
-    equal orders hypersum to the full inclusive ray; the structure is the
-    inclusive tropical hyperfield over Z in different clothing.
+    equal orders hypersum to the full inclusive ray: the structure is the
+    inclusive tropical hyperfield T(Z), and an element is its X-adic order
+    as a 1-tuple (``None`` for zero).
     """
 
     def __init__(self):
-        self.zero = None
-        self.one = 0
-        self.value_rank = 1
+        super().__init__(1)
 
-    def mul(self, x, y):
-        return None if (x is None or y is None) else x + y
+    # Own methods, not inherited: bench/tracing.py patches each carrier's
+    # add, neg and mul on its class.
+    def add(self, x, y):
+        return t_add(x, y)
 
     def neg(self, x):
         return x
 
-    def inv(self, x):
-        if x is None:
-            raise ZeroDivisionError("zero has no inverse")
-        return -x
-
-    def add(self, x, y):
-        if x is None:
-            return hs.Singleton(y)
-        if y is None:
-            return hs.Singleton(x)
-        if x != y:
-            return hs.Singleton(min(x, y))
-        return hs.AboveValue(Cut.le(1, (x - 1,)))
-
-    def value_of(self, x) -> Value:
-        return None if x is None else (x,)
+    def mul(self, x, y):
+        return t_mul(x, y)
 
     def norm_cut(self) -> Cut:
         return Cut.le(1, (0,))
 
-    def elements(self, bound: int) -> list:
-        return [None] + list(range(-bound, bound + 1))
-
     def elem_json(self, x):
-        return x
-
-    def sort_key(self, x):
-        return (0,) if x is None else (1, x)
+        return None if x is None else x[0]
 
     def describe(self) -> str:
         return "Q(X) with all constants collapsed (X-adic orders only)"

@@ -54,13 +54,6 @@ def gzero(rank: int) -> GroupElem:
     return (0,) * rank
 
 
-def succ(a: GroupElem) -> GroupElem:
-    """Immediate successor under lex order (rank must be positive)."""
-    if not a:
-        raise ValueError("rank-0 group has a single element")
-    return a[:-1] + (a[-1] + 1,)
-
-
 def pred(a: GroupElem) -> GroupElem:
     if not a:
         raise ValueError("rank-0 group has a single element")
@@ -108,12 +101,6 @@ class ConvexSubgroup:
         if len(g) != self.rank:
             raise ValueError("rank mismatch")
         return all(x == 0 for x in g[: self.zeros])
-
-    def strictly_above(self, g: GroupElem) -> bool:
-        """g > every member of the subgroup (prefix strictly positive)."""
-        if len(g) != self.rank:
-            raise ValueError("rank mismatch")
-        return g[: self.zeros] > gzero(self.zeros)
 
     def project(self, g: GroupElem) -> GroupElem:
         """Order-preserving quotient map Z^rank -> Z^rank / Delta = Z^zeros."""

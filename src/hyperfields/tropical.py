@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from . import hypersets as hs
 from .finite import FiniteHyperfield
-from .ordgroup import Cut, Value, check_window, gadd, gneg, gzero, window
+from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
+                       gadd, gneg, gzero, window)
 from .report import ValidationReport
 
 TropElem = Value  # tuple for a group element, None for infinity
@@ -55,15 +56,13 @@ def t_add(x: TropElem, y: TropElem, strict: bool = False):
 
 
 def _sum_sets(a, b, strict: bool):
-    """Pointwise hypersum of two symbolic sets; closed on {Singleton, AboveValue}."""
-    if isinstance(a, hs.Singleton) and isinstance(b, hs.Singleton):
-        return t_add(a.elem, b.elem, strict)
-    if isinstance(a, hs.AboveValue) and isinstance(b, hs.Singleton):
+    """Pointwise hypersum of a Singleton with a Singleton or AboveValue."""
+    if isinstance(a, hs.AboveValue):
         a, b = b, a
-    if isinstance(a, hs.Singleton):
-        c = a.elem
-        return a if c is not None and b.cut.contains(c) else b
-    return a if a.cut.subseteq(b.cut) else b
+    if isinstance(b, hs.Singleton):
+        return t_add(a.elem, b.elem, strict)
+    c = a.elem
+    return a if c is not None and b.cut.contains(c) else b
 
 
 class TropicalHyperfield:
@@ -72,6 +71,9 @@ class TropicalHyperfield:
     def __init__(self, rank: int, strict: bool = False):
         if rank < 0:
             raise ValueError("rank must be >= 0")
+        if rank > WINDOW_LIMIT:  # a single element is already rank integers
+            raise WindowTooLarge(f"window too large (rank {rank}, "
+                                 f"limit {WINDOW_LIMIT})")
         self.rank = rank
         self.strict = strict
         self.zero: TropElem = None

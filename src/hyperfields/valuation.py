@@ -166,7 +166,7 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
             s = backend.add(x, y)
             m = vmin(v(x), v(y))
             if v.intrinsic and isinstance(s, hs.AboveValue):
-                ok = hs.all_values_ge(s, m, backend.value_of)
+                ok = s.cut.all_below_in(m)
             else:
                 ok = all(_vge(v(z), m) for z in hs.members(s, U, backend.value_of))
             if not ok:
@@ -364,19 +364,16 @@ def _same_residue_class(backend, v: Valuation, x, y, U) -> bool:
     if x == y:
         return True
     diff = backend.add(x, backend.neg(y))
-    if isinstance(diff, hs.AboveValue):
-        return True  # the additive zero lies in the set and in M_v
     for z in hs.members(diff, U, backend.value_of):
         if z == backend.zero or v.gt_zero(z):
             return True
     return False
 
 
-def residue_hyperfield(backend, v: Valuation, bound: int = 2,
-                       cap: int = 64) -> FiniteHyperfield:
+def residue_hyperfield(backend, v: Valuation, bound: int = 2) -> FiniteHyperfield:
     """O_v / M_v with (x+M) + (y+M) = {z+M : z in x+y}, built from window
-    representatives and validated."""
-    return _residue(backend, v, bound, cap)[0]
+    representatives and validated (at most 64 classes)."""
+    return _residue(backend, v, bound, 64)[0]
 
 
 def _residue(backend, v: Valuation, bound: int, cap: int):
@@ -650,10 +647,7 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
             if m is None:
                 continue
             cut = rho.shift(m)
-            zs = hs.members(s, U, backend.value_of)
-            if not zs:
-                continue
-            z = zs[0]
+            z = hs.members(s, U, backend.value_of)[0]
             balls.append((z, cut))
             ball = ball_of(backend, d, z, cut)
             for t in U:

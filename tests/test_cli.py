@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from hyperfields import leading_terms as lt
+from hyperfields import tropical
 from hyperfields.cli import SCENARIOS, main
+from hyperfields.ordgroup import WINDOW_LIMIT, gzero
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,6 +74,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["enumerate"])  # missing required --order
     assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["enumerate", "--order", "7", "--cap", "7"])  # no such flag
+    assert e.value.code == 2
 
 
 # Each of these exited 3 (internal error), 1 or 0 (a vacuous PASS on an empty
@@ -98,18 +104,32 @@ def test_out_of_range_parameters_exit_2(argv, capsys):
 
 
 # Windows above the size limit are refused with exit 2 before any of them is
-# built (these exited 3, or had no guard at all, before).
+# built (these exited 3, ran without end, were killed for memory, or had no
+# guard at all, before).
 @pytest.mark.parametrize("argv", [
     ("krasner", "kgamma", "--q", "49", "--gamma", "3", "--window-bound", "100"),
     ("krasner", "kgamma", "--q", "3", "--gamma", "11"),
     ("axioms", "tropical:12", "--window-bound", "3"),
+    ("axioms", "tropical:1000000000", "--window-bound", "3"),
+    ("krasner", "composite", "--window-bound", "5000"),
+    ("krasner", "collapsed", "--window-bound", "100000"),
 ])
 def test_oversize_windows_exit_2(argv, capsys, monkeypatch):
     def built(*args):
         raise AssertionError("window built before the size check")
 
-    monkeypatch.setattr("hyperfields.leading_terms.GaloisField", built)
-    monkeypatch.setattr("hyperfields.tropical.window", built)
+    def unit(rank):  # T(Z^rank) builds its unit; a huge rank is refused first
+        return built() if rank > WINDOW_LIMIT else gzero(rank)
+
+    element = lt.CompositeElement
+
+    def composite_element(n, c):  # only the unit (n = 0) is built up front
+        return built() if n else element(n, c)
+
+    monkeypatch.setattr(lt, "GaloisField", built)
+    monkeypatch.setattr(lt, "CompositeElement", composite_element)
+    monkeypatch.setattr(tropical, "window", built)
+    monkeypatch.setattr(tropical, "gzero", unit)
     t0 = time.perf_counter()
     assert main(list(argv)) == 2
     assert time.perf_counter() - t0 < 1.0
@@ -162,7 +182,7 @@ def test_enumerate_counts(capsys):
     assert code == 0
     assert rep["count"] == 5 and len(rep["tables"]) == 5
     assert rep["fields"] == 1  # F_3 alone among the five
-    assert main(["enumerate", "--order", "9"]) == 2  # over the cap, fixable from argv
+    assert main(["enumerate", "--order", "9"]) == 2  # over the fixed cap of 6
     assert main(["enumerate", "--order", "1"]) == 2
     capsys.readouterr()
 

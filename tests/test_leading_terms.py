@@ -215,21 +215,16 @@ def test_collapsed_carrier_is_inclusive_tropical_in_disguise():
     ctx = CollapsedConstantsContext()
     for x in ctx.elements(3):
         for y in ctx.elements(3):
-            got = ctx.add(x, y)
-            ref = t_add(None if x is None else (x,),
-                        None if y is None else (y,))
-            if isinstance(ref, hs.Singleton):
-                want = hs.Singleton(None if ref.elem is None else ref.elem[0])
-                assert got == want
-            else:
-                assert got == ref
+            assert ctx.add(x, y) == t_add(x, y)
 
 
 def test_collapsed_self_sum_is_the_inclusive_ray():
     ctx = CollapsedConstantsContext()
-    got = ctx.add(2, 2)
+    got = ctx.add((2,), (2,))
     assert got == hs.AboveValue(Cut.le(1, (1,)))
-    assert hs.contains(got, 2, ctx.value_of)
-    assert hs.contains(got, 50, ctx.value_of)
-    assert not hs.contains(got, 1, ctx.value_of)
-    assert ctx.mul(2, 3) == 5 and ctx.inv(4) == -4 and ctx.neg(7) == 7
+    assert hs.contains(got, (2,), ctx.value_of)
+    assert hs.contains(got, (50,), ctx.value_of)
+    assert not hs.contains(got, (1,), ctx.value_of)
+    assert ctx.mul((2,), (3,)) == (5,) and ctx.inv((4,)) == (-4,)
+    assert ctx.neg((7,)) == (7,)
+    assert ctx.elem_json((7,)) == 7 and ctx.elem_json(None) is None

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hyperfields.ordgroup import (WINDOW_LIMIT, Cut, ConvexSubgroup,
                                   WindowTooLarge, check_window, gadd, gneg,
                                   gzero, invariance_group, lex_compare, pred,
-                                  succ, value_gt_cut, vadd, vcompare, vmin,
-                                  window)
+                                  value_gt_cut, vadd, vcompare, vmin, window)
 
 pairs2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
@@ -22,13 +21,12 @@ def test_lex_compare_matches_tuple_order():
             assert lex_compare(a, b) == want
 
 
-def test_succ_pred_are_inverse_neighbours():
+def test_pred_is_the_lower_neighbour():
     for g in window(2, 2):
-        assert pred(succ(g)) == g
-        assert succ(g) > g
-        # nothing sits strictly between g and succ(g)
+        assert pred(g) < g
+        # nothing sits strictly between pred(g) and g
         for h in window(2, 3):
-            assert not (g < h < succ(g))
+            assert not (pred(g) < h < g)
 
 
 def test_value_arithmetic_with_infinity():
@@ -116,9 +114,6 @@ def test_convex_subgroup_membership_and_projection():
     assert not d.contains((1, 0, 0))
     assert d.project((4, 2, 1)) == (4,)
     assert ConvexSubgroup(3, 2).project((4, 2, 1)) == (4, 2)
-    assert d.strictly_above((1, -9, -9))
-    assert not d.strictly_above((0, 9, 9))
-    assert not d.strictly_above((-1, 0, 0))
 
 
 def test_convex_subgroup_trivial_and_whole():
