@@ -66,6 +66,26 @@ def _mul_mask(row, mask: int) -> int:
     return out
 
 
+def _hr3_witness(mul, add):
+    """Distributivity x(y+z) = xy + xz on raw mask rows (a sumset of two
+    singletons is a single add cell): the first failing (x, y, z) in x, y, z
+    order, or None.  A table has few distinct cell masks, so each one's image
+    under x is computed once per x."""
+    n = len(add)
+    for x in range(n):
+        row, image = mul[x], {}
+        for y in range(n):
+            cells, target = add[y], add[row[y]]
+            for z in range(n):
+                cell = cells[z]
+                img = image.get(cell)
+                if img is None:
+                    img = image[cell] = _mul_mask(row, cell)
+                if img != target[row[z]]:
+                    return (x, y, z)
+    return None
+
+
 def _ch4_witness(add, neg):
     """Reversibility on raw mask rows: the first (x, y, z) in x, y, z order
     with z in x+y but y not in z+(-x), or None."""
@@ -287,10 +307,7 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
             break
     rep.add("HF", w is None, w, note="nonzero elements form an abelian group")
 
-    # x(y+z) = xy + xz; a sumset of two singletons is a single add cell
-    mul, add = F.mul, F._add
-    w = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
-              if _mul_mask(mul[x], add[y][z]) != add[mul[x][y]][mul[x][z]]), None)
+    w = _hr3_witness(F.mul, F._add)
     rep.add("HR3", w is None, w)
     return rep
 

@@ -112,10 +112,6 @@ class ConvexSubgroup:
     def is_trivial(self) -> bool:
         return self.zeros == self.rank
 
-    @property
-    def is_whole(self) -> bool:
-        return self.zeros == 0
-
     def to_json(self) -> dict:
         return {"rank": self.rank, "zeros": self.zeros}
 
@@ -210,10 +206,6 @@ class Cut:
         return {"prefix_len": self.prefix_len,
                 "bound": list(self.bound),
                 "inclusive": self.inclusive}
-
-    @classmethod
-    def from_json(cls, rank: int, data: dict) -> "Cut":
-        return cls(rank, data["prefix_len"], tuple(data["bound"]), data["inclusive"])
 
 
 def value_gt_cut(v: Value, cut: Cut) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import hypersets as hs
-from .finite import FiniteHyperfield, ZERO, ONE
+from .finite import FiniteHyperfield, ZERO, ONE, _bits
 from .ordgroup import (Cut, ConvexSubgroup, Value, gzero, invariance_group,
                        value_gt_cut, vadd, vcompare, vmin, vneg)
 from .report import ValidationReport
@@ -449,22 +449,77 @@ def residue_embedding_check(ctx, bound: int = 2) -> bool:
     return True
 
 
+# -- compiled windows -------------------------------------------------------------
+
+class _Window:
+    """The window of one checker call, interned once.
+
+    Element k is ``elems[k]``.  The window comes first, in window order, and
+    owns bit k of every mask.  A hypersum member outside the window (LT
+    cancellation can land at value bound+k) gets the next index when first
+    seen and never sets a bit.  Each checker call builds its own."""
+
+    def __init__(self, backend, bound: int):
+        self.value_of = backend.value_of
+        self.elems = list(backend.elements(bound))
+        self.n = len(self.elems)
+        self.window = self.elems[:self.n]
+        self._index = {x: k for k, x in enumerate(self.elems)}
+        self._above: dict = {}  # cut -> mask of AboveValue(cut)
+
+    def index(self, x) -> int:
+        k = self._index.get(x)
+        if k is None:
+            k = self._index[x] = len(self.elems)
+            self.elems.append(x)
+        return k
+
+    def mask(self, s) -> int:
+        """The window members of a hypersum, as bits."""
+        if isinstance(s, hs.AboveValue):
+            m = self._above.get(s.cut)
+            if m is None:
+                m = self._above[s.cut] = sum(
+                    1 << k for k, x in enumerate(self.window)
+                    if value_gt_cut(self.value_of(x), s.cut))
+            return m
+        if isinstance(s, hs.Singleton):
+            elems = (s.elem,)
+        elif isinstance(s, hs.FiniteSet):
+            elems = s.elems
+        else:
+            raise TypeError(f"not a hyperset: {s!r}")
+        m = 0
+        for x in elems:
+            k = self._index.get(x)
+            if k is not None and k < self.n:
+                m |= 1 << k
+        return m
+
+    def members(self, s) -> list:
+        """Indices of ``hs.members(s, window)``, in its order."""
+        if isinstance(s, hs.Singleton):
+            return [self.index(s.elem)]
+        if isinstance(s, hs.FiniteSet):
+            return [self.index(x) for x in sorted(s.elems, key=repr)]
+        return list(_bits(self.mask(s)))
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 # -- Krasner valuations ----------------------------------------------------------
 
-def _diff_descriptor(backend, z, t, cache):
-    """Summary of z - t good enough to decide 'every value above a cut':
-    ("vals", least finite value or None when all members are zero) or
-    ("above", cut)."""
-    key = (z, t)
-    if key not in cache:
-        s = backend.add(z, backend.neg(t))
-        kind, data = hs.values_of(s, backend.value_of)
-        if kind == "above":
-            cache[key] = ("above", data)
-        else:
-            finite_vals = [v for v in data if v is not None]
-            cache[key] = ("vals", min(finite_vals) if finite_vals else None)
-    return cache[key]
+def _diff_descriptor(backend, s):
+    """Summary of a difference z - t good enough to decide 'every value above
+    a cut': ("vals", least finite value or None when all members are zero)
+    or ("above", cut)."""
+    kind, data = hs.values_of(s, backend.value_of)
+    if kind == "above":
+        return ("above", data)
+    finite_vals = [v for v in data if v is not None]
+    return ("vals", min(finite_vals) if finite_vals else None)
 
 
 def _all_above(desc, cut: Cut) -> bool:
@@ -489,7 +544,9 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     KVH1: x+y has a single value unless it contains 0.
     KVH2: with the norm rho (an initial segment containing 0), for z in x+y:
     t lies in x+y exactly when every s in z-t has value above
-    rho + min(vx, vy).  Checked two-sided over window quadruples.
+    rho + min(vx, vy).  Checked two-sided over window quadruples: per
+    (x, y, z) the window t on each side are bitmasks, and the first t
+    where they differ is the lowest bit of their xor.
     """
     if not v.intrinsic or v.rank != backend.value_rank:
         raise ValueError("check_krasner runs against the intrinsic valuation")
@@ -498,17 +555,16 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     if not (rho.is_whole or rho.contains(gzero(rho.rank))) or rho.is_empty:
         raise ValueError("the norm must be an initial segment containing 0")
 
-    U = backend.elements(bound)
+    win = _Window(backend, bound)
+    U = win.window
     rep = ValidationReport(subject=f"Krasner conditions for {v.describe()}",
                            mode=_mode(backend),
                            window=None if _is_finite(backend) else {"bound": bound})
 
+    sums = [[backend.add(x, y) for y in U] for x in U]
     w = None
-    sums = {}
-    for x in U:
-        for y in U:
-            s = backend.add(x, y)
-            sums[(x, y)] = s
+    for x, row in zip(U, sums):
+        for y, s in zip(U, row):
             if hs.contains(s, backend.zero, backend.value_of):
                 continue
             if not _all_values_single(backend, s):
@@ -518,32 +574,45 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
             break
     rep.add("KVH1", w is None, w)
 
-    diff_cache: dict = {}
+    vals = [v(x) for x in U]
+    negs = [backend.neg(t) for t in U]
+    cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
+    diffs: dict = {}  # z index -> {descriptor of z-t: mask of those t}
+    near: dict = {}   # (z index, m) -> mask of t with z-t above rho+m
+
+    def close_to(k, m) -> int:
+        key = (k, m)
+        if key not in near:
+            if k not in diffs:
+                z, classes = win.elems[k], {}
+                for t, nt in enumerate(negs):
+                    desc = _diff_descriptor(backend, backend.add(z, nt))
+                    classes[desc] = classes.get(desc, 0) | 1 << t
+                diffs[k] = classes
+            cut = cut_of.get(m)
+            if cut is None:
+                near[key] = diffs[k].get(("vals", None), 0)
+            else:
+                near[key] = sum(mask for desc, mask in diffs[k].items()
+                                if _all_above(desc, cut))
+        return near[key]
+
     w = None
     note = ""
-    for x in U:
-        vx = v(x)
-        for y in U:
+    for x, vx, row in zip(U, vals, sums):
+        for y, vy, s in zip(U, vals, row):
+            m = vmin(vx, vy)
+            lhs = win.mask(s)
+            for k in win.members(s):
+                diff = lhs ^ close_to(k, m)
+                if diff:
+                    t = _low_bit(diff)
+                    w = _j(backend, x, y, win.elems[k], U[t])
+                    note = ("membership without the distance bound"
+                            if lhs >> t & 1 else "distance bound without membership")
+                    break
             if w:
                 break
-            s = sums[(x, y)]
-            m = vmin(vx, v(y))
-            shifted = None if m is None else rho.shift(m)
-            for z in hs.members(s, U, backend.value_of):
-                for t in U:
-                    lhs = hs.contains(s, t, backend.value_of)
-                    desc = _diff_descriptor(backend, z, t, diff_cache)
-                    if shifted is None:
-                        rhs = desc == ("vals", None)
-                    else:
-                        rhs = _all_above(desc, shifted)
-                    if lhs != rhs:
-                        w = _j(backend, x, y, z, t)
-                        note = ("membership without the distance bound"
-                                if lhs else "distance bound without membership")
-                        break
-                if w:
-                    break
         if w:
             break
     rep.add("KVH2", w is None, w, note=note)
@@ -593,68 +662,99 @@ def ball_of(backend, d, z, cut: Cut):
 def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> ValidationReport:
     """U1..U3 for the induced distance, the hypersum-as-ball identity
     (x+y is the ball around any of its members with radius rho + min), and
-    comparability of the balls that arise."""
+    comparability of the balls that arise.
+
+    d is evaluated once per window pair, row by row, plus one row for each
+    ball centre outside the window; U3 compares the distances' order ranks
+    as bitmasks, and every ball is a window mask."""
     d = ultrametric(backend, v)
-    U = backend.elements(bound)
+    win = _Window(backend, bound)
+    U = win.window
     rep = ValidationReport(subject=f"ultrametric of {v.describe()}",
                            mode=_mode(backend),
                            window=None if _is_finite(backend) else {"bound": bound})
+    dist = [[d(x, y) for y in U] for x in U]
 
     w = None
-    for x in U:
-        if d(x, x) is not None:
+    for i, (x, row) in enumerate(zip(U, dist)):
+        if row[i] is not None:
             w = _j(backend, x)
             break
-        for y in U:
-            if x != y and d(x, y) is None:
-                w = _j(backend, x, y)
-                break
-        if w:
+        j = next((j for j, dxy in enumerate(row) if j != i and dxy is None), None)
+        if j is not None:
+            w = _j(backend, x, U[j])
             break
     rep.add("U1", w is None, w)
 
-    w = None
-    for x in U:
-        for y in U:
-            if d(x, y) != d(y, x):
-                w = _j(backend, x, y)
-                break
-        if w:
-            break
+    # Order ranks of the distances, infinity on top.
+    finite_d = sorted({dxy for row in dist for dxy in row if dxy is not None})
+    top = len(finite_d)
+    rank = {dxy: r for r, dxy in enumerate(finite_d)}
+    R = [[top if dxy is None else rank[dxy] for dxy in row] for row in dist]
+
+    n = len(U)
+    w = next((_j(backend, U[i], U[j]) for i in range(n) for j in range(n)
+              if R[i][j] != R[j][i]), None)
     rep.add("U2", w is None, w)
 
+    # U3 fails at (x, y, z) when d(x, z) = r < d(x, y) and r < d(y, z):
+    # z in level[x][r] & beyond[y][r] for some r below R[x][y].
+    level = []   # level[i][r]: mask of z at rank distance r from U[i]
+    beyond = []  # beyond[i][r]: mask of z at rank distance above r
+    for row in R:
+        lv = [0] * (top + 1)
+        for z, r in enumerate(row):
+            lv[r] |= 1 << z
+        above, acc = [0] * (top + 1), 0
+        for r in range(top, -1, -1):
+            above[r] = acc
+            acc |= lv[r]
+        level.append(lv)
+        beyond.append(above)
     w = None
-    for x in U:
-        for y in U:
-            dxy = d(x, y)
-            for z in U:
-                if vcompare(d(x, z), vmin(dxy, d(y, z))) < 0:
-                    w = _j(backend, x, y, z)
-                    break
-            if w:
+    for i in range(n):
+        lv, row = level[i], R[i]
+        for j in range(n):
+            above = beyond[j]
+            bad = 0
+            for r in range(row[j]):
+                bad |= lv[r] & above[r]
+            if bad:
+                w = _j(backend, U[i], U[j], U[_low_bit(bad)])
                 break
         if w:
             break
     rep.add("U3", w is None, w)
 
+    vals = [v(x) for x in U]
+    cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
+    spheres: dict = {}  # center index -> {distance: mask of t at it}
+    balls: dict = {}    # (center index, m) -> mask of the ball of radius rho+m
+
+    def ball_mask(k, m) -> int:
+        key = (k, m)
+        if key not in balls:
+            if k not in spheres:
+                row = dist[k] if k < n else [d(win.elems[k], t) for t in U]
+                classes: dict = {}
+                for t, dzt in enumerate(row):
+                    classes[dzt] = classes.get(dzt, 0) | 1 << t
+                spheres[k] = classes
+            # ball_of's test, made once per distance instead of once per t
+            cut = cut_of[m]
+            balls[key] = sum(mask for dzt, mask in spheres[k].items()
+                             if value_gt_cut(dzt, cut))
+        return balls[key]
+
     w = None
-    balls = []
-    for x in U:
-        vx = v(x)
-        for y in U:
-            s = backend.add(x, y)
-            m = vmin(vx, v(y))
+    for x, vx in zip(U, vals):
+        for y, vy in zip(U, vals):
+            m = vmin(vx, vy)
             if m is None:
                 continue
-            cut = rho.shift(m)
-            z = hs.members(s, U, backend.value_of)[0]
-            balls.append((z, cut))
-            ball = ball_of(backend, d, z, cut)
-            for t in U:
-                if hs.contains(s, t, backend.value_of) != ball(t):
-                    w = _j(backend, x, y) + (cut.to_json(),)
-                    break
-            if w:
+            s = backend.add(x, y)
+            if win.mask(s) != ball_mask(win.members(s)[0], m):
+                w = _j(backend, x, y) + (cut_of[m].to_json(),)
                 break
         if w:
             break
@@ -662,16 +762,17 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
             note="x+y equals the ball around each member with radius rho+min")
 
     w = None
-    seen = sorted({(backend.sort_key(z), z, cut) for z, cut in balls},
+    chain = {(k, cut_of[m]): mask for (k, m), mask in balls.items()}
+    seen = sorted(((backend.sort_key(win.elems[k]), k, cut) for k, cut in chain),
                   key=lambda item: (item[0], item[2].prefix_len,
                                     item[2].bound, item[2].inclusive))[:40]
-    for i, (_, z1, c1) in enumerate(seen):
-        b1 = {t for t in U if ball_of(backend, d, z1, c1)(t)}
-        for (_, z2, c2) in seen[i + 1:]:
-            b2 = {t for t in U if ball_of(backend, d, z2, c2)(t)}
-            if (b1 & b2) and not (b1 <= b2 or b2 <= b1):
-                w = (backend.elem_json(z1), c1.to_json(),
-                     backend.elem_json(z2), c2.to_json())
+    for i, (_, k1, c1) in enumerate(seen):
+        b1 = chain[k1, c1]
+        for (_, k2, c2) in seen[i + 1:]:
+            b2 = chain[k2, c2]
+            if b1 & b2 and b1 & ~b2 and b2 & ~b1:
+                w = (backend.elem_json(win.elems[k1]), c1.to_json(),
+                     backend.elem_json(win.elems[k2]), c2.to_json())
                 break
         if w:
             break

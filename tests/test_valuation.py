@@ -1,5 +1,8 @@
 """Valuations, their rings and residues, Krasner conditions, coarsening."""
 
+import itertools
+import time
+
 import pytest
 
 from hyperfields import hypersets as hs
@@ -21,8 +24,6 @@ from hyperfields.valuation import (FiniteBackend, Valuation, ball_of,
                                    table_valuation, trivial_valuation,
                                    ultrametric, ultrametric_report, unit_group,
                                    valuation_ring)
-
-import itertools
 
 
 # -- the valuation axioms ---------------------------------------------------------
@@ -225,6 +226,15 @@ def test_krasner_preconditions():
         check_krasner(ctx, intrinsic_valuation(ctx), Cut.empty(1))
 
 
+def test_composite_krasner_within_budget():
+    ctx = CompositeContext(2)
+    t0 = time.perf_counter()
+    rep = check_krasner(ctx, intrinsic_valuation(ctx), ctx.norm_cut(), bound=2)
+    dt = time.perf_counter() - t0
+    assert rep.ok, rep.failed()
+    assert dt < 3.0, f"check_krasner on the composite carrier took {dt:.2f}s"
+
+
 # -- ultrametrics -----------------------------------------------------------------------
 
 def test_ultrametric_distances_on_leading_terms():
@@ -243,6 +253,15 @@ def test_ultrametric_report_passes_for_krasner_structures():
     assert rep.ok, rep.failed()
     for axiom in ("U1", "U2", "U3", "BALL", "BALL-CHAIN"):
         assert rep.check(axiom).passed
+
+
+def test_lt_ultrametric_within_budget():
+    ctx = LTContext(3, 2)
+    t0 = time.perf_counter()
+    rep = ultrametric_report(ctx, intrinsic_valuation(ctx), ctx.norm_cut(), bound=2)
+    dt = time.perf_counter() - t0
+    assert rep.ok, rep.failed()
+    assert dt < 1.0, f"ultrametric_report on LT(3,2) took {dt:.2f}s"
 
 
 def test_ball_identity_fails_without_krasner():
