@@ -23,12 +23,10 @@ from .ordgroup import ConvexSubgroup, Cut, invariance_group
 from .report import AxiomCheck, ValidationReport
 from .tropical import (TropicalHyperfield, tropical_axiom_suite,
                        two_element_subhyperfield)
-from .valuation import (FiniteBackend, Valuation, canonical_valuation_from_ring,
-                        check_coarsening_theorem, check_krasner,
-                        check_superiorly_canonical, coarsening, equivalent,
-                        induced_matches_valuation_ring, induced_ring,
-                        intrinsic_valuation, is_valuation,
-                        is_valuation_hyperring, maximal_ideal,
+from .valuation import (FiniteBackend, Valuation, check_coarsening_theorem,
+                        check_krasner, check_superiorly_canonical, coarsening,
+                        compare_rings, induced_ring, intrinsic_valuation,
+                        is_valuation, is_valuation_hyperring, maximal_ideal,
                         residue_embedding_check, residue_hyperfield,
                         trivial_valuation, ultrametric, ultrametric_report,
                         unit_group, valuation_ring)

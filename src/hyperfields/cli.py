@@ -279,7 +279,8 @@ def scenario_example_last(args) -> tuple[dict, list]:
     _claim(claims, "O_w is contained in O_u on the window",
            all(u.ge_zero(x) for x in U if w.ge_zero(x)))
     _claim(claims, "w and u are inequivalent",
-           not vn.equivalent(ctx, w, u, B))
+           not vn.compare_rings(ctx, vn.valuation_ring(ctx, w),
+                                vn.valuation_ring(ctx, u), B).ok)
     return {"p": args.p, "window_bound": B}, claims
 
 
@@ -301,7 +302,7 @@ def scenario_kgamma(args) -> tuple[dict, list]:
     _claim(claims, "ultrametric axioms and the ball identity hold",
            vn.ultrametric_report(ctx, v, rho, B).ok)
     _claim(claims, "the induced ring equals the valuation ring",
-           vn.induced_matches_valuation_ring(ctx, v, B))
+           vn.compare_rings(ctx, vn.valuation_ring(ctx, v), vn.induced_ring(ctx), B).ok)
     return {"q": args.q, "gamma": args.gamma, "window_bound": B}, claims
 
 

@@ -724,11 +724,12 @@ def quotient_search(F: FiniteHyperfield, q_max: int):
 
 
 def _mult_order(F: FiniteHyperfield, x: int) -> int:
-    y, k = x, 1
-    while y != ONE:
+    y = x
+    for k in range(1, F.size):
+        if y == ONE:
+            return k
         y = F.mul[y][x]
-        k += 1
-    return k
+    raise MalformedTableError(f"no power of {F.names[x]!r} is 1: the units are no group")
 
 
 def _pow(F: FiniteHyperfield, x: int, e: int) -> int:

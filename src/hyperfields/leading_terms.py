@@ -154,12 +154,6 @@ class LTContext:
                 out.append(LTElement(v, (c0,) + rest))
         return out
 
-    def elements_with_values(self, lo: int, hi: int) -> list[LTElement]:
-        out = []
-        for v in range(lo, hi + 1):
-            out.extend(self.elements_with_value(v))
-        return out
-
     def elem_json(self, x):
         return None if x is None else {"value": x.value, "coeffs": list(x.coeffs)}
 
@@ -240,16 +234,13 @@ class CompositeContext:
         # first coordinate at most 0; invariant under the second coordinate
         return Cut.le(2, (0,))
 
-    def elements(self, bound: int, frac_bound: int = 4) -> list:
-        fracs = set()
-        for a in range(1, frac_bound + 1):
-            for b in range(1, frac_bound + 1):
-                fracs.add(Fraction(a, b))
-                fracs.add(Fraction(-a, b))
+    def elements(self, bound: int) -> list:
+        fracs = sorted({Fraction(s * a, b) for s in (1, -1)
+                        for a in range(1, 5) for b in range(1, 5)})
         check_window(len(fracs), 2 * bound + 1, 1)
         out = [None]
         for n in range(-bound, bound + 1):
-            for c in sorted(fracs):
+            for c in fracs:
                 out.append(CompositeElement(n, c))
         return out
 

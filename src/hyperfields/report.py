@@ -2,9 +2,12 @@
 
 Every checker in this package returns a ValidationReport rather than a bare
 boolean, so a failing run always carries a witness that can be re-checked by
-hand.  Reports distinguish two certification modes: "proof by exhaustion"
-(finite carrier, every tuple visited) and "bounded verification" (infinite
-carrier, all tuples inside a stated window visited).
+hand.  The one exception is ``valuation.check_coarsening_theorem``, which
+returns the ``.ok`` of its ring comparison: the benchmark's known-answer
+check reads ``result is True``.  A report has no truth value; read ``.ok``.
+Reports distinguish two certification modes: "proof by exhaustion" (finite
+carrier, every tuple visited) and "bounded verification" (infinite carrier,
+all tuples inside a stated window visited).
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def __bool__(self):
+        # A report in a boolean context is a caller still on a bool contract.
+        raise TypeError("a ValidationReport has no truth value; read .ok")
 
     def failed(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.passed]

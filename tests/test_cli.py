@@ -165,6 +165,23 @@ def test_quotient_then_iso_pipeline(tmp_path, capsys):
     assert code == 1 and rep["isomorphic"] is False
 
 
+def test_iso_on_a_non_group_table_exits_2(tmp_path):
+    # a * a = a, so no power of a is 1: the nonzero elements are no group.
+    # The unit-group search used to loop forever looking for a's order.
+    bad = tmp_path / "nongroup.json"
+    bad.write_text(json.dumps({
+        "names": ["0", "1", "a"],
+        "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+        "add": [[[0], [1], [2]], [[1], [0, 1, 2], [0, 1, 2]],
+                [[2], [0, 1, 2], [0, 1, 2]]],
+    }))
+    proc = subprocess.run([sys.executable, "-m", "hyperfields.cli", "iso",
+                           str(bad), "builtin:S"],
+                          capture_output=True, check=False, timeout=10)
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert b"malformed table" in proc.stderr
+
+
 def test_quotient_of_units_is_K(capsys):
     code, rep = run(capsys, "quotient", "--field", "9", "--subgroup", "units")
     assert code == 0 and rep["order"] == 2

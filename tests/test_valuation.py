@@ -12,11 +12,10 @@ from hyperfields.leading_terms import (CollapsedConstantsContext,
                                        CompositeContext, LTContext)
 from hyperfields.ordgroup import ConvexSubgroup, Cut, invariance_group
 from hyperfields.tropical import TropicalHyperfield
-from hyperfields.valuation import (FiniteBackend, Valuation, ball_of,
-                                   canonical_valuation_from_ring,
-                                   check_coarsening_theorem, check_krasner,
-                                   check_superiorly_canonical, coarsening,
-                                   equivalent, induced_matches_valuation_ring,
+from hyperfields.valuation import (FiniteBackend, RingPredicate, Valuation,
+                                   ball_of, check_coarsening_theorem,
+                                   check_krasner, check_superiorly_canonical,
+                                   coarsening, compare_rings,
                                    induced_norm_cut, induced_ring,
                                    intrinsic_valuation, is_valuation,
                                    is_valuation_hyperring, maximal_ideal,
@@ -75,7 +74,7 @@ def test_trivial_ring_is_everything():
     assert O.members() == [0, 1, 2]
     assert maximal_ideal(backend, v).members() == [0]
     assert unit_group(backend, v).members() == [1, 2]
-    assert is_valuation_hyperring(backend, O)
+    assert is_valuation_hyperring(backend, O).ok
 
 
 def test_intrinsic_ring_on_leading_terms():
@@ -84,7 +83,7 @@ def test_intrinsic_ring_on_leading_terms():
     O = valuation_ring(ctx, v)
     assert O.contains(None) and O.contains(ctx.one)
     assert O.contains(ctx.elem(2, (1, 0))) and not O.contains(ctx.elem(-1, (1, 0)))
-    assert is_valuation_hyperring(ctx, O, bound=1)
+    assert is_valuation_hyperring(ctx, O, bound=1).ok
     M = maximal_ideal(ctx, v)
     assert M.contains(ctx.elem(1, (2, 2))) and not M.contains(ctx.one)
 
@@ -99,34 +98,57 @@ def test_no_proper_valuation_hyperrings_on_small_hyperfields():
             for combo in itertools.combinations(rest, r):
                 O = frozenset({0, 1} | set(combo))
                 pred = lambda x, O=O: x in O
-                from hyperfields.valuation import RingPredicate
-                if is_valuation_hyperring(backend, RingPredicate(backend, pred, "O")):
+                if is_valuation_hyperring(backend, RingPredicate(backend, pred, "O")).ok:
                     good.append(O)
         assert good == [frozenset(range(F.size))]
 
 
-def test_canonical_valuation_from_the_full_ring():
-    F = build_S()
-    cosets, v = canonical_valuation_from_ring(F, {0, 1, 2})
-    assert cosets == [[1, 2]]
-    assert v(0) is None and v(1) == () and v(2) == ()
-    rep = is_valuation(FiniteBackend(F), v)
-    assert rep.ok
-
-
-def test_canonical_valuation_rejects_non_rings():
-    F = build_S()
-    with pytest.raises(ValueError):
-        canonical_valuation_from_ring(F, {0, 1})  # order not total
-    with pytest.raises(ValueError):
-        canonical_valuation_from_ring(build_finite_field(5), {0, 1, 4})
+def test_valuation_hyperring_names_its_first_failure():
+    # {0, 1, 4} in F5 is closed under products (4 = -1), but 1 - 4 = 2 is not
+    # inside, and neither 2 nor its inverse 3 is.
+    backend = FiniteBackend(build_finite_field(5))
+    O = RingPredicate(backend, lambda x: x in {0, 1, 4}, "O")
+    rep = is_valuation_hyperring(backend, O)
+    assert not rep.ok
+    assert [c.axiom for c in rep.checks] == ["VR1", "VR2", "VR3", "VR4"]
+    assert [c.axiom for c in rep.failed()] == ["VR3", "VR4"]
+    assert rep.check("VR3").witness == ("1", "4", "2")
+    assert rep.check("VR4").witness == ("2",)
+    rep = is_valuation_hyperring(backend, RingPredicate(backend, lambda x: x != 1, "O"))
+    assert rep.failed()[0].axiom == "VR1" and rep.check("VR1").witness == ("1",)
 
 
 def test_equivalence_is_ring_equality():
     ctx = LTContext(2, 0)
     v = intrinsic_valuation(ctx)
-    assert equivalent(ctx, v, coarsening(v, ConvexSubgroup(1, 1)), bound=2)
-    assert not equivalent(ctx, v, trivial_valuation(ctx), bound=2)
+    O = valuation_ring(ctx, v)
+    rep = compare_rings(ctx, O, valuation_ring(ctx, coarsening(v, ConvexSubgroup(1, 1))), 2)
+    assert rep.ok and rep.check("SAME-RING").witness is None
+    rep = compare_rings(ctx, O, valuation_ring(ctx, trivial_valuation(ctx)), 2)
+    assert not rep.ok
+    assert rep.window == {"bound": 2, "elements": 6}
+    assert rep.check("SAME-RING").witness == {"value": -2, "coeffs": [1]}
+
+
+def test_compare_rings_on_the_composite_window():
+    ctx = CompositeContext(2)
+    w = intrinsic_valuation(ctx)
+    u = coarsening(w, invariance_group(ctx.norm_cut()))
+    rep = compare_rings(ctx, valuation_ring(ctx, w), valuation_ring(ctx, u), 2)
+    assert not rep.ok
+    assert rep.window == {"bound": 2, "elements": 111}
+    assert rep.check("SAME-RING").witness == {"n": 0, "c": "-3/2"}
+    assert rep.mode == "bounded verification"
+    rep = compare_rings(ctx, valuation_ring(ctx, u), induced_ring(ctx), 2)
+    assert rep.ok and rep.window == {"bound": 2, "elements": 111}
+
+
+def test_compare_rings_is_exhaustive_on_finite_backends():
+    backend = FiniteBackend(build_S())
+    O = valuation_ring(backend, trivial_valuation(backend))
+    rep = compare_rings(backend, O, RingPredicate(backend, lambda x: x != 2, "O"), 0)
+    assert rep.mode == "proof by exhaustion"
+    assert rep.check("SAME-RING").witness == "-1"
 
 
 # -- residue hyperfields -------------------------------------------------------------
@@ -172,7 +194,28 @@ def test_residue_of_trivial_valuation_is_the_hyperfield_itself():
 @pytest.mark.parametrize("level", (0, 1, 2))
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
 def test_residue_embedding_only_at_level_zero(q, level, bound):
-    assert residue_embedding_check(LTContext(q, level), bound) == (level == 0)
+    assert residue_embedding_check(LTContext(q, level), bound).ok == (level == 0)
+
+
+def test_residue_embedding_names_the_shared_class():
+    # At level 1 the units (1,0) and (1,1) of LT(2,1) differ by a value-1
+    # element, so they share a residue class and the section is undefined.
+    rep = residue_embedding_check(LTContext(2, 1), 1)
+    assert [c.axiom for c in rep.failed()] == ["RE1"]
+    assert rep.check("RE1").witness == ({"value": 0, "coeffs": [1, 1]},
+                                        {"value": 0, "coeffs": [1, 0]})
+    assert rep.skipped == ["RE2: the section is not well defined"]
+    rep = residue_embedding_check(LTContext(3, 0), 1)
+    assert [c.axiom for c in rep.checks] == ["RE1", "RE2"] and rep.ok
+
+
+def test_a_report_has_no_truth_value():
+    ctx = LTContext(2, 0)
+    rep = residue_embedding_check(ctx, 1)
+    with pytest.raises(TypeError, match="read .ok"):
+        bool(rep)
+    with pytest.raises(TypeError):
+        assert is_valuation_hyperring(ctx, valuation_ring(ctx, intrinsic_valuation(ctx)), 1)
 
 
 # -- Krasner conditions ---------------------------------------------------------------
@@ -317,7 +360,8 @@ def test_fields_are_superiorly_canonical():
 
 def test_induced_ring_of_leading_terms_is_the_valuation_ring():
     for ctx in (LTContext(2, 0), LTContext(2, 1), LTContext(3, 1)):
-        assert induced_matches_valuation_ring(ctx, intrinsic_valuation(ctx), bound=2)
+        O = valuation_ring(ctx, intrinsic_valuation(ctx))
+        assert compare_rings(ctx, O, induced_ring(ctx), 2).ok
         assert induced_norm_cut(ctx) == ctx.norm_cut()
 
 
@@ -345,10 +389,11 @@ def test_composite_coarsening_theorem():
     delta = invariance_group(rho)
     assert delta == ConvexSubgroup(2, 1)
     u = coarsening(v, delta)
-    assert not equivalent(ctx, v, u, bound=2)
-    assert check_coarsening_theorem(ctx, v, rho, bound=2)
+    O_v = valuation_ring(ctx, v)
+    assert not compare_rings(ctx, O_v, valuation_ring(ctx, u), 2).ok
+    assert check_coarsening_theorem(ctx, v, rho, bound=2) is True
     # O_v sits strictly inside O_u; the induced ring recovers O_u, not O_v
-    assert not induced_matches_valuation_ring(ctx, v, bound=2)
+    assert not compare_rings(ctx, O_v, induced_ring(ctx), 2).ok
 
 
 def test_kgamma_coarsening_theorem_is_the_identity_case():
@@ -357,4 +402,4 @@ def test_kgamma_coarsening_theorem_is_the_identity_case():
         v = intrinsic_valuation(ctx)
         rho = ctx.norm_cut()
         assert invariance_group(rho) == ConvexSubgroup(1, 1)
-        assert check_coarsening_theorem(ctx, v, rho, bound=2)
+        assert check_coarsening_theorem(ctx, v, rho, bound=2) is True
