@@ -16,6 +16,7 @@ under test only enters through its own axioms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import Callable
 from . import hypersets as hs
 from .finite import FiniteHyperfield, ZERO, ONE, _bits
 from .ordgroup import (Cut, ConvexSubgroup, Value, gzero, invariance_group,
-                       value_gt_cut, vadd, vcompare, vmin, vneg)
+                       value_gt_cut, vadd, vcompare, vmin, vneg, window)
 from .report import ValidationReport
 from .tropical import t_add, t_mul, t_value
 
@@ -143,77 +144,84 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     """V1..V3, plus an independent run of the homomorphism axioms HH1..HH5
     for the induced map into the tropical hyperfield over the value group.
     The two verdicts must agree (they do for every map; a disagreement
-    signals an internal bug and raises)."""
-    U = backend.elements(bound)
+    signals an internal bug and raises).
+
+    The window is interned once and v evaluated once per element of it and
+    of the sums.  Each window pair's product and sum are computed once: V2
+    and HH2 read v of the product, V3 and HH3 the sum's member values."""
+    win = _Window(backend, bound)
+    U = win.window
     rep = ValidationReport(subject=f"{v.describe()}", mode=_mode(backend),
                            window=None if _is_finite(backend) else {"bound": bound})
+    vals = [v(x) for x in U]  # grows as elements outside the window are met
+    # what each route makes of two window values, once per pair of values
+    values = list(dict.fromkeys(vals))
+    at = {g: a for a, g in enumerate(values)}
+    plus, times = ([[f(g, h) for h in values] for g in values] for f in (vadd, t_mul))
+    low = [[at[vmin(g, h)] for h in values] for g in values]
+    aims: dict = {}  # HH3 target -> its index
+    aim = [[aims.setdefault(t_add(g, h), len(aims)) for h in values] for g in values]
+    targets = list(aims)
+    rows = [(x, at[vx]) for x, vx in zip(U, vals)]
 
-    w = next((x for x in U if (v(x) is None) != (x == backend.zero)), None)
+    def val(x) -> Value:
+        k = win.index(x)
+        while len(vals) <= k:
+            vals.append(v(win.elems[len(vals)]))
+        return vals[k]
+
+    @functools.cache
+    def spread(h) -> tuple:
+        """The distinct member values of hyperset h, each with its first member."""
+        firsts: dict = {}
+        for k in win.members(win.sets[h]):
+            firsts.setdefault(val(win.elems[k]), k)
+        return tuple(firsts.items())
+
+    @functools.cache
+    def v3_holds(h, least) -> bool:
+        """V3 for a sum h whose summands' least value is values[least]."""
+        s, m = win.sets[h], values[least]
+        return (s.cut.all_below_in(m) if v.intrinsic and isinstance(s, hs.AboveValue)
+                else all(vcompare(vz, m) >= 0 for vz, _ in spread(h)))
+
+    @functools.cache
+    def outside_target(h, t):
+        """The first member of hyperset h outside HH3 target t, or None."""
+        return next((k for vz, k in spread(h)
+                     if not hs.contains(targets[t], vz, t_value)), None)
+
+    w = next((x for x, vx in zip(U, vals) if (vx is None) != (x == backend.zero)), None)
     rep.add("V1", w is None, None if w is None else _j(backend, w))
 
-    w = None
-    for x in U:
-        for y in U:
-            if v(backend.mul(x, y)) != vadd(v(x), v(y)):
-                w = _j(backend, x, y)
-                break
-        if w:
+    found: dict = {}  # axiom -> its first failing tuple, in window order
+    for x, a in rows:
+        plus_a, times_a, low_a, aim_a = plus[a], times[a], low[a], aim[a]
+        for y, b in rows:
+            vxy = v(backend.mul(x, y))
+            h = win.intern(backend.add(x, y))
+            if vxy != plus_a[b] and "V2" not in found:
+                found["V2"] = _j(backend, x, y)
+            if "V3" not in found and not v3_holds(h, low_a[b]):
+                found["V3"] = _j(backend, x, y)
+            if vxy != times_a[b] and "HH2" not in found:
+                found["HH2"] = _j(backend, x, y)
+            if "HH3" not in found and outside_target(h, aim_a[b]) is not None:
+                found["HH3"] = _j(backend, x, y, win.elems[outside_target(h, aim_a[b])])
+        if len(found) == 4:
             break
-    rep.add("V2", w is None, w)
-
-    w = None
-    for x in U:
-        for y in U:
-            s = backend.add(x, y)
-            m = vmin(v(x), v(y))
-            if v.intrinsic and isinstance(s, hs.AboveValue):
-                ok = s.cut.all_below_in(m)
-            else:
-                ok = all(_vge(v(z), m) for z in hs.members(s, U, backend.value_of))
-            if not ok:
-                w = _j(backend, x, y)
-                break
-        if w:
-            break
-    rep.add("V3", w is None, w)
+    for axiom in ("V2", "V3"):
+        rep.add(axiom, axiom not in found, found.get(axiom))
 
     v_verdict = rep.ok
 
-    rep.add("HH1", v(backend.zero) is None)
-    rep.add("HH4", v(backend.one) == gzero(v.rank))
+    rep.add("HH1", val(backend.zero) is None)
+    rep.add("HH4", val(backend.one) == gzero(v.rank))
+    for axiom in ("HH2", "HH3"):
+        rep.add(axiom, axiom not in found, found.get(axiom))
 
-    w = None
-    for x in U:
-        for y in U:
-            if v(backend.mul(x, y)) != t_mul(v(x), v(y)):
-                w = _j(backend, x, y)
-                break
-        if w:
-            break
-    rep.add("HH2", w is None, w)
-
-    w = None
-    for x in U:
-        for y in U:
-            target = t_add(v(x), v(y))
-            s = backend.add(x, y)
-            for z in hs.members(s, U, backend.value_of):
-                if not hs.contains(target, v(z), t_value):
-                    w = _j(backend, x, y, z)
-                    break
-            if w:
-                break
-        if w:
-            break
-    rep.add("HH3", w is None, w)
-
-    w = None
-    for x in U:
-        if x == backend.zero:
-            continue
-        if v(backend.inv(x)) != vneg(v(x)):
-            w = _j(backend, x)
-            break
+    w = next((_j(backend, x) for x, vx in zip(U, vals)
+              if x != backend.zero and val(backend.inv(x)) != vneg(vx)), None)
     rep.add("HH5", w is None, w)
 
     hh_verdict = all(c.passed for c in rep.checks if c.axiom.startswith("HH"))
@@ -223,18 +231,12 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
             f"({v_verdict} vs {hh_verdict}); this is a checker bug")
 
     if v.rank >= 1:
-        seen = {v(x) for x in U if v(x) is not None}
-        from .ordgroup import window as _window
-        small = [g for g in _window(v.rank, 1)]
-        missing = [g for g in small if g not in seen]
+        seen = set(vals[:len(U)])
+        missing = [g for g in window(v.rank, 1) if g not in seen]
         rep.observe("surjective-on-window", not missing,
                     [list(g) for g in missing] or None,
                     note="every value in [-1,1]^rank is attained")
     return rep
-
-
-def _vge(a: Value, b: Value) -> bool:
-    return vcompare(a, b) >= 0
 
 
 # -- rings --------------------------------------------------------------------
@@ -436,7 +438,8 @@ class _Window:
     Element k is ``elems[k]``.  The window comes first, in window order, and
     owns bit k of every mask.  A hypersum member outside the window (LT
     cancellation can land at value bound+k) gets the next index when first
-    seen and never sets a bit.  Each checker call builds its own."""
+    seen and never sets a bit.  Hyperset h is ``sets[h]``, with its window
+    members ``masks[h]``.  Each checker call builds its own."""
 
     def __init__(self, backend, bound: int):
         self.value_of = backend.value_of
@@ -444,14 +447,31 @@ class _Window:
         self.n = len(self.elems)
         self.window = self.elems[:self.n]
         self._index = {x: k for k, x in enumerate(self.elems)}
+        # the same, by identity: a carrier often returns an operand as a sum
+        self._same = {id(x): k for k, x in enumerate(self.elems)}
         self._above: dict = {}  # cut -> mask of AboveValue(cut)
+        self.sets: list = []
+        self.masks: list = []
+        self._ids: dict = {}    # member index of a singleton, or the hyperset -> id
 
     def index(self, x) -> int:
-        k = self._index.get(x)
+        k = self._same.get(id(x))  # elems keeps every object keyed here alive
         if k is None:
-            k = self._index[x] = len(self.elems)
-            self.elems.append(x)
+            k = self._index.get(x)
+            if k is None:
+                k = self._index[x] = self._same[id(x)] = len(self.elems)
+                self.elems.append(x)
         return k
+
+    def intern(self, s) -> int:
+        """The id of hyperset s, shared by equal ones (the first stands for all)."""
+        key = self.index(s.elem) if isinstance(s, hs.Singleton) else s
+        h = self._ids.get(key)
+        if h is None:
+            h = self._ids[key] = len(self.sets)
+            self.sets.append(s)
+            self.masks.append(self.mask(s))
+        return h
 
     def mask(self, s) -> int:
         """The window members of a hypersum, as bits."""
@@ -541,16 +561,9 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
                            window=None if _is_finite(backend) else {"bound": bound})
 
     sums = [[backend.add(x, y) for y in U] for x in U]
-    w = None
-    for x, row in zip(U, sums):
-        for y, s in zip(U, row):
-            if hs.contains(s, backend.zero, backend.value_of):
-                continue
-            if not _all_values_single(backend, s):
-                w = _j(backend, x, y)
-                break
-        if w:
-            break
+    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, s in zip(U, row)
+              if not hs.contains(s, backend.zero, backend.value_of)
+              and not _all_values_single(backend, s)), None)
     rep.add("KVH1", w is None, w)
 
     vals = [v(x) for x in U]
@@ -558,6 +571,8 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
     diffs: dict = {}  # z index -> {descriptor of z-t: mask of those t}
     near: dict = {}   # (z index, m) -> mask of t with z-t above rho+m
+    # does every value a descriptor describes lie above rho+m
+    above = functools.cache(lambda desc, m: _all_above(desc, cut_of[m]))
 
     def close_to(k, m) -> int:
         key = (k, m)
@@ -568,12 +583,11 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
                     desc = _diff_descriptor(backend, backend.add(z, nt))
                     classes[desc] = classes.get(desc, 0) | 1 << t
                 diffs[k] = classes
-            cut = cut_of.get(m)
-            if cut is None:
+            if m is None:
                 near[key] = diffs[k].get(("vals", None), 0)
             else:
                 near[key] = sum(mask for desc, mask in diffs[k].items()
-                                if _all_above(desc, cut))
+                                if above(desc, m))
         return near[key]
 
     w = None
@@ -766,80 +780,65 @@ def _hs_key(s) -> tuple:
 
 
 def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
-    """SCH1..SCH4 over the window (exhaustive on finite backends)."""
-    U = backend.elements(bound)
+    """SCH1..SCH4 over the window (exhaustive on finite backends).
+
+    The window, its sums and the self-differences z - z are interned once.
+    Window membership is read from masks; equal, subset and intersects are
+    decided once per pair of distinct hypersets."""
+    win = _Window(backend, bound)
+    U, n, sets, masks = win.window, win.n, win.sets, win.masks
     val = backend.value_of
     rep = ValidationReport(subject=f"superior canonicity of {backend.describe()}",
                            mode=_mode(backend),
                            window=None if _is_finite(backend) else {"bound": bound})
 
-    sums = {}
-    for x in U:
-        for y in U:
-            sums[(x, y)] = backend.add(x, y)
+    @functools.cache
+    def holds(relation, a, b) -> bool:
+        return (hs.equal(sets[a], sets[b]) if relation == "equal"
+                else hs.subset(sets[a], sets[b], val))
 
-    w = None
-    for (x, y), s in sums.items():
-        if hs.contains(s, x, val) and not hs.equal(s, hs.Singleton(x)):
-            w = _j(backend, x, y)
-            break
+    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
+    # bit i of apart[h]: U[i] lies in hyperset h, yet h is not {U[i]}
+    apart = [sum(1 << i for i in _bits(m) if not hs.equal(s, hs.Singleton(U[i])))
+             for s, m in zip(sets, masks)]
+    w = next((_j(backend, x, U[j]) for i, (x, row) in enumerate(zip(U, sums))
+              for j, h in enumerate(row) if apart[h] >> i & 1), None)
     rep.add("SCH1", w is None, w, note="x in x+y forces x+y = {x}")
 
-    distinct = {}
-    for s in sums.values():
-        distinct.setdefault(_hs_key(s), s)
-    w = None
-    items = sorted(distinct.items())
-    for i, (_, a) in enumerate(items):
-        for (_, b) in items[i + 1:]:
-            if hs.intersects(a, b, val) and not (
-                    hs.subset(a, b, val) or hs.subset(b, a, val)):
-                w = (repr(a), repr(b))
-                break
-        if w:
-            break
+    items = sorted((_hs_key(sets[h]), h) for h in {h for row in sums for h in row})
+    w = next(((repr(sets[a]), repr(sets[b])) for i, (_, a) in enumerate(items)
+              for _, b in items[i + 1:] if hs.intersects(sets[a], sets[b], val)
+              and not (holds("subset", a, b) or holds("subset", b, a))), None)
     rep.add("SCH2", w is None, w, note="meeting hypersums are nested")
 
-    selfdiff = {}
+    @functools.cache
+    def sd(k) -> int:
+        """The id of z - z for element k."""
+        z = win.elems[k]
+        return win.intern(backend.add(z, backend.neg(z)))
 
-    def sd(x):
-        if x not in selfdiff:
-            selfdiff[x] = backend.add(x, backend.neg(x))
-        return selfdiff[x]
+    @functools.cache
+    def share(h) -> bool:
+        """Do the members of hyperset h share their z - z?"""
+        ks = win.members(sets[h])
+        return all(holds("equal", sd(k), sd(ks[0])) for k in ks[1:])
 
-    w = None
-    for x in U:
-        for y in U:
-            if x == y:
-                continue
-            diff = backend.add(x, backend.neg(y))
-            base = None
-            for z in hs.members(diff, U, val):
-                if base is None:
-                    base = sd(z)
-                elif not hs.equal(sd(z), base):
-                    w = _j(backend, x, y)
-                    break
-            if w:
-                break
-        if w:
-            break
+    # x - y is the window sum x + (-y) when -y lies in the window
+    negs = [win.index(backend.neg(y)) for y in U]
+    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, ny in zip(U, negs)
+              if x != y and not share(row[ny] if ny < n else
+                                      win.intern(backend.add(x, win.elems[ny])))), None)
     rep.add("SCH3", w is None, w, note="members of x-y share their z-z set")
 
-    w = None
-    for z in U:
-        sz = sd(z)
-        inner = [x for x in U if hs.contains(sz, x, val)]
-        outer = [y for y in U if not hs.contains(sz, y, val)]
-        for x in inner:
-            for y in outer:
-                if not hs.subset(sd(x), sd(y), val):
-                    w = _j(backend, x, y, z)
-                    break
-            if w:
-                break
-        if w:
-            break
+    by_sd: dict = {}  # id of z - z -> mask of the window z with it
+    for k in range(n):
+        by_sd[sd(k)] = by_sd.get(sd(k), 0) | 1 << k
+    # bad[a]: the window y with x - x = a not inside y - y (SCH4's y, if outside z - z)
+    bad = {a: sum(m for b, m in by_sd.items() if not holds("subset", a, b)) for a in by_sd}
+    full = (1 << n) - 1
+    w = next((_j(backend, U[i], U[_low_bit(hit)], z) for k, z in enumerate(U)
+              for i in _bits(masks[sd(k)])
+              for hit in (bad[sd(i)] & full & ~masks[sd(k)],) if hit), None)
     rep.add("SCH4", w is None, w,
             note="x in z-z and y outside force x-x inside y-y")
     return rep
