@@ -6,29 +6,54 @@ validating axiom tables, quotient constructions, isomorphism search,
 enumeration of small hyperfields, tropical and leading-term carriers, and
 the valuation / Krasner / residue machinery.  Everything else stays in its
 submodule.
+
+Names resolve on first use (PEP 562): importing the package compiles no
+submodule, so a caller pays only for the submodules it reaches.  A name is
+read from its submodule on every access and never stored here, so a
+replaced submodule attribute (a test double, a timing wrapper) shows through
+and goes away with its replacement.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .finite import (FiniteHyperfield, MalformedTableError, Morphism,
-                     build_K, build_S, build_W, build_finite_field, classify,
-                     enumerate_hyperfields, find_isomorphism, is_embedding,
-                     is_field, is_homomorphism, is_hyperideal, is_isomorphism,
-                     list_hyperideals, non_quotient_certificate,
-                     quotient_hyperfield, quotient_search, scalar_hyperideal,
-                     squares_subgroup, validate)
-from .leading_terms import (CollapsedConstantsContext, CompositeContext,
-                            LTContext, LTElement)
-from .ordgroup import ConvexSubgroup, Cut, invariance_group
-from .report import AxiomCheck, ValidationReport
-from .tropical import (TropicalHyperfield, tropical_axiom_suite,
-                       two_element_subhyperfield)
-from .valuation import (FiniteBackend, Valuation, check_coarsening_theorem,
-                        check_krasner, check_superiorly_canonical, coarsening,
-                        compare_rings, induced_ring, intrinsic_valuation,
-                        is_valuation, is_valuation_hyperring, maximal_ideal,
-                        residue_embedding_check, residue_hyperfield,
-                        trivial_valuation, ultrametric, ultrametric_report,
-                        unit_group, valuation_ring)
+_EXPORTS = {
+    "finite": ("FiniteHyperfield", "MalformedTableError", "Morphism", "build_K",
+               "build_S", "build_W", "build_finite_field", "classify",
+               "enumerate_hyperfields", "find_isomorphism", "is_embedding",
+               "is_field", "is_homomorphism", "is_hyperideal", "is_isomorphism",
+               "list_hyperideals", "non_quotient_certificate",
+               "quotient_hyperfield", "quotient_search", "scalar_hyperideal",
+               "squares_subgroup", "validate"),
+    "galois": (),
+    "hypersets": (),
+    "leading_terms": ("CollapsedConstantsContext", "CompositeContext",
+                      "LTContext", "LTElement"),
+    "ordgroup": ("ConvexSubgroup", "Cut", "invariance_group"),
+    "report": ("AxiomCheck", "ValidationReport"),
+    "tropical": ("TropicalHyperfield", "tropical_axiom_suite",
+                 "two_element_subhyperfield"),
+    "valuation": ("FiniteBackend", "Valuation", "check_coarsening_theorem",
+                  "check_krasner", "check_superiorly_canonical", "coarsening",
+                  "compare_rings", "induced_ring", "intrinsic_valuation",
+                  "is_valuation", "is_valuation_hyperring", "maximal_ideal",
+                  "residue_embedding_check", "residue_hyperfield",
+                  "trivial_valuation", "ultrametric", "ultrametric_report",
+                  "unit_group", "valuation_ring"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

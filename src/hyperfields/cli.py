@@ -7,6 +7,11 @@ timestamps) and carry the tool version plus the window parameters used.
 
 Exit codes: 0 every requested check passed, 1 a check failed (the report
 holds witnesses), 2 malformed input, 3 internal error.
+
+Only the finite-table layer is imported here.  The verbs on symbolic
+carriers (``krasner``, ``residue``, ``coarsen``, ``scenario`` and
+``axioms tropical...``) import the valuation, leading-term and tropical
+modules when they run, so a finite verb never compiles them.
 """
 
 from __future__ import annotations
@@ -16,17 +21,13 @@ import json
 import sys
 
 from . import __version__
-from . import valuation as vn
 from .finite import (FiniteHyperfield, MalformedTableError, build_K, build_S,
                      build_W, build_finite_field, classify,
                      enumerate_hyperfields, find_isomorphism, is_field,
                      list_hyperideals, quotient_hyperfield, squares_subgroup,
                      subgroup_closure, validate)
 from .galois import is_prime, prime_power
-from .leading_terms import (CollapsedConstantsContext, CompositeContext,
-                            LTContext)
 from .ordgroup import Cut, WindowTooLarge, invariance_group
-from .tropical import TropicalHyperfield, tropical_axiom_suite
 
 
 class ParseFailure(Exception):
@@ -86,7 +87,9 @@ def load_finite(spec: str) -> FiniteHyperfield:
         raise ParseFailure(f"{spec!r} is not a hyperfield table: {e}")
 
 
-def _tropical_spec(spec: str) -> TropicalHyperfield | None:
+def _tropical_spec(spec: str):
+    """The TropicalHyperfield a tropical:<rank> / tropical-strict:<rank> spec
+    names, or None for any other spec."""
     for prefix, strict in (("tropical-strict:", True), ("tropical:", False)):
         if spec.startswith(prefix):
             try:
@@ -95,6 +98,7 @@ def _tropical_spec(spec: str) -> TropicalHyperfield | None:
                 raise ParseFailure(f"bad rank in {spec!r}")
             if rank < 1:
                 raise ParseFailure("tropical rank must be >= 1")
+            from .tropical import TropicalHyperfield
             return TropicalHyperfield(rank, strict=strict)
     return None
 
@@ -121,15 +125,16 @@ def _load_backend(args):
     """Shared backend resolution for krasner/residue: a finite table URI,
     'kgamma' (needs --q/--gamma), 'composite' (needs --p), 'collapsed', or
     tropical:<rank> / tropical-strict:<rank>."""
+    from . import valuation as vn
     spec = args.backend
-    if spec == "kgamma":
-        ctx = LTContext(args.q, args.gamma)
-        return ctx, vn.intrinsic_valuation(ctx), ctx.norm_cut()
-    if spec == "composite":
-        ctx = CompositeContext(args.p)
-        return ctx, vn.intrinsic_valuation(ctx), ctx.norm_cut()
-    if spec == "collapsed":
-        ctx = CollapsedConstantsContext()
+    if spec in ("kgamma", "composite", "collapsed"):
+        from . import leading_terms as lt
+        if spec == "kgamma":
+            ctx = lt.LTContext(args.q, args.gamma)
+        elif spec == "composite":
+            ctx = lt.CompositeContext(args.p)
+        else:
+            ctx = lt.CollapsedConstantsContext()
         return ctx, vn.intrinsic_valuation(ctx), ctx.norm_cut()
     trop = _tropical_spec(spec)
     if trop is not None:
@@ -146,6 +151,7 @@ def _load_backend(args):
 def cmd_axioms(args) -> dict:
     trop = _tropical_spec(args.input)
     if trop is not None:
+        from .tropical import tropical_axiom_suite
         rep = tropical_axiom_suite(trop.rank, bound=args.window_bound,
                                    strict=trop.strict)
         params = {"input": args.input, "window_bound": args.window_bound}
@@ -213,6 +219,7 @@ def cmd_hyperideals(args) -> dict:
 
 
 def cmd_krasner(args) -> dict:
+    from . import valuation as vn
     backend, v, rho = _load_backend(args)
     vrep = vn.is_valuation(backend, v, args.window_bound)
     krep = vn.check_krasner(backend, v, rho, args.window_bound)
@@ -223,6 +230,7 @@ def cmd_krasner(args) -> dict:
 
 
 def cmd_residue(args) -> dict:
+    from . import valuation as vn
     backend, v, _ = _load_backend(args)
     R = vn.residue_hyperfield(backend, v, args.window_bound)
     payload = {"residue": R.to_json(), "order": R.size,
@@ -231,6 +239,8 @@ def cmd_residue(args) -> dict:
 
 
 def cmd_coarsen(args) -> dict:
+    from . import valuation as vn
+    from .leading_terms import CompositeContext
     ctx = CompositeContext(args.p)
     v = vn.intrinsic_valuation(ctx)
     rho = ctx.norm_cut()
@@ -261,6 +271,8 @@ def _claim(claims: list, text: str, passed: bool, witness=None) -> None:
 
 
 def scenario_example_last(args) -> tuple[dict, list]:
+    from . import valuation as vn
+    from .leading_terms import CompositeContext
     ctx = CompositeContext(args.p)
     w = vn.intrinsic_valuation(ctx)
     u = vn.coarsening(w, invariance_group(ctx.norm_cut()))
@@ -285,6 +297,8 @@ def scenario_example_last(args) -> tuple[dict, list]:
 
 
 def scenario_kgamma(args) -> tuple[dict, list]:
+    from . import valuation as vn
+    from .leading_terms import LTContext
     ctx = LTContext(args.q, args.gamma)
     v = vn.intrinsic_valuation(ctx)
     rho = ctx.norm_cut()
@@ -307,6 +321,8 @@ def scenario_kgamma(args) -> tuple[dict, list]:
 
 
 def scenario_no_kraval(args) -> tuple[dict, list]:
+    from . import valuation as vn
+    from .leading_terms import CollapsedConstantsContext
     ctx = CollapsedConstantsContext()
     v = vn.intrinsic_valuation(ctx)
     B = args.window_bound
@@ -330,6 +346,8 @@ def scenario_no_kraval(args) -> tuple[dict, list]:
 
 
 def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
+    from . import valuation as vn
+    from .tropical import TropicalHyperfield
     B = args.window_bound
     incl = TropicalHyperfield(1, strict=False)
     strict = TropicalHyperfield(1, strict=True)
@@ -354,6 +372,8 @@ def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
 
 
 def scenario_coarsening_theorem(args) -> tuple[dict, list]:
+    from . import valuation as vn
+    from .leading_terms import CompositeContext
     ctx = CompositeContext(args.p)
     v = vn.intrinsic_valuation(ctx)
     rho = ctx.norm_cut()

@@ -180,9 +180,12 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
 
     @functools.cache
     def v3_holds(h, least) -> bool:
-        """V3 for a sum h whose summands' least value is values[least]."""
+        """V3 for a sum h whose summands' least value is values[least].  The
+        cut-level test needs a finite least value: a map flagged intrinsic that
+        sends a nonzero summand to infinity is judged on the members."""
         s, m = win.sets[h], values[least]
-        return (s.cut.all_below_in(m) if v.intrinsic and isinstance(s, hs.AboveValue)
+        return (s.cut.all_below_in(m)
+                if v.intrinsic and m is not None and isinstance(s, hs.AboveValue)
                 else all(vcompare(vz, m) >= 0 for vz, _ in spread(h)))
 
     @functools.cache
@@ -191,8 +194,10 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
         return next((k for vz, k in spread(h)
                      if not hs.contains(targets[t], vz, t_value)), None)
 
-    w = next((x for x, vx in zip(U, vals) if (vx is None) != (x == backend.zero)), None)
-    rep.add("V1", w is None, None if w is None else _j(backend, w))
+    # the witness is a tuple, so a carrier zero that is None still fails V1
+    w = next((_j(backend, x) for x, vx in zip(U, vals)
+              if (vx is None) != (x == backend.zero)), None)
+    rep.add("V1", w is None, w)
 
     found: dict = {}  # axiom -> its first failing tuple, in window order
     for x, a in rows:

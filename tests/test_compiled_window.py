@@ -224,8 +224,8 @@ def ref_is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     rep = ValidationReport(subject=f"{v.describe()}", mode=_mode(backend),
                            window=None if _is_finite(backend) else {"bound": bound})
 
-    w = next((x for x in U if (v(x) is None) != (x == backend.zero)), None)
-    rep.add("V1", w is None, None if w is None else _j(backend, w))
+    w = next((_j(backend, x) for x in U if (v(x) is None) != (x == backend.zero)), None)
+    rep.add("V1", w is None, w)
 
     w = None
     for x in U:
@@ -242,7 +242,7 @@ def ref_is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
         for y in U:
             s = backend.add(x, y)
             m = vmin(v(x), v(y))
-            if v.intrinsic and isinstance(s, hs.AboveValue):
+            if v.intrinsic and m is not None and isinstance(s, hs.AboveValue):
                 ok = s.cut.all_below_in(m)
             else:
                 ok = all(_vge(v(z), m) for z in hs.members(s, U, backend.value_of))
@@ -493,11 +493,13 @@ def test_finite_tables_match_the_references(F):
 
 # -- is_valuation and check_superiorly_canonical ------------------------------------------
 
-def _override(backend, x0, value):
-    """The intrinsic valuation with v(x0) replaced by value (not intrinsic)."""
+def _override(backend, x0, value, intrinsic=False):
+    """The intrinsic valuation with v(x0) replaced by value (flagged
+    intrinsic only when asked)."""
     iv = intrinsic_valuation(backend)
     return Valuation(backend, iv.rank, lambda x: value if x == x0 else iv(x),
-                     label=f"v with v({backend.elem_json(x0)}) = {value}")
+                     label=f"v with v({backend.elem_json(x0)}) = {value}",
+                     intrinsic=intrinsic)
 
 
 def _maps(backend, bound):
@@ -713,6 +715,13 @@ VALUATION_WITNESSES = {
                ([-1], [-1])),
     "HH3-ray": (T1, Valuation(T1, 1, lambda x: None if x is None else (-x[0],)), 1,
                 ([-1], [-1], [0])),
+    # the carrier's zero is None, and a finite v(0) still fails V1
+    "V1-zero": (LT21, _override(LT21, None, (-2,)), 1, (None,)),
+    # a map flagged intrinsic sends t^-1 to infinity, and t^-1 + t^-1 is a ray
+    "V3-infinite": (LT21, _override(LT21, _e(-1, (1, 0)), None, intrinsic=True), 1,
+                    (_lt(-1, (1, 0)), _lt(-1, (1, 0)))),
+    "HH3-infinite": (LT21, _override(LT21, _e(-1, (1, 0)), None, intrinsic=True), 1,
+                     (_lt(-1, (1, 0)), _lt(-1, (1, 0)), _lt(1, (1, 0)))),
 }
 
 

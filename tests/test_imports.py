@@ -1,0 +1,125 @@
+"""What a process imports: the package's public surface resolves lazily,
+and the CLI's finite verbs never load the symbolic layer."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import hyperfields
+from hyperfields import finite
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SYMBOLIC = ("hyperfields.hypersets", "hyperfields.leading_terms",
+            "hyperfields.tropical", "hyperfields.valuation")
+
+# The package's exports before they became lazy: 53 names and 8 submodules.
+PUBLIC = [
+    "AxiomCheck", "CollapsedConstantsContext", "CompositeContext",
+    "ConvexSubgroup", "Cut", "FiniteBackend", "FiniteHyperfield", "LTContext",
+    "LTElement", "MalformedTableError", "Morphism", "TropicalHyperfield",
+    "ValidationReport", "Valuation", "build_K", "build_S", "build_W",
+    "build_finite_field", "check_coarsening_theorem", "check_krasner",
+    "check_superiorly_canonical", "classify", "coarsening", "compare_rings",
+    "enumerate_hyperfields", "find_isomorphism", "finite", "galois",
+    "hypersets", "induced_ring", "intrinsic_valuation", "invariance_group",
+    "is_embedding", "is_field", "is_homomorphism", "is_hyperideal",
+    "is_isomorphism", "is_valuation", "is_valuation_hyperring",
+    "leading_terms", "list_hyperideals", "maximal_ideal",
+    "non_quotient_certificate", "ordgroup", "quotient_hyperfield",
+    "quotient_search", "report", "residue_embedding_check",
+    "residue_hyperfield", "scalar_hyperideal", "squares_subgroup",
+    "trivial_valuation", "tropical", "tropical_axiom_suite",
+    "two_element_subhyperfield", "ultrametric", "ultrametric_report",
+    "unit_group", "validate", "valuation", "valuation_ring"]
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args in a new interpreter that imports from src."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+LAYERS = f"""
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in {SYMBOLIC!r} if m in sys.modules]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return [main(list(argv)), loaded()]
+        except SystemExit as e:  # argparse rejects bad arguments
+            return [e.code, loaded()]
+
+import hyperfields.cli
+from hyperfields.cli import main
+steps = {{"import": [None, loaded()]}}
+steps["classify"] = run("classify", "builtin:K")
+steps["axioms"] = run("axioms", "builtin:W")
+steps["iso"] = run("iso", "builtin:S", "builtin:W")
+steps["quotient"] = run("quotient", "--field", "7", "--subgroup", "squares")
+steps["enumerate"] = run("enumerate", "--order", "3")
+steps["hyperideals"] = run("hyperideals", "builtin:S")
+steps["bad-q"] = run("krasner", "kgamma", "--q", "6")
+steps["krasner"] = run("krasner", "kgamma")
+print(json.dumps(steps))
+"""
+
+
+def test_finite_verbs_leave_the_symbolic_layer_unloaded():
+    steps = json.loads(_fresh("-c", LAYERS).stdout)
+    krasner = steps.pop("krasner")
+    assert steps == {"import": [None, []], "classify": [0, []], "axioms": [0, []],
+                     "iso": [1, []], "quotient": [0, []], "enumerate": [0, []],
+                     "hyperideals": [0, []], "bad-q": [2, []]}
+    assert krasner == [0, list(SYMBOLIC)]
+
+
+def test_public_surface_is_unchanged():
+    assert hyperfields.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(hyperfields))
+    for name in PUBLIC:
+        obj = getattr(hyperfields, name)
+        if isinstance(obj, ModuleType):
+            assert obj is sys.modules[f"hyperfields.{name}"], name
+        else:
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+    ns: dict = {}
+    exec("from hyperfields import *", ns)
+    assert set(ns) - {"__builtins__"} == set(PUBLIC)
+    assert sum(isinstance(ns[name], ModuleType) for name in PUBLIC) == 8
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hyperfields.no_such_name  # noqa: B018
+
+
+def test_exports_are_read_through_not_stored(monkeypatch):
+    # A wrapper put on a submodule attribute shows through the package and
+    # is gone with its removal: nothing is cached at package level.
+    original = finite.validate
+    monkeypatch.setattr(finite, "validate", "wrapped")
+    assert hyperfields.validate == "wrapped"
+    monkeypatch.undo()
+    assert hyperfields.validate is original
+    assert "validate" not in vars(hyperfields)
+
+
+def test_fresh_interpreters_start():
+    out = _fresh("-m", "hyperfields.cli", "--version").stdout
+    assert out == f"hyperval {hyperfields.__version__}\n"
+    out = _fresh("-c", "import hyperfields.valuation as v; print(v.is_valuation.__name__)")
+    assert out.stdout == "is_valuation\n"
