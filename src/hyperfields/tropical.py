@@ -12,8 +12,11 @@ trivial valuation.
 
 from __future__ import annotations
 
+import functools
+
 from . import hypersets as hs
-from .finite import FiniteHyperfield
+from .finite import FiniteHyperfield, _bits
+from .hypersets import _low_bit, _Window
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
                        gadd, gneg, gzero, window)
 from .report import ValidationReport
@@ -112,41 +115,74 @@ class TropicalHyperfield:
 def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> ValidationReport:
     """Windowed hyperfield axioms for T(Z^rank): CH1..CH4 and HR3 over all
     tuples from the window plus infinity, with classification predicates
-    (char2, cchar1, stringency) recorded as observations."""
+    (char2, cchar1, stringency) recorded as observations.
+
+    Runs on the compiled window the valuation checkers share
+    (``hypersets._Window``).  Each window sum x+y is interned once: CH2
+    compares sum ids, CH3 and CH4 read masks.  CH1 and HR3 intern each
+    nested sum and each scaled sum once per (hyperset, element) pair, and
+    (xy)+(xz) once per pair of products, then compare ids.  Each witness
+    is the first failing tuple in x, y, z order."""
     T = TropicalHyperfield(rank, strict)
-    U: list[TropElem] = T.elements(bound)
+    win = _Window(T, bound)
+    U, n, elems, sets, masks = win.window, win.n, win.elems, win.sets, win.masks
     rep = ValidationReport(
         subject=T.describe(), mode="bounded verification",
         window={"bound": bound, "rank": rank})
 
-    def sadd(x, y):
-        return t_add(x, y, strict)
-
     j = T.elem_json
-    sums = {(x, y): sadd(x, y) for x in U for y in U}
+    sums = [[win.intern(t_add(x, y, strict)) for y in U] for x in U]
+    nsums = len(sets)  # the ids below it are the window sums
+    zero = win.index(T.zero)
 
-    w = next(((j(x), j(y)) for x in U for y in U
-              if not hs.equal(sums[x, y], sums[y, x])), None)
+    w = next(((j(x), j(U[b])) for a, (x, row) in enumerate(zip(U, sums))
+              for b, h in enumerate(row) if h != sums[b][a]), None)
     rep.add("CH2", w is None, w)
 
     w = None
-    for x in U:
-        inverses = [u for u in U if hs.contains(sums[x, u], None, t_value)]
+    for x, row in zip(U, sums):
+        inverses = [u for u, h in zip(U, row) if masks[h] >> zero & 1]
         if len(inverses) != 1:
             w = (j(x), [j(u) for u in inverses])
             break
     rep.add("CH3", w is None, w)
 
-    w = next(((j(x), j(y), j(z)) for x in U for y in U
-              for z in hs.members(sums[x, y], U, t_value)
-              if not hs.contains(sums[z, t_neg(x)], y, t_value)), None)
+    # a sum {z} with z outside the window: z + (-x) is no window sum, so CH4
+    # raises KeyError when it reaches one
+    outside = {h: s.elem for h, s in enumerate(sets) if isinstance(s, hs.Singleton)
+               and win.index(s.elem) >= n}
+    w = None
+    for a, (x, row) in enumerate(zip(U, sums)):
+        by_sum: dict = {}  # id of z + (-x) -> mask of those z (here -x = x)
+        for k, zrow in enumerate(sums):
+            by_sum[zrow[a]] = by_sum.get(zrow[a], 0) | 1 << k
+        col = [0] * n      # col[b]: the window z with U[b] in z + (-x)
+        for h, zs in by_sum.items():
+            for b in _bits(masks[h]):
+                col[b] |= zs
+        for b, h in enumerate(row):
+            bad = masks[h] & ~col[b]
+            if bad:
+                w = (j(x), j(U[b]), j(U[_low_bit(bad)]))
+                break
+            if h in outside:
+                raise KeyError((outside[h], t_neg(x)))
+        if w:
+            break
     rep.add("CH4", w is None, w)
 
-    w = next(((j(x), j(y), j(z)) for x in U for y in U
-              for left in (sums[x, y],) for z in U
-              if not hs.equal(_sum_sets(left, hs.Singleton(z), strict),
-                              _sum_sets(hs.Singleton(x), sums[y, z], strict))),
-             None)
+    # (x+y)+z once per (sum id, z), x+(y+z) once per (x, sum id)
+    left = [[win.intern(_sum_sets(sets[h], hs.Singleton(z), strict)) for z in U]
+            for h in range(nsums)]
+    w = None
+    for x, row in zip(U, sums):
+        single = hs.Singleton(x)
+        right = [win.intern(_sum_sets(single, sets[h], strict)) for h in range(nsums)]
+        w = next(((j(x), j(y), j(U[_first_diff(left[h], r)]))
+                  for y, h, yrow in zip(U, row, sums)
+                  for r in ([right[g] for g in yrow],) if left[h] != r), None)
+        if w:
+            break
     rep.add("CH1", w is None, w)
 
     def scale(x, s):
@@ -156,22 +192,40 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
             return hs.Singleton(None)
         return hs.AboveValue(s.cut.shift(x))
 
-    w = next(((j(x), j(y), j(z)) for x in U for y in U for z in U
-              if not hs.equal(scale(x, sums[y, z]), sadd(t_mul(x, y), t_mul(x, z)))),
-             None)
+    @functools.cache
+    def pair_sum(a, b) -> int:
+        """The id of elems[a] + elems[b]."""
+        return win.intern(t_add(elems[a], elems[b], strict))
+
+    # x(y+z) once per (x, sum id), (xy)+(xz) once per pair of product indices
+    w = None
+    for x, row in zip(U, sums):
+        prods = [win.index(t_mul(x, y)) for y in U]
+        scaled = [win.intern(scale(x, sets[h])) for h in range(nsums)]
+        w = next(((j(x), j(y), j(U[_first_diff(lhs, rhs)]))
+                  for y, a, yrow in zip(U, prods, sums)
+                  for lhs, rhs in (([scaled[h] for h in yrow],
+                                    [pair_sum(a, b) for b in prods]),)
+                  if lhs != rhs), None)
+        if w:
+            break
     rep.add("HR3", w is None, w)
 
-    one_plus_one = sadd(T.one, T.one)
+    one_plus_one = t_add(T.one, T.one, strict)
     rep.observe("char2", hs.contains(one_plus_one, None, t_value),
                 note="0 belongs to 1+1")
     rep.observe("cchar1", hs.contains(one_plus_one, T.one, t_value),
                 note="1 belongs to 1+1")
     # Always true (a ray contains infinity); recorded for the classification.
-    stringent = all(isinstance(s, hs.Singleton) or hs.contains(s, None, t_value)
-                    for s in sums.values())
+    stringent = all(isinstance(s, hs.Singleton) or m >> zero & 1
+                    for s, m in zip(sets[:nsums], masks))
     rep.observe("stringent", stringent,
                 note="every cell avoiding 0 is a singleton")
     return rep
+
+
+def _first_diff(a: list, b: list) -> int:
+    return next(k for k, (p, q) in enumerate(zip(a, b)) if p != q)
 
 
 def two_element_subhyperfield(rank: int, strict: bool = False) -> FiniteHyperfield:

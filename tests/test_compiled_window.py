@@ -1,12 +1,15 @@
 """The compiled-window checkers against the loops they replaced.
 
-``check_krasner``, ``ultrametric_report``, ``is_valuation`` and
-``check_superiorly_canonical`` intern the window once and compare hypersums
-as bitmasks.  The references below are the per-tuple loops they used
-before, copied unchanged: ``ref_is_valuation`` imports ``window`` by its
-absolute name and finds ``_vge`` here, and ``ref_ultrametric_report`` keeps
-d's answers, which only saves time.  Every case must give the same report
-JSON, or the same exception type and message.
+``check_krasner``, ``ultrametric_report``, ``is_valuation``,
+``check_superiorly_canonical`` and ``tropical_axiom_suite`` intern the window
+once and compare hypersums as bitmasks or interned ids.  The references
+below are the per-tuple loops they used before, copied unchanged:
+``ref_is_valuation`` imports ``window`` by its absolute name and finds
+``_vge`` here, ``ref_ultrametric_report`` keeps d's answers, which only
+saves time, and ``ref_tropical_axiom_suite`` reads ``t_add`` through the
+``tropical`` module, so that a patched ``t_add`` reaches it as it reaches
+the suite and ``_sum_sets``.  Every case must give the same report JSON, or
+the same exception type and message.
 """
 
 import json
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import hypersets as hs
+from hyperfields import tropical
 from hyperfields.finite import (build_K, build_S, build_W, build_finite_field,
                                 enumerate_hyperfields)
 from hyperfields.leading_terms import (CollapsedConstantsContext,
@@ -24,7 +28,8 @@ from hyperfields.leading_terms import (CollapsedConstantsContext,
 from hyperfields.ordgroup import (ConvexSubgroup, Cut, gzero, vadd, vcompare,
                                   vmin, vneg)
 from hyperfields.report import ValidationReport
-from hyperfields.tropical import TropicalHyperfield, t_add, t_mul, t_value
+from hyperfields.tropical import (TropicalHyperfield, _sum_sets, t_add, t_mul,
+                                  t_neg, t_value, tropical_axiom_suite)
 from hyperfields.valuation import (FiniteBackend, Valuation, _all_above,
                                    _all_values_single, _hs_key, _is_finite, _j,
                                    _mode, ball_of, check_krasner,
@@ -385,6 +390,68 @@ def ref_check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
             break
     rep.add("SCH4", w is None, w,
             note="x in z-z and y outside force x-x inside y-y")
+    return rep
+
+
+def ref_tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> ValidationReport:
+    T = TropicalHyperfield(rank, strict)
+    U: list = T.elements(bound)
+    rep = ValidationReport(
+        subject=T.describe(), mode="bounded verification",
+        window={"bound": bound, "rank": rank})
+
+    def sadd(x, y):
+        return tropical.t_add(x, y, strict)
+
+    j = T.elem_json
+    sums = {(x, y): sadd(x, y) for x in U for y in U}
+
+    w = next(((j(x), j(y)) for x in U for y in U
+              if not hs.equal(sums[x, y], sums[y, x])), None)
+    rep.add("CH2", w is None, w)
+
+    w = None
+    for x in U:
+        inverses = [u for u in U if hs.contains(sums[x, u], None, t_value)]
+        if len(inverses) != 1:
+            w = (j(x), [j(u) for u in inverses])
+            break
+    rep.add("CH3", w is None, w)
+
+    w = next(((j(x), j(y), j(z)) for x in U for y in U
+              for z in hs.members(sums[x, y], U, t_value)
+              if not hs.contains(sums[z, t_neg(x)], y, t_value)), None)
+    rep.add("CH4", w is None, w)
+
+    w = next(((j(x), j(y), j(z)) for x in U for y in U
+              for left in (sums[x, y],) for z in U
+              if not hs.equal(_sum_sets(left, hs.Singleton(z), strict),
+                              _sum_sets(hs.Singleton(x), sums[y, z], strict))),
+             None)
+    rep.add("CH1", w is None, w)
+
+    def scale(x, s):
+        if isinstance(s, hs.Singleton):
+            return hs.Singleton(t_mul(x, s.elem))
+        if x is None:
+            return hs.Singleton(None)
+        return hs.AboveValue(s.cut.shift(x))
+
+    w = next(((j(x), j(y), j(z)) for x in U for y in U for z in U
+              if not hs.equal(scale(x, sums[y, z]), sadd(t_mul(x, y), t_mul(x, z)))),
+             None)
+    rep.add("HR3", w is None, w)
+
+    one_plus_one = sadd(T.one, T.one)
+    rep.observe("char2", hs.contains(one_plus_one, None, t_value),
+                note="0 belongs to 1+1")
+    rep.observe("cchar1", hs.contains(one_plus_one, T.one, t_value),
+                note="1 belongs to 1+1")
+    # Always true (a ray contains infinity); recorded for the classification.
+    stringent = all(isinstance(s, hs.Singleton) or hs.contains(s, None, t_value)
+                    for s in sums.values())
+    rep.observe("stringent", stringent,
+                note="every cell avoiding 0 is a singleton")
     return rep
 
 
@@ -769,12 +836,111 @@ def test_superior_canonicity_first_witnesses(case):
         assert {c.axiom: c.witness for c in rep.failed()} == witnesses, checker.__name__
 
 
+# -- the tropical axiom suite --------------------------------------------------------
+
+# Every window of the grid: bounds up to 10 at rank 1, 3 at rank 2, 1 at rank 3.
+TROPICAL_GRID = [(rank, bound, strict) for rank, top in ((0, 2), (1, 10), (2, 3), (3, 1))
+                 for bound in range(top + 1) for strict in (False, True)]
+
+
+@pytest.mark.parametrize("rank,bound,strict", TROPICAL_GRID)
+def test_tropical_suite_matches_the_reference(rank, bound, strict):
+    assert _outcome(tropical_axiom_suite, rank, bound, strict) == \
+        _outcome(ref_tropical_axiom_suite, rank, bound, strict)
+
+
+def _corrupt_t_add(entry, result):
+    """t_add with the sum of the pair entry replaced by result."""
+    original = tropical.t_add
+
+    def t_add(x, y, strict=False):
+        return result if (x, y) == entry else original(x, y, strict)
+    return t_add
+
+
+def _cuts(rank):
+    """_norms with the open cuts beside the closed ones."""
+    return _norms(rank) + [Cut.lt(rank, (b,) + (0,) * (rank - 1)) for b in range(-1, 3)
+                           if rank]
+
+
+@st.composite
+def corrupted_tropical(draw):
+    """A tropical setting and one window pair whose sum becomes a Singleton
+    of the window or just outside it, or an AboveValue."""
+    rank, bound = draw(st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 1), (3, 0)]))
+    strict = draw(st.booleans())
+    T = TropicalHyperfield(rank, strict)
+    U = T.elements(bound)
+    outside = [x for x in T.elements(bound + 1) if x not in U][:8]
+    entry = (draw(st.sampled_from(U)), draw(st.sampled_from(U)))
+    result = draw(st.one_of(st.builds(hs.Singleton, st.sampled_from(U + outside)),
+                            st.sampled_from(_cuts(rank)).map(hs.AboveValue)))
+    return (rank, bound, strict), entry, result
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_tropical())
+def test_corrupted_tropical_sums_match_the_reference(case):
+    args, entry, result = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tropical, "t_add", _corrupt_t_add(entry, result))
+        assert _outcome(tropical_axiom_suite, *args) == \
+            _outcome(ref_tropical_axiom_suite, *args)
+
+
+# First witnesses of the per-tuple loop: ((rank, bound, strict), corrupted pair,
+# its replacement sum, {failing axiom: witness}).
+TROPICAL_WITNESSES = {
+    "ray-for-0+1": ((1, 1, False), (None, (1,)), hs.AboveValue(Cut.le(1, (0,))), {
+        "CH2": (None, [1]), "CH3": (None, [None, [1]]), "CH4": (None, [1], None),
+        "HR3": ([-1], None, [1])}),
+    "t^-1+t^-1": ((1, 1, False), ((-1,), (-1,)), hs.Singleton((-1,)), {
+        "CH3": ([-1], []), "CH4": ([-1], None, [-1]), "HR3": ([-1], [-1], [-1])}),
+    "ray-for-inf+inf": ((1, 1, False), (None, None), hs.AboveValue(Cut.le(1, (-1,))), {
+        "CH4": (None, None, [0]), "CH1": (None, None, [0]), "HR3": (None, None, None)}),
+    # {inf} written as a ray: equal as sets, not as hypersets
+    "inf-as-ray": ((1, 1, False), (None, None), hs.AboveValue(Cut.whole(1)), {
+        "HR3": (None, None, None)}),
+    "moved-singleton": ((1, 1, False), (None, (-1,)), hs.Singleton((0,)), {
+        "CH2": (None, [-1]), "CH4": (None, [-1], [0]), "CH1": (None, [-1], [-1]),
+        "HR3": ([-1], None, [-1])}),
+    "rank-0": ((0, 0, True), ((), ()), hs.Singleton(()), {
+        "CH3": ([], []), "CH4": ([], None, [])}),
+    "strict-rank-2": ((2, 1, True), ((0, 1), (0, 1)), hs.AboveValue(Cut.le(2, (0,))), {
+        "HR3": ([-1, -1], [0, 1], [0, 1])}),
+    "strict-rank-2-singleton": ((2, 1, True), ((1, -1), (0, 1)), hs.Singleton((1, -1)), {
+        "CH2": ([0, 1], [1, -1]), "CH4": ([0, 1], [0, 1], [1, -1]),
+        "CH1": ([0, 1], [1, -1], [0, 1]), "HR3": ([-1, -1], [1, -1], [0, 1])}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TROPICAL_WITNESSES))
+def test_tropical_first_witnesses(case, monkeypatch):
+    args, entry, result, witnesses = TROPICAL_WITNESSES[case]
+    monkeypatch.setattr(tropical, "t_add", _corrupt_t_add(entry, result))
+    for suite in (tropical_axiom_suite, ref_tropical_axiom_suite):
+        rep = suite(*args)
+        assert {c.axiom: c.witness for c in rep.failed()} == witnesses, suite.__name__
+
+
+def test_tropical_suite_raises_on_an_outside_member(monkeypatch):
+    # inf + inf = {t^2}, outside the window: CH4 looks t^2 + inf up among the
+    # window sums
+    monkeypatch.setattr(tropical, "t_add", _corrupt_t_add((None, None), hs.Singleton((2,))))
+    for suite in (tropical_axiom_suite, ref_tropical_axiom_suite):
+        with pytest.raises(KeyError) as info:
+            suite(1, 1)
+        assert str(info.value) == "((2,), None)", suite.__name__
+
+
 # -- pinned benchmark digests ----------------------------------------------------------
 
 def test_windowed_digests_match_the_pins():
-    """Every windowed check_krasner, ultrametric_report, is_valuation and
-    check_superiorly_canonical candidate of the benchmark gives its pinned
-    witness digest (bench/pinned.json is read, never written)."""
+    """Every windowed check_krasner, ultrametric_report, is_valuation,
+    check_superiorly_canonical and tropical_axiom_suite candidate of the
+    benchmark gives its pinned witness digest (bench/pinned.json is read,
+    never written)."""
     import sys
     sys.path.insert(0, str(ROOT / "bench"))
     try:
@@ -788,12 +954,18 @@ def test_windowed_digests_match_the_pins():
                 "is_valuation": lambda ctx, v, rho, bound: is_valuation(ctx, v, bound),
                 "check_superiorly_canonical":
                     lambda ctx, v, rho, bound: check_superiorly_canonical(ctx, bound)}
-    seen = {kind: 0 for kind in checkers}
+    seen = {kind: 0 for kind in checkers} | {"tropical_axiom_suite": 0}
     for cand in workloads.windowed_candidates():
-        if cand["kind"] not in checkers:
+        kind, carrier, bound = cand["kind"], cand["args"]["carrier"], cand["args"]["bound"]
+        if kind == "tropical_axiom_suite":
+            name, rank = carrier.split(":")
+            rep = tropical_axiom_suite(int(rank), bound, name == "tropical-strict")
+        elif kind in checkers:
+            ctx, v, rho = inputs.carrier(carrier)
+            rep = checkers[kind](ctx, v, rho, bound)
+        else:
             continue
-        ctx, v, rho = inputs.carrier(cand["args"]["carrier"])
-        rep = checkers[cand["kind"]](ctx, v, rho, cand["args"]["bound"])
         assert workloads.triples_digest([rep.to_json()]) == pinned[cand["pin"]], cand["pin"]
-        seen[cand["kind"]] += 1
+        seen[kind] += 1
+    assert seen.pop("tropical_axiom_suite") == 16
     assert min(seen.values()) > 40, seen

@@ -73,6 +73,7 @@ steps["quotient"] = run("quotient", "--field", "7", "--subgroup", "squares")
 steps["enumerate"] = run("enumerate", "--order", "3")
 steps["hyperideals"] = run("hyperideals", "builtin:S")
 steps["bad-q"] = run("krasner", "kgamma", "--q", "6")
+steps["axioms tropical:1"] = run("axioms", "tropical:1", "--window-bound", "2")
 steps["krasner"] = run("krasner", "kgamma")
 print(json.dumps(steps))
 """
@@ -81,9 +82,12 @@ print(json.dumps(steps))
 def test_finite_verbs_leave_the_symbolic_layer_unloaded():
     steps = json.loads(_fresh("-c", LAYERS).stdout)
     krasner = steps.pop("krasner")
+    tropical = steps.pop("axioms tropical:1")
     assert steps == {"import": [None, []], "classify": [0, []], "axioms": [0, []],
                      "iso": [1, []], "quotient": [0, []], "enumerate": [0, []],
                      "hyperideals": [0, []], "bad-q": [2, []]}
+    # the tropical suite needs neither valuation nor leading_terms
+    assert tropical == [0, ["hyperfields.hypersets", "hyperfields.tropical"]]
     assert krasner == [0, list(SYMBOLIC)]
 
 
