@@ -584,47 +584,6 @@ class Classification:
                 "superiorly_canonical": self.superiorly_canonical}
 
 
-def _superiorly_canonical(F: FiniteHyperfield) -> bool:
-    # A bitmask copy of check_superiorly_canonical(FiniteBackend(F)), which
-    # the tests hold it to.  Kept because classify runs it on every table:
-    # 2-4 ms instead of 14 ms on F49, 2 us instead of 0.1 ms on the order-3
-    # quotients (Xeon, Python 3.11).
-    n = F.size
-    for x in range(n):
-        for y in range(n):
-            if F.contains(x, y, x) and F.add_mask(x, y) != 1 << x:
-                return False  # SCH1
-    masks = [[F.add_mask(x, y) for y in range(n)] for x in range(n)]
-    cells = {m for row in masks for m in row}
-    for a in cells:
-        for b in cells:
-            if a & b and not (a | b == a or a | b == b):
-                return False  # SCH2
-    selfdiff = [F.add_mask(x, F.neg(x)) for x in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            diff = F.add_cell(x, F.neg(y))
-            base = None
-            for z in diff:
-                if base is None:
-                    base = selfdiff[z]
-                elif selfdiff[z] != base:
-                    return False  # SCH3
-    for z in range(n):
-        sz = selfdiff[z]
-        for x in range(n):
-            if not (sz >> x & 1):
-                continue
-            for y in range(n):
-                if sz >> y & 1:
-                    continue
-                if selfdiff[x] & ~selfdiff[y]:
-                    return False  # SCH4
-    return True
-
-
 def classify(F: FiniteHyperfield) -> Classification:
     one_plus_one = F.add_mask(ONE, ONE)
     # stringency: every cell without 0 is a singleton
@@ -634,12 +593,13 @@ def classify(F: FiniteHyperfield) -> Classification:
             m = F.add_mask(x, y)
             if not (m & 1) and m.bit_count() != 1:
                 stringent = False
+    from .window import FiniteBackend, check_superiorly_canonical  # only classify needs hypersets
     return Classification(
         is_field=is_field(F),
         char2=bool(one_plus_one & 1),
         cchar1=bool(one_plus_one >> ONE & 1),
         stringent=stringent,
-        superiorly_canonical=_superiorly_canonical(F))
+        superiorly_canonical=check_superiorly_canonical(FiniteBackend(F), 0).ok)
 
 
 # -- hyperideals ---------------------------------------------------------------

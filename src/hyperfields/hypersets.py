@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .finite import _bits
 from .ordgroup import Cut, Value, value_gt_cut
 
 
@@ -124,83 +123,3 @@ def values_of(hs: HyperSet, value_of: ValueOf):
     if isinstance(hs, AboveValue):
         return ("above", hs.cut)
     raise TypeError(f"not a hyperset: {hs!r}")
-
-
-# -- compiled windows -------------------------------------------------------------
-
-class _Window:
-    """The window of one checker call, interned once.
-
-    Shared by the valuation checkers and ``tropical_axiom_suite``; it lives
-    here so that the tropical suite needs no valuation module.  Element k is
-    ``elems[k]``.  The window comes first, in window order, and owns bit k
-    of every mask.  A hypersum member outside the window (LT cancellation
-    can land at value bound+k) gets the next index when first seen and
-    never sets a bit.  Hyperset h is ``sets[h]``, with its window members
-    ``masks[h]``.  Each checker call builds its own."""
-
-    def __init__(self, backend, bound: int):
-        self.value_of = backend.value_of
-        self.elems = list(backend.elements(bound))
-        self.n = len(self.elems)
-        self.window = self.elems[:self.n]
-        self._index = {x: k for k, x in enumerate(self.elems)}
-        # the same, by identity: a carrier often returns an operand as a sum
-        self._same = {id(x): k for k, x in enumerate(self.elems)}
-        self._above: dict = {}  # cut -> mask of AboveValue(cut)
-        self.sets: list = []
-        self.masks: list = []
-        self._ids: dict = {}    # member index of a singleton, or the hyperset -> id
-
-    def index(self, x) -> int:
-        k = self._same.get(id(x))  # elems keeps every object keyed here alive
-        if k is None:
-            k = self._index.get(x)
-            if k is None:
-                k = self._index[x] = self._same[id(x)] = len(self.elems)
-                self.elems.append(x)
-        return k
-
-    def intern(self, s) -> int:
-        """The id of hyperset s, shared by equal ones (the first stands for all)."""
-        key = self.index(s.elem) if isinstance(s, Singleton) else s
-        h = self._ids.get(key)
-        if h is None:
-            h = self._ids[key] = len(self.sets)
-            self.sets.append(s)
-            self.masks.append(self.mask(s))
-        return h
-
-    def mask(self, s) -> int:
-        """The window members of a hypersum, as bits."""
-        if isinstance(s, AboveValue):
-            m = self._above.get(s.cut)
-            if m is None:
-                m = self._above[s.cut] = sum(
-                    1 << k for k, x in enumerate(self.window)
-                    if value_gt_cut(self.value_of(x), s.cut))
-            return m
-        if isinstance(s, Singleton):
-            elems = (s.elem,)
-        elif isinstance(s, FiniteSet):
-            elems = s.elems
-        else:
-            raise TypeError(f"not a hyperset: {s!r}")
-        m = 0
-        for x in elems:
-            k = self._index.get(x)
-            if k is not None and k < self.n:
-                m |= 1 << k
-        return m
-
-    def members(self, s) -> list:
-        """Indices of ``members(s, window)``, in its order."""
-        if isinstance(s, Singleton):
-            return [self.index(s.elem)]
-        if isinstance(s, FiniteSet):
-            return [self.index(x) for x in sorted(s.elems, key=repr)]
-        return list(_bits(self.mask(s)))
-
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1

@@ -16,10 +16,10 @@ import functools
 
 from . import hypersets as hs
 from .finite import FiniteHyperfield, _bits
-from .hypersets import _low_bit, _Window
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
                        gadd, gneg, gzero, window)
 from .report import ValidationReport
+from .window import _low_bit, _Window
 
 TropElem = Value  # tuple for a group element, None for infinity
 
@@ -118,14 +118,14 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
     (char2, cchar1, stringency) recorded as observations.
 
     Runs on the compiled window the valuation checkers share
-    (``hypersets._Window``).  Each window sum x+y is interned once: CH2
+    (``window._Window``).  Each window sum x+y is interned once: CH2
     compares sum ids, CH3 and CH4 read masks.  CH1 and HR3 intern each
     nested sum and each scaled sum once per (hyperset, element) pair, and
     (xy)+(xz) once per pair of products, then compare ids.  Each witness
     is the first failing tuple in x, y, z order."""
     T = TropicalHyperfield(rank, strict)
     win = _Window(T, bound)
-    U, n, elems, sets, masks = win.window, win.n, win.elems, win.sets, win.masks
+    U, n, elems, sets, mask_of = win.window, win.n, win.elems, win.sets, win.mask_of
     rep = ValidationReport(
         subject=T.describe(), mode="bounded verification",
         window={"bound": bound, "rank": rank})
@@ -141,7 +141,7 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
 
     w = None
     for x, row in zip(U, sums):
-        inverses = [u for u, h in zip(U, row) if masks[h] >> zero & 1]
+        inverses = [u for u, h in zip(U, row) if mask_of(h) >> zero & 1]
         if len(inverses) != 1:
             w = (j(x), [j(u) for u in inverses])
             break
@@ -158,10 +158,10 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
             by_sum[zrow[a]] = by_sum.get(zrow[a], 0) | 1 << k
         col = [0] * n      # col[b]: the window z with U[b] in z + (-x)
         for h, zs in by_sum.items():
-            for b in _bits(masks[h]):
+            for b in _bits(mask_of(h)):
                 col[b] |= zs
         for b, h in enumerate(row):
-            bad = masks[h] & ~col[b]
+            bad = mask_of(h) & ~col[b]
             if bad:
                 w = (j(x), j(U[b]), j(U[_low_bit(bad)]))
                 break
@@ -217,8 +217,8 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
     rep.observe("cchar1", hs.contains(one_plus_one, T.one, t_value),
                 note="1 belongs to 1+1")
     # Always true (a ray contains infinity); recorded for the classification.
-    stringent = all(isinstance(s, hs.Singleton) or m >> zero & 1
-                    for s, m in zip(sets[:nsums], masks))
+    stringent = all(isinstance(s, hs.Singleton) or mask_of(h) >> zero & 1
+                    for h, s in enumerate(sets[:nsums]))
     rep.observe("stringent", stringent,
                 note="every cell avoiding 0 is a singleton")
     return rep

@@ -1,17 +1,9 @@
-"""Valuations on hyperfield backends.
+"""Valuations on hyperfield backends (``window`` states the backend surface).
 
-A backend is anything with the small duck-typed surface used throughout
-this module: ``zero``, ``one``, ``mul``, ``neg``, ``inv``, ``add`` (returning
-a hyperset), ``value_of`` (the intrinsic valuation fixing the meaning of
-AboveValue results), ``value_rank``, ``elements(bound)``, ``elem_json``,
-``sort_key`` and ``describe``.  FiniteBackend adapts a FiniteHyperfield to
-that surface; the tropical and leading-term carriers implement it natively.
-
-Checks on finite backends visit every tuple ("proof by exhaustion"); on
-infinite backends they visit every tuple built from a window of elements
-("bounded verification") and say so in the report.  Hyperset membership is
-always decided against the backend's intrinsic valuation; the valuation
-under test only enters through its own axioms.
+``FiniteBackend`` and ``check_superiorly_canonical`` live in ``window`` and
+are re-exported here.  Hyperset membership is always decided against the
+backend's intrinsic valuation; the valuation under test only enters through
+its own axioms.
 """
 
 from __future__ import annotations
@@ -23,61 +15,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import hypersets as hs
-from .finite import FiniteHyperfield, ZERO, ONE, _bits
-from .hypersets import _low_bit, _Window
+from .finite import FiniteHyperfield
 from .ordgroup import (Cut, ConvexSubgroup, Value, gzero, invariance_group,
                        value_gt_cut, vadd, vcompare, vmin, vneg, window)
 from .report import ValidationReport
 from .tropical import t_add, t_mul, t_value
-
-
-class FiniteBackend:
-    """A FiniteHyperfield with the backend surface; elements are indices."""
-
-    def __init__(self, F: FiniteHyperfield):
-        self.F = F
-        self.zero = ZERO
-        self.one = ONE
-        self.value_rank = 0
-
-    def mul(self, x, y):
-        return self.F.mul[x][y]
-
-    def neg(self, x):
-        return self.F.neg(x)
-
-    def inv(self, x):
-        return self.F.inv(x)
-
-    def add(self, x, y):
-        return hs.finite(self.F.add_cell(x, y))
-
-    def value_of(self, x) -> Value:
-        return None if x == ZERO else ()
-
-    def elements(self, bound: int = 0) -> list:
-        return list(range(self.F.size))
-
-    def elem_json(self, x):
-        return self.F.names[x]
-
-    def sort_key(self, x):
-        return (x,)
-
-    def describe(self) -> str:
-        return repr(self.F)
-
-
-def _is_finite(backend) -> bool:
-    return isinstance(backend, FiniteBackend)
-
-
-def _mode(backend) -> str:
-    return "proof by exhaustion" if _is_finite(backend) else "bounded verification"
-
-
-def _j(backend, *elems):
-    return tuple(backend.elem_json(x) for x in elems)
+from .window import (FiniteBackend, _is_finite, _j, _low_bit, _mode, _report,
+                     _Window, check_superiorly_canonical)
 
 
 class Valuation:
@@ -152,8 +96,7 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     and HH2 read v of the product, V3 and HH3 the sum's member values."""
     win = _Window(backend, bound)
     U = win.window
-    rep = ValidationReport(subject=f"{v.describe()}", mode=_mode(backend),
-                           window=None if _is_finite(backend) else {"bound": bound})
+    rep = _report(v.describe(), backend, bound)
     vals = [v(x) for x in U]  # grows as elements outside the window are met
     # what each route makes of two window values, once per pair of values
     values = list(dict.fromkeys(vals))
@@ -296,9 +239,7 @@ def is_valuation_hyperring(backend, ring: RingPredicate, bound: int = 3) -> Vali
     differences) with the dichotomy x in O or x^{-1} in O."""
     U = backend.elements(bound)
     O = [x for x in U if ring.contains(x)]
-    rep = ValidationReport(subject=f"{ring.describe()} on {backend.describe()}",
-                           mode=_mode(backend),
-                           window=None if _is_finite(backend) else {"bound": bound})
+    rep = _report(f"{ring.describe()} on {backend.describe()}", backend, bound)
 
     w = next((_j(backend, x) for x in (backend.zero, backend.one)
               if not ring.contains(x)), None)
@@ -414,8 +355,7 @@ def residue_embedding_check(ctx, bound: int = 2) -> ValidationReport:
     v = intrinsic_valuation(ctx)
     # Every class holds Zero or a unit, so there are never more than this.
     R, reps = _residue(ctx, v, bound, 1 + len(units))
-    rep = ValidationReport(subject=f"residue embedding for {ctx.describe()}",
-                           mode=_mode(ctx), window={"bound": bound})
+    rep = _report(f"residue embedding for {ctx.describe()}", ctx, bound)
     U = ctx.elements(bound)
     w = next((_j(ctx, u, r) for u in units if u not in reps for r in reps
               if _same_residue_class(ctx, v, u, r, U)), None)
@@ -484,9 +424,7 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
 
     win = _Window(backend, bound)
     U = win.window
-    rep = ValidationReport(subject=f"Krasner conditions for {v.describe()}",
-                           mode=_mode(backend),
-                           window=None if _is_finite(backend) else {"bound": bound})
+    rep = _report(f"Krasner conditions for {v.describe()}", backend, bound)
 
     sums = [[backend.add(x, y) for y in U] for x in U]
     w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, s in zip(U, row)
@@ -586,9 +524,7 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     d = ultrametric(backend, v)
     win = _Window(backend, bound)
     U = win.window
-    rep = ValidationReport(subject=f"ultrametric of {v.describe()}",
-                           mode=_mode(backend),
-                           window=None if _is_finite(backend) else {"bound": bound})
+    rep = _report(f"ultrametric of {v.describe()}", backend, bound)
     dist = [[d(x, y) for y in U] for x in U]
 
     w = None
@@ -694,81 +630,6 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
             break
     rep.add("BALL-CHAIN", w is None, w,
             note="intersecting balls are nested (windowed sample)")
-    return rep
-
-
-# -- superior canonicity -----------------------------------------------------------
-
-def _hs_key(s) -> tuple:
-    if isinstance(s, hs.Singleton):
-        return ("s", repr(s.elem))
-    if isinstance(s, hs.FiniteSet):
-        return ("f", tuple(sorted(map(repr, s.elems))))
-    return ("a", s.cut.prefix_len, s.cut.bound, s.cut.inclusive)
-
-
-def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
-    """SCH1..SCH4 over the window (exhaustive on finite backends).
-
-    The window, its sums and the self-differences z - z are interned once.
-    Window membership is read from masks; equal, subset and intersects are
-    decided once per pair of distinct hypersets."""
-    win = _Window(backend, bound)
-    U, n, sets, masks = win.window, win.n, win.sets, win.masks
-    val = backend.value_of
-    rep = ValidationReport(subject=f"superior canonicity of {backend.describe()}",
-                           mode=_mode(backend),
-                           window=None if _is_finite(backend) else {"bound": bound})
-
-    @functools.cache
-    def holds(relation, a, b) -> bool:
-        return (hs.equal(sets[a], sets[b]) if relation == "equal"
-                else hs.subset(sets[a], sets[b], val))
-
-    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
-    # bit i of apart[h]: U[i] lies in hyperset h, yet h is not {U[i]}
-    apart = [sum(1 << i for i in _bits(m) if not hs.equal(s, hs.Singleton(U[i])))
-             for s, m in zip(sets, masks)]
-    w = next((_j(backend, x, U[j]) for i, (x, row) in enumerate(zip(U, sums))
-              for j, h in enumerate(row) if apart[h] >> i & 1), None)
-    rep.add("SCH1", w is None, w, note="x in x+y forces x+y = {x}")
-
-    items = sorted((_hs_key(sets[h]), h) for h in {h for row in sums for h in row})
-    w = next(((repr(sets[a]), repr(sets[b])) for i, (_, a) in enumerate(items)
-              for _, b in items[i + 1:] if hs.intersects(sets[a], sets[b], val)
-              and not (holds("subset", a, b) or holds("subset", b, a))), None)
-    rep.add("SCH2", w is None, w, note="meeting hypersums are nested")
-
-    @functools.cache
-    def sd(k) -> int:
-        """The id of z - z for element k."""
-        z = win.elems[k]
-        return win.intern(backend.add(z, backend.neg(z)))
-
-    @functools.cache
-    def share(h) -> bool:
-        """Do the members of hyperset h share their z - z?"""
-        ks = win.members(sets[h])
-        return all(holds("equal", sd(k), sd(ks[0])) for k in ks[1:])
-
-    # x - y is the window sum x + (-y) when -y lies in the window
-    negs = [win.index(backend.neg(y)) for y in U]
-    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, ny in zip(U, negs)
-              if x != y and not share(row[ny] if ny < n else
-                                      win.intern(backend.add(x, win.elems[ny])))), None)
-    rep.add("SCH3", w is None, w, note="members of x-y share their z-z set")
-
-    by_sd: dict = {}  # id of z - z -> mask of the window z with it
-    for k in range(n):
-        by_sd[sd(k)] = by_sd.get(sd(k), 0) | 1 << k
-    # bad[a]: the window y with x - x = a not inside y - y (SCH4's y, if outside z - z)
-    bad = {a: sum(m for b, m in by_sd.items() if not holds("subset", a, b)) for a in by_sd}
-    full = (1 << n) - 1
-    w = next((_j(backend, U[i], U[_low_bit(hit)], z) for k, z in enumerate(U)
-              for i in _bits(masks[sd(k)])
-              for hit in (bad[sd(i)] & full & ~masks[sd(k)],) if hit), None)
-    rep.add("SCH4", w is None, w,
-            note="x in z-z and y outside force x-x inside y-y")
     return rep
 
 

@@ -1,0 +1,258 @@
+"""The compiled window the backend-generic checkers run on.
+
+A backend is anything with the duck-typed surface the checkers use:
+``zero``, ``one``, ``mul``, ``neg``, ``inv``, ``add`` (returning a hyperset),
+``value_of`` (the intrinsic valuation fixing the meaning of AboveValue
+results), ``value_rank``, ``elements(bound)``, ``elem_json``, ``sort_key``
+and ``describe``.  FiniteBackend adapts a FiniteHyperfield; the tropical and
+leading-term carriers implement it natively.  Checks visit every tuple of a
+finite backend ("proof by exhaustion") or of a window ("bounded
+verification").  Nothing here needs a valuation or a symbolic carrier, so
+``classify`` can check superior canonicity on a finite table.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from . import hypersets as hs
+from .finite import FiniteHyperfield, ZERO, ONE, _bits, _cell_to_mask
+from .ordgroup import Value, value_gt_cut
+from .report import ValidationReport
+
+
+class FiniteBackend:
+    """A FiniteHyperfield with the backend surface; elements are indices."""
+
+    zero, one, value_rank = ZERO, ONE, 0
+
+    def __init__(self, F: FiniteHyperfield):
+        self.F = F
+        # one hyperset per cell, shared by the cells with the same members
+        cell = functools.cache(lambda mask: hs.finite(_bits(mask)))
+        self._sums = [[cell(F.add_mask(x, y)) for y in range(F.size)]
+                      for x in range(F.size)]
+
+    def mul(self, x, y):
+        return self.F.mul[x][y]
+
+    def neg(self, x):
+        return self.F.neg(x)
+
+    def inv(self, x):
+        return self.F.inv(x)
+
+    def add(self, x, y):
+        return self._sums[x][y]
+
+    def value_of(self, x) -> Value:
+        return None if x == ZERO else ()
+
+    def elements(self, bound: int = 0) -> list:
+        return list(range(self.F.size))
+
+    def elem_json(self, x):
+        return self.F.names[x]
+
+    def sort_key(self, x):
+        return (x,)
+
+    def describe(self) -> str:
+        return repr(self.F)
+
+
+def _is_finite(backend) -> bool:
+    return isinstance(backend, FiniteBackend)
+
+
+def _mode(backend) -> str:
+    return "proof by exhaustion" if _is_finite(backend) else "bounded verification"
+
+
+def _report(subject: str, backend, bound: int) -> ValidationReport:
+    """An empty report on backend, stating the window unless it is finite."""
+    return ValidationReport(subject=subject, mode=_mode(backend),
+                            window=None if _is_finite(backend) else {"bound": bound})
+
+
+def _j(backend, *elems):
+    return tuple(backend.elem_json(x) for x in elems)
+
+
+class _Window:
+    """The window of one checker call, interned once.
+
+    Element k is ``elems[k]``.  The window comes first, in window order, and
+    owns bit k of every mask.  A hypersum member outside the window (LT
+    cancellation can land at value bound+k) gets the next index when first
+    seen and never sets a bit.  Hyperset h is ``sets[h]``; ``mask_of(h)``
+    gives its window members, made on first read.  Each checker call builds
+    its own."""
+
+    def __init__(self, backend, bound: int):
+        self.value_of = backend.value_of
+        self.elems = list(backend.elements(bound))
+        self.n = len(self.elems)
+        self.window = self.elems[:self.n]
+        self._index = {x: k for k, x in enumerate(self.elems)}
+        # the same, by identity: a carrier often returns an operand as a sum
+        self._same = {id(x): k for k, x in enumerate(self.elems)}
+        self._above: dict = {}  # cut -> mask of AboveValue(cut)
+        self.sets: list = []
+        self._masks: dict = {}  # id -> mask, for the ids read so far
+        self._ids: dict = {}    # member index of a singleton, or the hyperset -> id
+        self._first: dict = {}  # the same, by identity of the first of each
+
+    def index(self, x) -> int:
+        k = self._same.get(id(x))  # elems keeps every object keyed here alive
+        if k is None:
+            k = self._index.get(x)
+            if k is None:
+                k = self._index[x] = self._same[id(x)] = len(self.elems)
+                self.elems.append(x)
+        return k
+
+    def intern(self, s) -> int:
+        """The id of hyperset s, shared by equal ones (the first stands for all)."""
+        h = self._first.get(id(s))  # sets keeps every object keyed here alive
+        if h is None:
+            key = self.index(s.elem) if isinstance(s, hs.Singleton) else s
+            h = self._ids.get(key)
+            if h is None:
+                h = self._ids[key] = self._first[id(s)] = len(self.sets)
+                self.sets.append(s)
+        return h
+
+    def mask_of(self, h) -> int:
+        """The window members of hyperset h, as bits."""
+        m = self._masks.get(h)
+        if m is None:
+            m = self._masks[h] = self.mask(self.sets[h])
+        return m
+
+    def mask(self, s) -> int:
+        """The window members of a hypersum, as bits."""
+        if isinstance(s, hs.AboveValue):
+            m = self._above.get(s.cut)
+            if m is None:
+                m = self._above[s.cut] = sum(
+                    1 << k for k, x in enumerate(self.window)
+                    if value_gt_cut(self.value_of(x), s.cut))
+            return m
+        if isinstance(s, hs.Singleton):
+            elems = (s.elem,)
+        elif isinstance(s, hs.FiniteSet):
+            elems = s.elems
+        else:
+            raise TypeError(f"not a hyperset: {s!r}")
+        m = 0
+        for x in elems:
+            k = self._index.get(x)
+            if k is not None and k < self.n:
+                m |= 1 << k
+        return m
+
+    def members(self, s) -> list:
+        """Indices of ``members(s, window)``, in its order."""
+        if isinstance(s, hs.Singleton):
+            return [self.index(s.elem)]
+        if isinstance(s, hs.FiniteSet):
+            return [self.index(x) for x in sorted(s.elems, key=repr)]
+        return list(_bits(self.mask(s)))
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+# -- superior canonicity -----------------------------------------------------------
+
+def _hs_key(s) -> tuple:
+    if isinstance(s, hs.Singleton):
+        return ("s", repr(s.elem))
+    if isinstance(s, hs.FiniteSet):
+        return ("f", tuple(sorted(map(repr, s.elems))))
+    return ("a", s.cut.prefix_len, s.cut.bound, s.cut.inclusive)
+
+
+def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
+    """SCH1..SCH4 over the window (exhaustive on finite backends).
+
+    The window, its sums and the self-differences z - z are interned once,
+    so equal hypersets share an id.  Window membership is read from masks,
+    and inclusion from the members' bits unless a ray is involved; then it
+    is decided once per pair of distinct hypersets."""
+    win = _Window(backend, bound)
+    U, n, sets, mask_of = win.window, win.n, win.sets, win.mask_of
+    val = backend.value_of
+    rep = _report(f"superior canonicity of {backend.describe()}", backend, bound)
+
+    @functools.cache
+    def bits(h) -> int:
+        """The members of finite hyperset h, as bits of their indices."""
+        s = sets[h]
+        return _cell_to_mask(map(win.index, (s.elem,) if isinstance(s, hs.Singleton)
+                                 else s.elems))
+
+    @functools.cache
+    def inside(a, b) -> bool:
+        if isinstance(sets[a], hs.AboveValue) or isinstance(sets[b], hs.AboveValue):
+            return hs.subset(sets[a], sets[b], val)
+        return not bits(a) & ~bits(b)
+
+    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
+    # bit i of apart[h]: U[i] lies in hyperset h, yet h is not {U[i]}
+    apart = [0 if isinstance(s, hs.Singleton) else mask_of(h) for h, s in enumerate(sets)]
+    w = next((_j(backend, x, U[j]) for i, (x, row) in enumerate(zip(U, sums))
+              for j, h in enumerate(row) if apart[h] >> i & 1), None)
+    rep.add("SCH1", w is None, w, note="x in x+y forces x+y = {x}")
+
+    # A singleton meeting a sum lies inside it, so only the other sums can
+    # fail.  Their shapes: a finite sum's bits, or a ray's window mask and
+    # the indexed elements above its cut, plus a bit no finite sum has.  Two
+    # sums meet iff their shapes share a bit, and are nested iff one shape
+    # holds the other; two rays always are, as their cuts are.
+    items = sorted((_hs_key(sets[h]), h) for h in {h for row in sums for h in row}
+                   if not isinstance(sets[h], hs.Singleton))
+    shape = {h: bits(h) for _, h in items if not isinstance(sets[h], hs.AboveValue)}
+    ray = 1 << len(win.elems)
+    for _, h in items:
+        if h not in shape:
+            shape[h] = ray | mask_of(h) | sum(1 << k for k, x in enumerate(win.elems[n:], n)
+                                              if value_gt_cut(val(x), sets[h].cut))
+    shapes = [(shape[h], h) for _, h in items]
+    w = next(((repr(sets[g]), repr(sets[h])) for i, (a, g) in enumerate(shapes)
+              for b, h in shapes[i + 1:] if a & b and a & ~b and b & ~a), None)
+    rep.add("SCH2", w is None, w, note="meeting hypersums are nested")
+
+    @functools.cache
+    def sd(k) -> int:
+        """The id of z - z for element k."""
+        z = win.elems[k]
+        return win.intern(backend.add(z, backend.neg(z)))
+
+    @functools.cache
+    def share(h) -> bool:
+        """Do the members of hyperset h share their z - z?"""
+        ks = win.members(sets[h])
+        return all(sd(k) == sd(ks[0]) for k in ks[1:])
+
+    # x - y is the window sum x + (-y) when -y lies in the window
+    negs = [win.index(backend.neg(y)) for y in U]
+    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, ny in zip(U, negs)
+              if x != y and not share(row[ny] if ny < n else
+                                      win.intern(backend.add(x, win.elems[ny])))), None)
+    rep.add("SCH3", w is None, w, note="members of x-y share their z-z set")
+
+    by_sd: dict = {}  # id of z - z -> mask of the window z with it
+    for k in range(n):
+        by_sd[sd(k)] = by_sd.get(sd(k), 0) | 1 << k
+    # bad[a]: the window y with x - x = a not inside y - y (SCH4's y, if outside z - z)
+    bad = {a: sum(m for b, m in by_sd.items() if not inside(a, b)) for a in by_sd}
+    full = (1 << n) - 1
+    w = next((_j(backend, U[i], U[_low_bit(hit)], z) for k, z in enumerate(U)
+              for i in _bits(mask_of(sd(k)))
+              for hit in (bad[sd(i)] & full & ~mask_of(sd(k)),) if hit), None)
+    rep.add("SCH4", w is None, w,
+            note="x in z-z and y outside force x-x inside y-y")
+    return rep

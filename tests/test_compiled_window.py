@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from hyperfields import hypersets as hs
 from hyperfields import tropical
-from hyperfields.finite import (build_K, build_S, build_W, build_finite_field,
-                                enumerate_hyperfields)
+from hyperfields.finite import (_mult_order, build_K, build_S, build_W,
+                                build_finite_field, enumerate_hyperfields,
+                                quotient_hyperfield)
 from hyperfields.leading_terms import (CollapsedConstantsContext,
                                        CompositeContext, LTContext)
 from hyperfields.ordgroup import (ConvexSubgroup, Cut, gzero, vadd, vcompare,
@@ -30,13 +31,13 @@ from hyperfields.ordgroup import (ConvexSubgroup, Cut, gzero, vadd, vcompare,
 from hyperfields.report import ValidationReport
 from hyperfields.tropical import (TropicalHyperfield, _sum_sets, t_add, t_mul,
                                   t_neg, t_value, tropical_axiom_suite)
-from hyperfields.valuation import (FiniteBackend, Valuation, _all_above,
-                                   _all_values_single, _hs_key, _is_finite, _j,
-                                   _mode, ball_of, check_krasner,
-                                   check_superiorly_canonical, coarsening,
+from hyperfields.valuation import (Valuation, _all_above, _all_values_single,
+                                   ball_of, check_krasner, coarsening,
                                    intrinsic_valuation, is_valuation,
                                    table_valuation, trivial_valuation,
                                    ultrametric, ultrametric_report)
+from hyperfields.window import (FiniteBackend, _hs_key, _is_finite, _j, _mode,
+                                check_superiorly_canonical)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -589,10 +590,21 @@ def _maps(backend, bound):
     return maps
 
 
+def _proper_quotient(q: int, index: int):
+    """F_q / T for the subgroup T of F_q^x of the given index."""
+    F = build_finite_field(q)
+    return quotient_hyperfield(F, [next(u for u in F.units
+                                        if _mult_order(F, u) == (q - 1) // index)])
+
+
+# Every enumerated class of orders 2-5 and three proper quotients: since
+# classify runs check_superiorly_canonical, the old loops are its reference.
 VALUATION_CASES = CARRIERS + [
     (repr(F), FiniteBackend(F), 0) for F in FINITE] + [
-    (f"enumerated:4:{i}", FiniteBackend(F), 0)
-    for i, F in enumerate(enumerate_hyperfields(4))]
+    (f"enumerated:{order}:{i}", FiniteBackend(F), 0) for order in (2, 3, 4, 5)
+    for i, F in enumerate(enumerate_hyperfields(order))] + [
+    (f"F{q}/T:{index}", FiniteBackend(_proper_quotient(q, index)), 0)
+    for q, index in ((13, 4), (31, 6), (49, 8))]
 
 
 @pytest.mark.parametrize("name,backend,bound", VALUATION_CASES,

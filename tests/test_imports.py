@@ -15,8 +15,10 @@ from hyperfields import finite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SYMBOLIC = ("hyperfields.hypersets", "hyperfields.leading_terms",
-            "hyperfields.tropical", "hyperfields.valuation")
+# The modules the layering test watches: the symbolic layer, and the
+# compiled window that classify loads with hypersets.
+TRACKED = ("hyperfields.hypersets", "hyperfields.leading_terms",
+           "hyperfields.tropical", "hyperfields.valuation", "hyperfields.window")
 
 # The package's exports before they became lazy: 53 names and 8 submodules.
 PUBLIC = [
@@ -53,7 +55,7 @@ LAYERS = f"""
 import contextlib, io, json, sys
 
 def loaded():
-    return [m for m in {SYMBOLIC!r} if m in sys.modules]
+    return [m for m in {TRACKED!r} if m in sys.modules]
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -63,32 +65,46 @@ def run(*argv):
         except SystemExit as e:  # argparse rejects bad arguments
             return [e.code, loaded()]
 
+STEPS = {{
+    "classify": ("classify", "builtin:K"),
+    "axioms": ("axioms", "builtin:W"),
+    "iso": ("iso", "builtin:S", "builtin:W"),
+    "quotient": ("quotient", "--field", "7", "--subgroup", "squares"),
+    "enumerate": ("enumerate", "--order", "3"),
+    "hyperideals": ("hyperideals", "builtin:S"),
+    "bad-q": ("krasner", "kgamma", "--q", "6"),
+    "axioms tropical:1": ("axioms", "tropical:1", "--window-bound", "2"),
+    "krasner": ("krasner", "kgamma"),
+}}
+
 import hyperfields.cli
 from hyperfields.cli import main
 steps = {{"import": [None, loaded()]}}
-steps["classify"] = run("classify", "builtin:K")
-steps["axioms"] = run("axioms", "builtin:W")
-steps["iso"] = run("iso", "builtin:S", "builtin:W")
-steps["quotient"] = run("quotient", "--field", "7", "--subgroup", "squares")
-steps["enumerate"] = run("enumerate", "--order", "3")
-steps["hyperideals"] = run("hyperideals", "builtin:S")
-steps["bad-q"] = run("krasner", "kgamma", "--q", "6")
-steps["axioms tropical:1"] = run("axioms", "tropical:1", "--window-bound", "2")
-steps["krasner"] = run("krasner", "kgamma")
+for name in json.loads(sys.argv[1]):
+    steps[name] = run(*STEPS[name])
 print(json.dumps(steps))
 """
 
 
+def _layers(*names: str) -> dict:
+    """Run the named steps, in order, in one fresh interpreter: each step's
+    exit code and the tracked modules loaded after it."""
+    return json.loads(_fresh("-c", LAYERS, json.dumps(names)).stdout)
+
+
 def test_finite_verbs_leave_the_symbolic_layer_unloaded():
-    steps = json.loads(_fresh("-c", LAYERS).stdout)
-    krasner = steps.pop("krasner")
-    tropical = steps.pop("axioms tropical:1")
-    assert steps == {"import": [None, []], "classify": [0, []], "axioms": [0, []],
-                     "iso": [1, []], "quotient": [0, []], "enumerate": [0, []],
+    steps = _layers("axioms", "iso", "quotient", "enumerate", "hyperideals", "bad-q")
+    assert steps == {"import": [None, []], "axioms": [0, []], "iso": [1, []],
+                     "quotient": [0, []], "enumerate": [0, []],
                      "hyperideals": [0, []], "bad-q": [2, []]}
+    # classify runs the generic superior canonicity checker on the table
+    assert _layers("classify")["classify"] == [
+        0, ["hyperfields.hypersets", "hyperfields.window"]]
+    steps = _layers("axioms tropical:1", "krasner")
     # the tropical suite needs neither valuation nor leading_terms
-    assert tropical == [0, ["hyperfields.hypersets", "hyperfields.tropical"]]
-    assert krasner == [0, list(SYMBOLIC)]
+    assert steps["axioms tropical:1"] == [
+        0, ["hyperfields.hypersets", "hyperfields.tropical", "hyperfields.window"]]
+    assert steps["krasner"] == [0, list(TRACKED)]
 
 
 def test_public_surface_is_unchanged():
@@ -127,3 +143,9 @@ def test_fresh_interpreters_start():
     assert out == f"hyperval {hyperfields.__version__}\n"
     out = _fresh("-c", "import hyperfields.valuation as v; print(v.is_valuation.__name__)")
     assert out.stdout == "is_valuation\n"
+
+
+def test_hypersets_loads_no_finite_table_code():
+    out = _fresh("-c", "import sys, hyperfields.hypersets; "
+                       "print('hyperfields.finite' in sys.modules)")
+    assert out.stdout == "False\n"
