@@ -485,19 +485,17 @@ def is_embedding(m: Morphism) -> bool:
 def is_isomorphism(m: Morphism) -> bool:
     """Surjective embedding; cross-checked against 'the inverse map is a
     homomorphism', which must agree for bijections."""
-    bijective = (len(set(m.map)) == m.source.size
-                 and m.source.size == m.target.size)
-    primary = bijective and is_homomorphism(m) and _em1_holds(
-        m.source, m.target, m.map, _cell_to_mask(m.map))
-    if bijective:
-        inv = [0] * m.target.size
-        for i, v in enumerate(m.map):
-            inv[v] = i
-        via_inverse = (is_homomorphism(Morphism(m.target, m.source, tuple(inv)))
-                       and is_homomorphism(m))
-        if via_inverse != primary:
-            raise RuntimeError("surjective-embedding and inverse-homomorphism "
-                               "criteria disagree; tables are not valid hyperfields")
+    if len(set(m.map)) != m.source.size or m.source.size != m.target.size:
+        return False
+    hom = is_homomorphism(m)
+    primary = hom and _em1_holds(m.source, m.target, m.map, _cell_to_mask(m.map))
+    inv = [0] * m.target.size
+    for i, v in enumerate(m.map):
+        inv[v] = i
+    via_inverse = is_homomorphism(Morphism(m.target, m.source, tuple(inv))) and hom
+    if via_inverse != primary:
+        raise RuntimeError("surjective-embedding and inverse-homomorphism "
+                           "criteria disagree; tables are not valid hyperfields")
     return primary
 
 
@@ -552,17 +550,13 @@ def _unit_group_isos(F: FiniteHyperfield, G: FiniteHyperfield):
 
 def find_isomorphism(F: FiniteHyperfield, G: FiniteHyperfield) -> Morphism | None:
     """Brute force over multiplicative-group isomorphisms, filtered by the
-    embedding condition; returns the lexicographically least witness."""
-    if F.size != G.size:
-        return None
-    best = None
+    embedding condition.  They come in lexicographic order, so the first
+    that passes is the lexicographically least witness."""
     full = (1 << G.size) - 1  # the image of a bijection
-    for s in _unit_group_isos(F, G):
-        if _em1_holds(F, G, s, full) and (best is None or s < best):
-            best = s
-    if best is None:
+    s = next((s for s in _unit_group_isos(F, G) if _em1_holds(F, G, s, full)), None)
+    if s is None:
         return None
-    m = Morphism(F, G, best)
+    m = Morphism(F, G, s)
     if not is_isomorphism(m):  # belt and braces; should be unreachable
         raise RuntimeError("candidate passed cellwise check but not is_isomorphism")
     return m
@@ -758,10 +752,10 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
 
     Distributivity forces x+y = x(1 + x^(-1) y), so a structure is pinned
     down by the row h(a) = 1+a; candidate rows are enumerated subject to
-    h(0) = {1} and 0 in h(a) iff a = -1, then rebuilt and validated.
-    Commutativity, the unique-inverse axiom, the multiplicative axioms and
-    distributivity hold by construction, so only associativity and
-    reversibility are tested before full validation.
+    h(0) = {1} and 0 in h(a) iff a = -1, and reversibility is decided on
+    the rows before a table is built.  Commutativity, the unique-inverse
+    axiom, the multiplicative axioms and distributivity hold by
+    construction, so only associativity is tested before full validation.
     """
     if order < 2:
         raise ValueError("need at least 0 and 1")
@@ -781,9 +775,8 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
         for iota in range(1, order):
             if mul[iota][iota] != ONE:
                 continue  # -1 must square to 1
-            neg = [mul[iota][x] for x in range(order)]
             for cand in _candidate_tables(order, mul, inv, iota):
-                if _ch4_witness(cand, neg) is not None or _ch1_witness(cand) is not None:
+                if _ch1_witness(cand) is not None:
                     continue
                 names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
                 add = [[_mask_to_cell(cand[x][y]) for y in range(order)]
@@ -802,8 +795,14 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
 
 
 def _candidate_tables(order, mul, inv, iota):
-    """Yield full addition tables (as mask matrices) for each admissible
-    choice of the rows h(a) = 1+a."""
+    """Yield the addition tables (as mask matrices) of the admissible
+    choices of the rows h(a) = 1+a that are reversible (CH4).
+
+    For x != 0 the table sets x+y = x h(x^-1 y).  With a = x^-1 y and
+    z = xc, 'y in z - x' reads c^-1 a in h(-c^-1), so CH4 is decided on h:
+    for every unit a and unit c in h(a).  The rows with x = 0 or y = 0 hold
+    by construction, because h(0) = {1} and 0 lies in h(a) iff a = -1.  A
+    table is built only for a choice that passes."""
     full = (1 << order) - 1
     # img[x][mask] is the image of mask under multiplication by x
     img = []
@@ -814,32 +813,14 @@ def _candidate_tables(order, mul, inv, iota):
             row[mask] = row[mask ^ low] | 1 << mul[x][low.bit_length() - 1]
         img.append(row)
 
-    units = list(range(1, order))
-    slots = []  # (kind, a) where kind "free" covers a and inv[a]
-    done = set()
-    for a in units:
-        if a in done:
-            continue
-        done.add(a)
-        done.add(inv[a])
-        slots.append(a)
+    units = range(1, order)
+    slots = [a for a in units if a <= inv[a]]  # h(a) also fixes h(a^-1)
 
     def choices(a):
-        if a == inv[a]:
-            opts = []
-            for mask in range(1, full + 1):
-                if bool(mask & 1) != (a == iota):
-                    continue
-                if img[a][mask] != mask:
-                    continue  # h(a) = a h(a^{-1}) = a h(a)
-                opts.append(mask)
-            return opts
-        opts = []
-        for mask in range(1, full + 1):
-            if bool(mask & 1) != (a == iota):
-                continue
-            opts.append(mask)
-        return opts
+        # h(a) = a h(a^-1) = a h(a) when a is its own inverse
+        return [mask for mask in range(1, full + 1)
+                if bool(mask & 1) == (a == iota)
+                and (a != inv[a] or img[a][mask] == mask)]
 
     option_lists = [choices(a) for a in slots]
     for combo in itertools.product(*option_lists):
@@ -849,14 +830,8 @@ def _candidate_tables(order, mul, inv, iota):
             h[a] = mask
             if inv[a] != a:
                 h[inv[a]] = img[inv[a]][mask]
-        add = [[0] * order for _ in range(order)]
-        for y in range(order):
-            add[0][y] = 1 << y
-            add[y][0] = 1 << y
-        for x in range(1, order):
-            for y in range(order):
-                if y == 0:
-                    continue
-                add[x][y] = img[x][h[mul[inv[x]][y]]]
-        yield add
-
+        if all(h[mul[iota][inv[c]]] >> mul[inv[c]][a] & 1
+               for a in units for c in _bits(h[a] & ~1)):
+            yield [[1 << y for y in range(order)]] + [
+                [1 << x] + [img[x][h[mul[inv[x]][y]]] for y in units]
+                for x in units]

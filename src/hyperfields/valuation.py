@@ -26,16 +26,19 @@ from .window import (FiniteBackend, _is_finite, _j, _low_bit, _mode, _report,
 
 class Valuation:
     """A value map on a backend, with values in Z^rank under lex (None is
-    infinity).  ``intrinsic`` marks the backend's own valuation, for which
-    symbolic (cut-level) arguments are sound."""
+    infinity)."""
 
-    def __init__(self, backend, rank: int, func: Callable, label: str = "",
-                 intrinsic: bool = False):
+    def __init__(self, backend, rank: int, func: Callable, label: str = ""):
         self.backend = backend
         self.rank = rank
         self.func = func
         self.label = label or "v"
-        self.intrinsic = intrinsic
+
+    @property
+    def intrinsic(self) -> bool:
+        """Whether the map is the backend's own valuation, for which symbolic
+        (cut-level) arguments are sound."""
+        return self.func == self.backend.value_of
 
     def __call__(self, x) -> Value:
         return self.func(x)
@@ -53,15 +56,16 @@ class Valuation:
 
 
 def trivial_valuation(backend) -> Valuation:
+    """On finite and rank-0 carriers this is the intrinsic valuation."""
     zero = backend.zero
-    return Valuation(backend, 0, lambda x: None if x == zero else (),
-                     label="trivial valuation",
-                     intrinsic=_is_finite(backend) or backend.value_rank == 0)
+    func = (backend.value_of if _is_finite(backend) or backend.value_rank == 0
+            else lambda x: None if x == zero else ())
+    return Valuation(backend, 0, func, label="trivial valuation")
 
 
 def intrinsic_valuation(backend) -> Valuation:
     return Valuation(backend, backend.value_rank, backend.value_of,
-                     label="intrinsic valuation", intrinsic=True)
+                     label="intrinsic valuation")
 
 
 def table_valuation(backend, table: dict, rank: int, label: str = "table valuation") -> Valuation:
@@ -78,9 +82,8 @@ def coarsening(v: Valuation, delta: ConvexSubgroup) -> Valuation:
         val = v(x)
         return None if val is None else delta.project(val)
 
-    return Valuation(v.backend, delta.zeros, func,
-                     label=f"{v.label} coarsened by {delta.zeros} coords",
-                     intrinsic=v.intrinsic and delta.is_trivial)
+    return Valuation(v.backend, delta.zeros, v.func if delta.is_trivial else func,
+                     label=f"{v.label} coarsened by {delta.zeros} coords")
 
 
 # -- the valuation axioms ----------------------------------------------------
@@ -125,8 +128,8 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     @functools.cache
     def v3_holds(h, least) -> bool:
         """V3 for a sum h whose summands' least value is values[least].  The
-        cut-level test needs a finite least value: a map flagged intrinsic that
-        sends a nonzero summand to infinity is judged on the members."""
+        cut-level test needs a finite least value: a backend whose 0 + 0 is a
+        ray is judged on the members."""
         s, m = win.sets[h], values[least]
         return (s.cut.all_below_in(m)
                 if v.intrinsic and m is not None and isinstance(s, hs.AboveValue)

@@ -561,13 +561,11 @@ def test_finite_tables_match_the_references(F):
 
 # -- is_valuation and check_superiorly_canonical ------------------------------------------
 
-def _override(backend, x0, value, intrinsic=False):
-    """The intrinsic valuation with v(x0) replaced by value (flagged
-    intrinsic only when asked)."""
+def _override(backend, x0, value):
+    """The intrinsic valuation with v(x0) replaced by value."""
     iv = intrinsic_valuation(backend)
     return Valuation(backend, iv.rank, lambda x: value if x == x0 else iv(x),
-                     label=f"v with v({backend.elem_json(x0)}) = {value}",
-                     intrinsic=intrinsic)
+                     label=f"v with v({backend.elem_json(x0)}) = {value}")
 
 
 def _maps(backend, bound):
@@ -688,7 +686,7 @@ def corrupted_valuations(draw):
     value = draw(st.one_of(st.none(), st.tuples(*[st.integers(-2, 2)] * rank)))
     iv = intrinsic_valuation(base)
     v = Valuation(base, rank, lambda x: value if x == x0 else iv(x),
-                  label="corrupted", intrinsic=draw(st.booleans()))
+                  label="corrupted")
     return base, v, bound
 
 
@@ -771,6 +769,7 @@ def _lt(value, coeffs):
 
 F5 = FiniteBackend(build_finite_field(5))
 T1 = TropicalHyperfield(1)
+ZERO_RAY = Wrapped(LT21, entry=(None, None), result=hs.AboveValue(Cut.le(1, (0,))))
 
 # First witnesses of the per-tuple loops: (backend, map, bound, axiom, witness).
 VALUATION_WITNESSES = {
@@ -796,11 +795,10 @@ VALUATION_WITNESSES = {
                 ([-1], [-1], [0])),
     # the carrier's zero is None, and a finite v(0) still fails V1
     "V1-zero": (LT21, _override(LT21, None, (-2,)), 1, (None,)),
-    # a map flagged intrinsic sends t^-1 to infinity, and t^-1 + t^-1 is a ray
-    "V3-infinite": (LT21, _override(LT21, _e(-1, (1, 0)), None, intrinsic=True), 1,
-                    (_lt(-1, (1, 0)), _lt(-1, (1, 0)))),
-    "HH3-infinite": (LT21, _override(LT21, _e(-1, (1, 0)), None, intrinsic=True), 1,
-                     (_lt(-1, (1, 0)), _lt(-1, (1, 0)), _lt(1, (1, 0)))),
+    # the intrinsic valuation on a backend whose 0 + 0 is a ray
+    "V3-infinite": (ZERO_RAY, intrinsic_valuation(ZERO_RAY), 1, (None, None)),
+    "HH3-infinite": (ZERO_RAY, intrinsic_valuation(ZERO_RAY), 1,
+                     (None, None, _lt(1, (1, 0)))),
 }
 
 
@@ -833,8 +831,7 @@ SCH_WITNESSES = {
     "outside-member": (Wrapped(LT21, entry=(None, None),
                                result=hs.Singleton(_e(2, (1, 0)))), 1, {
         "SCH4": (None, _lt(1, (1, 0)), _lt(0, (1, 0)))}),
-    "zero-ray": (Wrapped(LT21, entry=(None, None),
-                         result=hs.AboveValue(Cut.le(1, (0,)))), 1, {
+    "zero-ray": (ZERO_RAY, 1, {
         "SCH1": (None, None),
         "SCH4": (None, _lt(0, (1, 0)), None)}),
 }

@@ -1,5 +1,6 @@
 """Finite hyperfields: tables, axioms, quotients, morphisms, enumeration."""
 
+import itertools
 import json
 import time
 
@@ -340,6 +341,55 @@ def test_find_isomorphism_respects_unit_group_structure():
     assert m is not None and is_isomorphism(m)
 
 
+def _least_iso(F, G):
+    """The least witness by a scan of every unit-group isomorphism."""
+    full = (1 << G.size) - 1
+    return min((s for s in finite._unit_group_isos(F, G)
+                if finite._em1_holds(F, G, s, full)), default=None)
+
+
+def _relabelled(F):
+    """F with its units other than 1 listed in reverse."""
+    n = F.size
+    p = [0, 1] + list(range(n - 1, 1, -1))
+    names, mul, add = [None] * n, [[0] * n for _ in range(n)], [[()] * n for _ in range(n)]
+    for x in range(n):
+        names[p[x]] = F.names[x]
+        for y in range(n):
+            mul[p[x]][p[y]] = p[F.mul[x][y]]
+            add[p[x]][p[y]] = tuple(p[z] for z in F.add_cell(x, y))
+    return FiniteHyperfield(names, mul, add)
+
+
+def _iso_grid():
+    pairs = []
+    for order in range(2, 7):
+        for F in enumerate_hyperfields(order):
+            pairs += [(F, F), (F, _relabelled(F))]
+    for index in range(5, 13):
+        quotients = []
+        for q in range(index + 1, 50):
+            if finite.prime_power(q) is not None and (q - 1) % index == 0:
+                K = build_finite_field(q)
+                gen = next(u for u in K.units if finite._mult_order(K, u) == q - 1)
+                quotients.append(quotient_hyperfield(K, [finite._pow(K, gen, index)]))
+        pairs += [(F, G) for F in quotients for G in quotients]
+    return pairs
+
+
+def test_find_isomorphism_returns_the_least_witness():
+    # _unit_group_isos yields in lexicographic order, so the first map that
+    # passes the embedding condition is the least
+    grid = _iso_grid()
+    assert len(grid) > 200
+    for F, G in grid:
+        isos = list(finite._unit_group_isos(F, G))
+        assert isos == sorted(isos)
+        m = find_isomorphism(F, G)
+        assert (m and m.map) == _least_iso(F, G), (F, G)
+    assert find_isomorphism(build_S(), build_W()) is None
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classification_flags_on_named_hyperfields():
@@ -419,6 +469,127 @@ def test_quotient_search_finds_the_textbook_witnesses():
 
 
 # -- enumeration --------------------------------------------------------------------
+
+# The enumerator before reversibility was decided on the rows h(a): every
+# admissible choice became a full add table, and CH4 was checked on the table.
+
+def _ref_candidate_tables(order, mul, inv, iota):
+    full = (1 << order) - 1
+    img = []
+    for x in range(order):
+        row = [0] * (full + 1)
+        for mask in range(1, full + 1):
+            low = mask & -mask
+            row[mask] = row[mask ^ low] | 1 << mul[x][low.bit_length() - 1]
+        img.append(row)
+
+    units = list(range(1, order))
+    slots = []
+    done = set()
+    for a in units:
+        if a in done:
+            continue
+        done.add(a)
+        done.add(inv[a])
+        slots.append(a)
+
+    def choices(a):
+        if a == inv[a]:
+            opts = []
+            for mask in range(1, full + 1):
+                if bool(mask & 1) != (a == iota):
+                    continue
+                if img[a][mask] != mask:
+                    continue
+                opts.append(mask)
+            return opts
+        opts = []
+        for mask in range(1, full + 1):
+            if bool(mask & 1) != (a == iota):
+                continue
+            opts.append(mask)
+        return opts
+
+    option_lists = [choices(a) for a in slots]
+    for combo in itertools.product(*option_lists):
+        h = [0] * order
+        h[0] = 1 << 1
+        for a, mask in zip(slots, combo):
+            h[a] = mask
+            if inv[a] != a:
+                h[inv[a]] = img[inv[a]][mask]
+        add = [[0] * order for _ in range(order)]
+        for y in range(order):
+            add[0][y] = 1 << y
+            add[y][0] = 1 << y
+        for x in range(1, order):
+            for y in range(order):
+                if y == 0:
+                    continue
+                add[x][y] = img[x][h[mul[inv[x]][y]]]
+        yield add
+
+
+def _unit_groups(order):
+    """(mul, inv, iota) for every abelian unit group of the order and every
+    choice of -1, in the enumerator's order."""
+    m = order - 1
+    for divisors in finite._abelian_groups(m):
+        unit_mul = finite._group_mul_table(divisors, m)
+        mul = [[0] * order for _ in range(order)]
+        for a in range(1, order):
+            for b in range(1, order):
+                mul[a][b] = unit_mul[a][b]
+        inv = [None] * order
+        for a in range(1, order):
+            inv[a] = next(b for b in range(1, order) if mul[a][b] == 1)
+        for iota in range(1, order):
+            if mul[iota][iota] == 1:
+                yield mul, inv, iota
+
+
+def _ref_reversible_tables(order, mul, inv, iota):
+    neg = [mul[iota][x] for x in range(order)]
+    return [cand for cand in _ref_candidate_tables(order, mul, inv, iota)
+            if finite._ch4_witness(cand, neg) is None]
+
+
+def _ref_enumerate(order):
+    found = []
+    for mul, inv, iota in _unit_groups(order):
+        for cand in _ref_reversible_tables(order, mul, inv, iota):
+            if finite._ch1_witness(cand) is not None:
+                continue
+            names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
+            add = [[finite._mask_to_cell(cand[x][y]) for y in range(order)]
+                   for x in range(order)]
+            H = FiniteHyperfield(names, mul, add, {"label": f"order{order}"})
+            if not validate(H).ok:
+                continue
+            if any(find_isomorphism(H, R) is not None for R in found):
+                continue
+            found.append(H)
+    found.sort(key=lambda H: (H.mul, tuple(tuple(row) for row in H._add)))
+    for i, H in enumerate(found):
+        H.meta["label"] = f"order{order}_{i}"
+    return found
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_row_level_ch4_keeps_exactly_the_reversible_tables(order):
+    kept = 0
+    for mul, inv, iota in _unit_groups(order):
+        got = list(finite._candidate_tables(order, mul, inv, iota))
+        assert got == _ref_reversible_tables(order, mul, inv, iota), (mul, iota)
+        kept += len(got)
+    assert kept == {2: 2, 3: 5, 4: 14, 5: 124, 6: 114}[order]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_enumeration_matches_the_table_level_reference(order):
+    assert [H.to_json() for H in enumerate_hyperfields(order)] == \
+        [H.to_json() for H in _ref_enumerate(order)]
+
 
 def test_enumeration_counts_are_stable():
     assert len(enumerate_hyperfields(2)) == 2

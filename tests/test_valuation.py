@@ -59,6 +59,23 @@ def test_value_map_must_send_only_zero_to_infinity():
     assert not rep.check("V1").passed
 
 
+def test_intrinsic_is_read_off_the_map():
+    # only the backend's own value map is intrinsic, whichever constructor made it
+    for backend in (FiniteBackend(build_S()), LTContext(2, 1), CompositeContext(2),
+                    CollapsedConstantsContext(), TropicalHyperfield(0),
+                    TropicalHyperfield(2, strict=True)):
+        iv = intrinsic_valuation(backend)
+        rank = iv.rank
+        table = table_valuation(backend, {}, rank)
+        assert iv.intrinsic and Valuation(backend, rank, backend.value_of).intrinsic
+        assert not Valuation(backend, rank, lambda x: iv(x)).intrinsic
+        assert not table.intrinsic
+        assert trivial_valuation(backend).intrinsic == (backend.value_rank == 0)
+        for k in range(rank + 1):
+            assert coarsening(iv, ConvexSubgroup(rank, k)).intrinsic == (k == rank)
+        assert not coarsening(table, ConvexSubgroup(rank, rank)).intrinsic
+
+
 def test_surjectivity_observation_on_the_window():
     ctx = LTContext(2, 0)
     rep = is_valuation(ctx, intrinsic_valuation(ctx), bound=2)
