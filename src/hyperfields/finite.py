@@ -747,21 +747,51 @@ def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
     return table
 
 
+def _unit_automorphisms(mul) -> list[tuple[int, ...]]:
+    """Every automorphism of the unit group {1, .., n-1} of the mul table,
+    as a full map with 0 -> 0 and 1 -> 1, in lexicographic order (the
+    identity first).  Brute force over the permutations fixing 1."""
+    n = len(mul)
+    units = range(1, n)
+    return [s for s in ((ZERO, ONE) + p for p in itertools.permutations(range(2, n)))
+            if all(s[mul[a][b]] == mul[s[a]][s[b]] for a in units for b in units)]
+
+
+def _least_in_orbit(iota, h, auts) -> bool:
+    """Whether no automorphism s maps the candidate (iota, h) to an earlier
+    one: (s(iota), s.h) < (iota, h), where (s.h)(s(a)) = s(h(a))."""
+    key = (iota, h)
+    for s in auts:
+        image = [0] * len(h)
+        for a, mask in enumerate(h):
+            image[s[a]] = _mul_mask(s, mask)
+        if (s[iota], tuple(image)) < key:
+            return False
+    return True
+
+
 def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
     """Every hyperfield of the given order, up to isomorphism.
 
-    Distributivity forces x+y = x(1 + x^(-1) y), so a structure is pinned
-    down by the row h(a) = 1+a; candidate rows are enumerated subject to
-    h(0) = {1} and 0 in h(a) iff a = -1, and reversibility is decided on
-    the rows before a table is built.  Commutativity, the unique-inverse
-    axiom, the multiplicative axioms and distributivity hold by
-    construction, so only associativity is tested before full validation.
+    Distributivity forces x+y = x(1 + x^(-1) y), so a structure on a unit
+    group is pinned down by -1 = iota and the row h(a) = 1+a, which
+    `_candidate_tables` enumerates with reversibility decided on the rows.
+    Two candidates on one unit group are isomorphic exactly when an
+    automorphism s of the group maps one to the other, s(iota) = iota' and
+    s(h(a)) = h'(s(a)); unit groups of different shapes are not isomorphic.
+    So a candidate is kept only when it is the least of its orbit in the
+    order the loops meet candidates (by iota, then by h), which keeps the
+    first table of each class.  Commutativity, the unique-inverse axiom,
+    the multiplicative axioms and distributivity hold by construction, so
+    associativity is tested, then the full validation runs on every kept
+    table.
     """
     if order < 2:
         raise ValueError("need at least 0 and 1")
-    if order > 6:  # order 7 would search roughly 128^4 candidate rows
+    if order > 6:  # order 7 has 3,778,488 choices of the rows h(a)
         raise ValueError(f"order {order} above the enumeration cap 6")
     m = order - 1
+    names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
     found: list[FiniteHyperfield] = []
     for divisors in _abelian_groups(m):
         unit_mul = _group_mul_table(divisors, m)
@@ -772,22 +802,22 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
         inv = [None] * order
         for a in range(1, order):
             inv[a] = next(b for b in range(1, order) if mul[a][b] == ONE)
+        auts = _unit_automorphisms(mul)
         for iota in range(1, order):
             if mul[iota][iota] != ONE:
                 continue  # -1 must square to 1
             for cand in _candidate_tables(order, mul, inv, iota):
+                # row 1 of the table is h itself
+                if not _least_in_orbit(iota, tuple(cand[ONE]), auts):
+                    continue
                 if _ch1_witness(cand) is not None:
                     continue
-                names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
                 add = [[_mask_to_cell(cand[x][y]) for y in range(order)]
                        for x in range(order)]
                 H = FiniteHyperfield(names, mul, add,
                                      {"label": f"order{order}"})
-                if not validate(H).ok:
-                    continue
-                if any(find_isomorphism(H, R) is not None for R in found):
-                    continue
-                found.append(H)
+                if validate(H).ok:
+                    found.append(H)
     found.sort(key=lambda H: (H.mul, tuple(tuple(row) for row in H._add)))
     for i, H in enumerate(found):
         H.meta["label"] = f"order{order}_{i}"
@@ -796,13 +826,18 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
 
 def _candidate_tables(order, mul, inv, iota):
     """Yield the addition tables (as mask matrices) of the admissible
-    choices of the rows h(a) = 1+a that are reversible (CH4).
+    choices of the rows h(a) = 1+a that are reversible (CH4), in the
+    lexicographic order of the choices.
 
     For x != 0 the table sets x+y = x h(x^-1 y).  With a = x^-1 y and
     z = xc, 'y in z - x' reads c^-1 a in h(-c^-1), so CH4 is decided on h:
     for every unit a and unit c in h(a).  The rows with x = 0 or y = 0 hold
-    by construction, because h(0) = {1} and 0 lies in h(a) iff a = -1.  A
-    table is built only for a choice that passes."""
+    by construction, because h(0) = {1} and 0 lies in h(a) iff a = -1.
+
+    The rows are chosen one slot at a time, depth first; a slot a fixes
+    h(a) and h(a^-1) = a^-1 h(a).  A partial choice is dropped as soon as
+    a CH4 instance (a, c) fails whose rows h(a) and h(-c^-1) are both
+    chosen, and a table is built only for a full choice."""
     full = (1 << order) - 1
     # img[x][mask] is the image of mask under multiplication by x
     img = []
@@ -815,6 +850,17 @@ def _candidate_tables(order, mul, inv, iota):
 
     units = range(1, order)
     slots = [a for a in units if a <= inv[a]]  # h(a) also fixes h(a^-1)
+    depth = {}
+    for k, a in enumerate(slots):
+        depth[a] = depth[inv[a]] = k
+    # checks[k]: the CH4 instances (a, c) first decidable at slot k, as
+    # (a, bit of c, -c^-1, bit of c^-1 a): c in h(a) needs c^-1 a in h(-c^-1)
+    checks = [[] for _ in slots]
+    for a in units:
+        for c in units:
+            t = mul[iota][inv[c]]
+            checks[max(depth[a], depth[t])].append(
+                (a, 1 << c, t, 1 << mul[inv[c]][a]))
 
     def choices(a):
         # h(a) = a h(a^-1) = a h(a) when a is its own inverse
@@ -822,16 +868,21 @@ def _candidate_tables(order, mul, inv, iota):
                 if bool(mask & 1) == (a == iota)
                 and (a != inv[a] or img[a][mask] == mask)]
 
-    option_lists = [choices(a) for a in slots]
-    for combo in itertools.product(*option_lists):
-        h = [0] * order
-        h[0] = 1 << ONE
-        for a, mask in zip(slots, combo):
-            h[a] = mask
-            if inv[a] != a:
-                h[inv[a]] = img[inv[a]][mask]
-        if all(h[mul[iota][inv[c]]] >> mul[inv[c]][a] & 1
-               for a in units for c in _bits(h[a] & ~1)):
+    options = [choices(a) for a in slots]
+    h = [0] * order
+    h[0] = 1 << ONE
+
+    def extend(k):
+        if k == len(slots):
             yield [[1 << y for y in range(order)]] + [
                 [1 << x] + [img[x][h[mul[inv[x]][y]]] for y in units]
                 for x in units]
+            return
+        a, b = slots[k], inv[slots[k]]
+        for mask in options[k]:
+            h[a] = mask
+            h[b] = img[b][mask]
+            if all(h[t] & want for x, c, t, want in checks[k] if h[x] & c):
+                yield from extend(k + 1)
+
+    yield from extend(0)

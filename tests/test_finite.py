@@ -348,10 +348,9 @@ def _least_iso(F, G):
                 if finite._em1_holds(F, G, s, full)), default=None)
 
 
-def _relabelled(F):
-    """F with its units other than 1 listed in reverse."""
+def _transported(F, p):
+    """The copy of F along the bijection p, which fixes 0 and 1."""
     n = F.size
-    p = [0, 1] + list(range(n - 1, 1, -1))
     names, mul, add = [None] * n, [[0] * n for _ in range(n)], [[()] * n for _ in range(n)]
     for x in range(n):
         names[p[x]] = F.names[x]
@@ -359,6 +358,11 @@ def _relabelled(F):
             mul[p[x]][p[y]] = p[F.mul[x][y]]
             add[p[x]][p[y]] = tuple(p[z] for z in F.add_cell(x, y))
     return FiniteHyperfield(names, mul, add)
+
+
+def _relabelled(F):
+    """F with its units other than 1 listed in reverse."""
+    return _transported(F, [0, 1] + list(range(F.size - 1, 1, -1)))
 
 
 def _iso_grid():
@@ -530,9 +534,9 @@ def _ref_candidate_tables(order, mul, inv, iota):
         yield add
 
 
-def _unit_groups(order):
-    """(mul, inv, iota) for every abelian unit group of the order and every
-    choice of -1, in the enumerator's order."""
+def _unit_tables(order):
+    """(divisors, mul, inv) for every abelian unit group of the order, in
+    the enumerator's order."""
     m = order - 1
     for divisors in finite._abelian_groups(m):
         unit_mul = finite._group_mul_table(divisors, m)
@@ -543,6 +547,13 @@ def _unit_groups(order):
         inv = [None] * order
         for a in range(1, order):
             inv[a] = next(b for b in range(1, order) if mul[a][b] == 1)
+        yield divisors, mul, inv
+
+
+def _unit_groups(order):
+    """(mul, inv, iota) for every abelian unit group of the order and every
+    choice of -1, in the enumerator's order."""
+    for _, mul, inv in _unit_tables(order):
         for iota in range(1, order):
             if mul[iota][iota] == 1:
                 yield mul, inv, iota
@@ -553,6 +564,9 @@ def _ref_reversible_tables(order, mul, inv, iota):
     return [cand for cand in _ref_candidate_tables(order, mul, inv, iota)
             if finite._ch4_witness(cand, neg) is None]
 
+
+# The enumerator before the orbit rule: each table that validates is
+# compared by find_isomorphism with every class found so far.
 
 def _ref_enumerate(order):
     found = []
@@ -610,12 +624,68 @@ def test_enumeration_contains_the_named_structures():
 
 
 def test_enumeration_is_deduplicated_and_validated():
-    for order in (2, 3, 4):
+    for order in (2, 3, 4, 5, 6):
         found = enumerate_hyperfields(order)
         for i, F in enumerate(found):
             assert validate(F).ok
             for G in found[:i]:
                 assert find_isomorphism(F, G) is None
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_enumeration_validates_each_class_once_and_never_searches(order, monkeypatch):
+    calls = dict.fromkeys(("validate", "find_isomorphism"), 0)
+
+    def counted(name):
+        original = getattr(finite, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(finite, name, counted(name))
+    found = enumerate_hyperfields(order)
+    assert calls == {"validate": len(found), "find_isomorphism": 0}
+
+
+def test_enumeration_of_order_six_within_budget():
+    def timed():
+        t0 = time.perf_counter()
+        enumerate_hyperfields(6)
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.035, f"enumerate_hyperfields(6) took {dt:.3f}s, budget 0.035s"
+
+
+def test_unit_automorphisms_are_the_group_automorphisms():
+    sizes = {}
+    for order in range(2, 8):
+        for divisors, mul, _ in _unit_tables(order):
+            auts = finite._unit_automorphisms(mul)
+            sizes[divisors] = len(auts)
+            assert auts[0] == tuple(range(order)) and auts == sorted(set(auts))
+            units = range(1, order)
+            for s in auts:
+                assert s[0] == 0 and sorted(s) == list(range(order))
+                assert all(s[mul[a][b]] == mul[s[a]][s[b]]
+                           for a in units for b in units)
+    assert sizes == {(): 1, (2,): 1, (3,): 2, (4,): 2, (2, 2): 6,
+                     (5,): 4, (2, 3): 2}
+
+
+def test_automorphic_images_of_each_class_are_isomorphic_to_it():
+    # the lemma behind the orbit rule, from the side find_isomorphism sees
+    for order in (2, 3, 4, 5, 6):
+        for H in enumerate_hyperfields(order):
+            auts = finite._unit_automorphisms(H.mul)
+            assert auts == list(finite._unit_group_isos(H, H))
+            for s in auts:
+                image = _transported(H, s)
+                assert validate(image).ok
+                assert find_isomorphism(image, H) is not None
 
 
 def test_enumeration_respects_the_cap():
