@@ -121,12 +121,29 @@ def _subgroup(F: FiniteHyperfield, spec: str) -> frozenset:
         raise ParseFailure(str(e))
 
 
+# The carrier flags, and the defaults of those each kind of backend reads.
+CARRIER_FLAGS = ("q", "gamma", "p", "norm_bound")
+BACKEND_FLAGS = {"kgamma": {"q": 3, "gamma": 1}, "composite": {"p": 2},
+                 "tropical": {"norm_bound": 0}, "tropical-strict": {"norm_bound": 0}}
+
+
+def _resolve_flags(args, reads: dict, subject: str) -> None:
+    """Default the flags in ``reads``; refuse a carrier flag subject never reads."""
+    for key in CARRIER_FLAGS:
+        if key not in reads and getattr(args, key, None) is not None:
+            raise ParseFailure(f"--{key.replace('_', '-')} does not apply to {subject}")
+    for key, value in reads.items():
+        if getattr(args, key, value) is None:  # residue has no --norm-bound
+            setattr(args, key, value)
+
+
 def _load_backend(args):
     """Shared backend resolution for krasner/residue: a finite table URI,
-    'kgamma' (needs --q/--gamma), 'composite' (needs --p), 'collapsed', or
-    tropical:<rank> / tropical-strict:<rank>."""
+    'kgamma' (reads --q/--gamma), 'composite' (reads --p), 'collapsed', or
+    tropical:<rank> / tropical-strict:<rank> (krasner reads --norm-bound)."""
     from . import valuation as vn
     spec = args.backend
+    _resolve_flags(args, BACKEND_FLAGS.get(spec.partition(":")[0], {}), f"backend {spec!r}")
     if spec in ("kgamma", "composite", "collapsed"):
         from . import leading_terms as lt
         if spec == "kgamma":
@@ -253,11 +270,10 @@ def cmd_coarsen(args) -> dict:
 
 
 def _backend_params(args) -> dict:
+    # once _load_backend has run, the set carrier flags are those it read
     params = {"backend": args.backend, "window_bound": args.window_bound}
-    if args.backend == "kgamma":
-        params.update(q=args.q, gamma=args.gamma)
-    if args.backend == "composite":
-        params.update(p=args.p)
+    params.update((key, getattr(args, key)) for key in CARRIER_FLAGS
+                  if getattr(args, key, None) is not None)
     return params
 
 
@@ -408,9 +424,7 @@ def cmd_scenario(args) -> dict:
         raise ParseFailure(f"unknown scenario {args.name!r}; available: "
                            + ", ".join(sorted(SCENARIOS)))
     func, defaults = SCENARIOS[args.name]
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    _resolve_flags(args, defaults, f"scenario {args.name!r}")
     params, claims = func(args)
     return _report("scenario", params, {"scenario": args.name, "claims": claims},
                    all(c["passed"] for c in claims))
@@ -491,25 +505,26 @@ def _build_parser() -> argparse.ArgumentParser:
     out(sp)
     sp.set_defaults(func=cmd_hyperideals)
 
-    def backend(sp, bound_default=3):
-        sp.add_argument("backend",
-                        help="kgamma | composite | collapsed | "
-                        "tropical:<rank> | tropical-strict:<rank> | "
-                        "builtin:... | table path")
-        sp.add_argument("--q", type=PRIME_POWER, default=3,
-                        help="residue field size for kgamma")
-        sp.add_argument("--gamma", type=NONNEGATIVE, default=1,
-                        help="unit level for kgamma")
-        sp.add_argument("--p", type=PRIME, default=2,
-                        help="prime for the composite backend")
+    def carrier(sp, bound_default):
+        sp.add_argument("--q", type=PRIME_POWER,
+                        help="residue field size for kgamma (default 3)")
+        sp.add_argument("--gamma", type=NONNEGATIVE,
+                        help="unit level for kgamma (default 1)")
+        sp.add_argument("--p", type=PRIME,
+                        help="prime for the composite carrier (default 2)")
         sp.add_argument("--window-bound", type=NONNEGATIVE, default=bound_default)
         out(sp)
+
+    def backend(sp):
+        sp.add_argument("backend", help="kgamma | composite | collapsed | tropical:<rank> | "
+                        "tropical-strict:<rank> | builtin:... | table path")
+        carrier(sp, 3)
 
     sp = sub.add_parser("krasner", help="valuation axioms plus the Krasner "
                         "conditions KVH1/KVH2")
     backend(sp)
-    sp.add_argument("--norm-bound", type=NONNEGATIVE, default=0,
-                    help="norm cut bound for tropical backends")
+    sp.add_argument("--norm-bound", type=NONNEGATIVE,
+                    help="norm cut bound for tropical backends (default 0)")
     sp.set_defaults(func=cmd_krasner)
 
     sp = sub.add_parser("residue", help="residue hyperfield of a backend")
@@ -525,11 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scenario", help="replay a named end-to-end scenario")
     sp.add_argument("name", help=", ".join(sorted(SCENARIOS)))
-    sp.add_argument("--q", type=PRIME_POWER, default=None)
-    sp.add_argument("--gamma", type=NONNEGATIVE, default=None)
-    sp.add_argument("--p", type=PRIME, default=None)
-    sp.add_argument("--window-bound", type=NONNEGATIVE, default=None)
-    out(sp)
+    carrier(sp, None)
     sp.set_defaults(func=cmd_scenario)
 
     return p

@@ -16,7 +16,8 @@ small order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .galois import GaloisField, prime_power
 from .report import ValidationReport
@@ -432,19 +433,17 @@ def quotient_hyperfield(K: FiniteHyperfield, generators) -> FiniteHyperfield:
 
 # -- morphisms ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Morphism:
-    source: FiniteHyperfield
-    target: FiniteHyperfield
-    map: tuple[int, ...]
+class Morphism(namedtuple("Morphism", "source target map")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.map) != self.source.size:
+    def __new__(cls, source: FiniteHyperfield, target: FiniteHyperfield, map: tuple):
+        if len(map) != source.size:
             raise MalformedTableError("map length must equal source size")
-        if any(not (0 <= v < self.target.size) for v in self.map):
+        if any(not (0 <= v < target.size) for v in map):
             raise MalformedTableError("map entry out of range")
-        if self.map[ZERO] != ZERO or self.map[ONE] != ONE:
+        if map[ZERO] != ZERO or map[ONE] != ONE:
             raise MalformedTableError("morphisms must send 0 to 0 and 1 to 1")
+        return super().__new__(cls, source, target, map)
 
 
 def is_homomorphism(m: Morphism) -> bool:
@@ -564,8 +563,7 @@ def find_isomorphism(F: FiniteHyperfield, G: FiniteHyperfield) -> Morphism | Non
 
 # -- classification ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     is_field: bool
     char2: bool
     cchar1: bool
@@ -573,9 +571,7 @@ class Classification:
     superiorly_canonical: bool
 
     def to_json(self) -> dict:
-        return {"is_field": self.is_field, "char2": self.char2,
-                "cchar1": self.cchar1, "stringent": self.stringent,
-                "superiorly_canonical": self.superiorly_canonical}
+        return self._asdict()
 
 
 def classify(F: FiniteHyperfield) -> Classification:

@@ -10,28 +10,28 @@ valuation for those shapes.  AboveValue membership needs to know element
 values, so the relevant functions take a ``value_of`` callable (the
 carrier's intrinsic valuation; ``None`` means infinity and belongs to every
 AboveValue set).
+
+The shapes are named tuples, equal across classes when their items are, yet
+two shapes never collide: a payload is an element, a frozenset of two or more
+elements, or a Cut, and no carrier has a frozenset or a Cut for an element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .ordgroup import Cut, Value, value_gt_cut
 
 
-@dataclass(frozen=True)
-class Singleton:
+class Singleton(NamedTuple):
     elem: object
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(NamedTuple):
     elems: frozenset
 
 
-@dataclass(frozen=True)
-class AboveValue:
+class AboveValue(NamedTuple):
     """{t : value_of(t) > cut}; contains every element of value infinity."""
 
     cut: Cut

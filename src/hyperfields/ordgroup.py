@@ -20,7 +20,7 @@ inclusion of cuts are cheap structural tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional
 
 GroupElem = tuple[int, ...]
@@ -86,16 +86,15 @@ def vneg(a: Value) -> Value:
     return None if a is None else gneg(a)
 
 
-@dataclass(frozen=True)
-class ConvexSubgroup:
+class ConvexSubgroup(namedtuple("ConvexSubgroup", "rank zeros")):
     """{0}^zeros x Z^(rank-zeros): the convex subgroups of Z^rank under lex."""
 
-    rank: int
-    zeros: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.zeros <= self.rank):
+    def __new__(cls, rank: int, zeros: int):
+        if not (0 <= zeros <= rank):
             raise ValueError("zeros must lie in [0, rank]")
+        return super().__new__(cls, rank, zeros)
 
     def contains(self, g: GroupElem) -> bool:
         if len(g) != self.rank:
@@ -116,8 +115,7 @@ class ConvexSubgroup:
         return {"rank": self.rank, "zeros": self.zeros}
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
     """Initial segment {m in Z^rank : m[:prefix_len] <= bound} (after
     normalization; a strict bound is rewritten to its predecessor).
 
@@ -125,19 +123,16 @@ class Cut:
     of Z^rank, inclusive=False is empty.
     """
 
-    rank: int
-    prefix_len: int
-    bound: GroupElem
-    inclusive: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.prefix_len <= self.rank):
+    def __new__(cls, rank: int, prefix_len: int, bound: GroupElem, inclusive: bool):
+        if not (0 <= prefix_len <= rank):
             raise ValueError("prefix_len must lie in [0, rank]")
-        if len(self.bound) != self.prefix_len:
+        if len(bound) != prefix_len:
             raise ValueError("bound length must equal prefix_len")
-        if self.prefix_len >= 1 and not self.inclusive:
-            object.__setattr__(self, "bound", pred(self.bound))
-            object.__setattr__(self, "inclusive", True)
+        if prefix_len >= 1 and not inclusive:
+            bound, inclusive = pred(bound), True
+        return super().__new__(cls, rank, prefix_len, bound, inclusive)
 
     @classmethod
     def whole(cls, rank: int) -> "Cut":

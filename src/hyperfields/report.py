@@ -12,11 +12,10 @@ all tuples inside a stated window visited).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """Verdict for a single axiom, with a re-checkable witness on failure."""
 
     axiom: str
@@ -33,16 +32,16 @@ class AxiomCheck:
         return out
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    mode: str  # "proof by exhaustion" | "bounded verification"
-    checks: list[AxiomCheck] = field(default_factory=list)
-    # Observations are recorded predicates (classification flags and the
-    # like); they never affect the overall verdict.
-    observations: list[AxiomCheck] = field(default_factory=list)
-    window: dict | None = None
-    skipped: list[str] = field(default_factory=list)
+    def __init__(self, subject: str, mode: str, window: dict | None = None):
+        self.subject = subject
+        self.mode = mode  # "proof by exhaustion" | "bounded verification"
+        self.checks: list[AxiomCheck] = []
+        # Observations are recorded predicates (classification flags and the
+        # like); they never affect the overall verdict.
+        self.observations: list[AxiomCheck] = []
+        self.window = window
+        self.skipped: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import hypersets as hs
 from .finite import FiniteHyperfield
@@ -193,8 +192,7 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
 
 # -- rings --------------------------------------------------------------------
 
-@dataclass
-class RingPredicate:
+class RingPredicate(NamedTuple):
     """A subset of the carrier given by a membership test."""
 
     backend: object

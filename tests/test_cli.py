@@ -234,6 +234,50 @@ def test_krasner_verdicts_by_backend(capsys):
     assert code == 1
 
 
+# Each of these exited 0 before, with the flag unread: composite took its
+# own norm, and a finite table read neither --q nor --gamma.
+@pytest.mark.parametrize("argv", [
+    ("krasner", "composite", "--p", "2", "--window-bound", "0", "--norm-bound", "1"),
+    ("krasner", "builtin:K", "--q", "5", "--gamma", "3"),
+    ("krasner", "kgamma", "--p", "3"),
+    ("krasner", "collapsed", "--gamma", "2"),
+    ("krasner", "tropical:1", "--q", "3"),
+    ("residue", "composite", "--q", "3"),
+    ("residue", "tropical-strict:1", "--p", "2"),
+    ("scenario", "no-kraval", "--p", "3"),
+    ("scenario", "kgamma", "--p", "3"),
+    ("scenario", "example-last", "--q", "5"),
+])
+def test_unread_carrier_flags_exit_2(argv, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "does not apply to" in err
+
+
+@pytest.mark.parametrize("argv, params", [
+    (("krasner", "kgamma", "--window-bound", "1"),
+     {"backend": "kgamma", "window_bound": 1, "q": 3, "gamma": 1}),
+    (("residue", "composite", "--window-bound", "1"),
+     {"backend": "composite", "window_bound": 1, "p": 2}),
+    (("krasner", "collapsed", "--window-bound", "1"),
+     {"backend": "collapsed", "window_bound": 1}),
+    (("residue", "tropical:1", "--window-bound", "1"),
+     {"backend": "tropical:1", "window_bound": 1}),
+    (("krasner", "tropical-strict:1", "--window-bound", "1"),
+     {"backend": "tropical-strict:1", "window_bound": 1, "norm_bound": 0}),
+])
+def test_params_echo_the_flags_the_backend_reads(argv, params, capsys):
+    assert run(capsys, *argv)[1]["params"] == params
+
+
+def test_tropical_verdict_depends_on_the_echoed_norm_bound(capsys):
+    argv = ("krasner", "tropical-strict:1", "--window-bound", "1")
+    code, rep = run(capsys, *argv, "--norm-bound", "1")
+    assert code == 1 and rep["params"]["norm_bound"] == 1
+    assert rep["norm"]["bound"] == [1]
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_residue_verb(capsys):
     code, rep = run(capsys, "residue", "kgamma", "--q", "3", "--gamma", "1",
                     "--window-bound", "1")

@@ -149,3 +149,24 @@ def test_hypersets_loads_no_finite_table_code():
     out = _fresh("-c", "import sys, hyperfields.hypersets; "
                        "print('hyperfields.finite' in sys.modules)")
     assert out.stdout == "False\n"
+
+
+# dataclasses and the modules it pulls in: no process of the package needs them.
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+LOADED_HEAVY = f"import sys; print(sorted(m for m in {HEAVY!r} if m in sys.modules))"
+SUBMODULES = sorted(p.stem for p in (SRC / "hyperfields").glob("*.py")
+                    if p.stem != "__init__")
+
+
+def test_no_process_loads_dataclasses():
+    bare = _fresh("-c", LOADED_HEAVY).stdout
+    script = f"""
+import contextlib, importlib, io
+import hyperfields.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hyperfields.cli.main(["krasner", "kgamma"]) == 0
+for name in {SUBMODULES!r}:
+    importlib.import_module("hyperfields." + name)
+{LOADED_HEAVY}
+"""
+    assert _fresh("-c", script).stdout == bare
