@@ -54,11 +54,42 @@ def _ref_mul_mask(row, mask):
 
 
 def _ref_witnesses(F):
-    """(passed, witness) of CH4 (when CH3 holds), CH1 and HR3 by full scans,
-    first witness in x, y, z order."""
+    """(passed, witness) of CH4 (when CH3 holds), CH1, HR2, HF and HR3 by full
+    scans, first witness in x, y, z order."""
     n, add, mul = F.size, F._add, F.mul
     triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     out = {}
+    # HR2 and HF as validate scanned them before the reduced scans
+    w = None
+    for x in range(n):
+        if F.mul[x][0] != 0 or F.mul[0][x] != 0:
+            w = (x, 0)
+            break
+        for y in range(n):
+            if F.mul[x][y] != F.mul[y][x]:
+                w = (x, y)
+                break
+            for z in range(n):
+                if F.mul[F.mul[x][y]][z] != F.mul[x][F.mul[y][z]]:
+                    w = (x, y, z)
+                    break
+            if w:
+                break
+        if w:
+            break
+    out["HR2"] = (w is None, w)
+    w = None
+    for x in F.units:
+        if F.mul[1][x] != x:
+            w = (x,)
+            break
+        if all(F.mul[x][y] != 1 for y in F.units):
+            w = (x,)
+            break
+        if any(F.mul[x][y] == 0 for y in F.units):
+            w = (x,)
+            break
+    out["HF"] = (w is None, w)
     if all(sum(add[x][y] & 1 for y in range(n)) == 1 for x in range(n)):
         w = next(((x, y, z) for x, y, z in triples if add[x][y] >> z & 1
                   and not add[z][F.neg(x)] >> y & 1), None)
@@ -90,18 +121,29 @@ SMALL_HYPERFIELDS = _small_hyperfields()
 @st.composite
 def mask_tables(draw):
     """A table of order 2..8: a hyperfield with up to two add cells and one
-    mul entry redrawn (often no longer a hyperfield), or an arbitrary one."""
-    if draw(st.booleans()):
+    mul entry redrawn (often no longer a hyperfield); a hyperfield with the
+    cells add[ux][uy] = add[uy][ux] redrawn as uC for every unit u, which
+    keeps distributivity but often breaks associativity; or an arbitrary
+    table."""
+    kind = draw(st.sampled_from(("redrawn", "orbit", "arbitrary")))
+    if kind != "arbitrary":
         base = draw(st.sampled_from(SMALL_HYPERFIELDS))
         n = base.size
         mul = [list(row) for row in base.mul]
         add = [list(row) for row in base._add]
+    if kind == "redrawn":
         for _ in range(draw(st.integers(0, 2))):
             x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             add[x][y] = draw(st.integers(1, (1 << n) - 1))
         if draw(st.booleans()):
             x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             mul[x][y] = draw(st.integers(0, n - 1))
+    elif kind == "orbit":
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cell = draw(st.integers(1, (1 << n) - 1))
+        for u in range(1, n):
+            image = _ref_mul_mask(mul[u], cell)
+            add[mul[u][x]][mul[u][y]] = add[mul[u][y]][mul[u][x]] = image
     else:
         n = draw(st.integers(2, 8))
         mul = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
@@ -219,6 +261,74 @@ def test_validate_f64_within_budget():
     assert validate(F).ok
     dt = time.perf_counter() - t0
     assert dt < 3.0, f"validate(F64) took {dt:.2f}s, budget 3s"
+
+
+def test_validate_f64_fast():
+    F = build_finite_field(64)
+
+    def timed():
+        t0 = time.perf_counter()
+        assert validate(F).ok
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.05, f"validate(F64) took {dt:.3f}s, budget 0.05s"
+
+
+# Light's associativity test: the a with (xa)y = x(ay) for all x, y are
+# closed under products, so checking a in a generating set decides the rest.
+
+_ASSOCIATIVE_OPS = (lambda x, y, n: x * y % n,  # Z/n under multiplication
+                    lambda x, y, n: max(x, y),  # a semilattice
+                    lambda x, y, n: x)  # left zero: associative, not commutative
+
+
+@st.composite
+def mul_tables(draw):
+    """A mul table of order 2..7: an associative operation relabelled by a
+    bijection fixing 0 and 1, the same with one entry redrawn (and its
+    mirror, half the time), or an arbitrary table."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        op = draw(st.sampled_from(_ASSOCIATIVE_OPS))
+        p = [0, 1] + draw(st.permutations(range(2, n)))
+        mul = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                mul[p[x]][p[y]] = p[op(x, y, n)]
+        if draw(st.booleans()):
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            mul[x][y] = draw(st.integers(0, n - 1))
+            if draw(st.booleans()):
+                mul[y][x] = mul[x][y]
+    else:
+        mul = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    return FiniteHyperfield([str(i) for i in range(n)], mul, [[(0,)] * n] * n)
+
+
+def _associative_at(mul, middles):
+    n = len(mul)
+    return all(mul[mul[x][a]][y] == mul[x][mul[a][y]]
+               for x in range(n) for a in middles for y in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mul_tables())
+def test_lights_lemma_on_the_generating_rows(F):
+    n, mul = F.size, F.mul
+    rows = finite._generating_rows(F)
+    assert rows[:2] == (0, 1) and all(1 < g < n for g in rows[2:])
+    closure = set(rows)
+    while True:
+        products = {mul[a][b] for a in closure for b in closure}
+        if products <= closure:
+            break
+        closure |= products
+    assert closure == set(range(n))
+    assert _associative_at(mul, rows) == _associative_at(mul, range(n))
+    assert (finite._hr2_witness(mul, rows) is None) == \
+        (finite._hr2_witness(mul) is None)
 
 
 def test_validate_skips_ch4_when_inverses_are_missing():
