@@ -8,9 +8,9 @@ the additive zero and index 1 the multiplicative unit.
 The module ships the three classical small examples (K, the sign hyperfield
 S, the weak sign hyperfield W), finite fields as degenerate hyperfields,
 quotients of finite fields by multiplicative subgroups, morphism predicates,
-a brute-force isomorphism search, classification flags, hyperideal
-enumeration, and an exhaustive enumeration of all hyperfields of a given
-small order.
+an isomorphism search over the images of unit-group generators,
+classification flags, hyperideal enumeration, and an exhaustive enumeration
+of all hyperfields of a given small order.
 """
 
 from __future__ import annotations
@@ -265,14 +265,32 @@ class FiniteHyperfield:
 
 # -- validation -----------------------------------------------------------
 
-def _generating_rows(F: FiniteHyperfield) -> tuple[int, ...]:
-    """0, 1 and greedy unit generators: every element is a product of these."""
-    gens, seen = [], {ONE}
-    for u in F.units:
-        if u not in seen:
+def _products(mul, gens) -> dict:
+    """Every product of the generators, reached from 1 by multiplications
+    on the right: {y: (x, g)} with y = x*g, in order of discovery, so each
+    x is a key before y (1 maps to None)."""
+    tree = {ONE: None}
+    frontier = [ONE]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul[x][g]
+            if y not in tree:
+                tree[y] = (x, g)
+                frontier.append(y)
+    return tree
+
+
+def _greedy_generators(mul):
+    """The units g1 < g2 < .. with each g_k the least unit outside the
+    products of the earlier ones, and `_products` of all of them, which
+    reaches every unit: so every element is a product of 0, 1 and these."""
+    gens, tree = [], {ONE: None}
+    for u in range(1, len(mul)):
+        if u not in tree:
             gens.append(u)
-            seen = subgroup_closure(F, gens)
-    return (ZERO, ONE, *gens)
+            tree = _products(mul, gens)
+    return gens, tree
 
 
 def validate(F: FiniteHyperfield) -> ValidationReport:
@@ -280,8 +298,8 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
     (HR2 and the abelian group on nonzero elements), distributivity (HR3).
 
     Every triple is decided, but HR2, HR3 and CH1 visit O(n^2 |S|) of them,
-    by three lemmas on S = `_generating_rows(F)`, which is {0, 1} plus greedy
-    unit generators, so every element is a product of members of S.
+    by three lemmas on S, which is {0, 1} plus the greedy unit generators
+    (`_greedy_generators`), so every element is a product of members of S.
     - HR2 (Light): the a with (xa)y = x(ay) for all x, y are closed under
       products, so the middle element a in S suffices.
     - HR3, once HR2 holds: the x with x(y+z) = xy + xz are closed under
@@ -308,7 +326,7 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
     else:
         rep.skipped.append("CH4 (needs CH3 to define -x)")
 
-    rows = _generating_rows(F)
+    rows = (ZERO, ONE, *_greedy_generators(mul)[0])
     # a failed reduced scan or prerequisite (a truthy witness) runs the full scan
     hr2 = _hr2_witness(mul, rows) and _hr2_witness(mul)
     hf = next(((x,) for x in F.units if mul[ONE][x] != x
@@ -382,16 +400,7 @@ def subgroup_closure(F: FiniteHyperfield, generators) -> frozenset:
     for g in gens:
         if not (1 <= g < F.size):
             raise ValueError(f"generator {g} is not a unit index")
-    seen = {ONE}
-    frontier = [ONE]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = F.mul[x][g]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+    return frozenset(_products(F.mul, gens))
 
 
 def squares_subgroup(F: FiniteHyperfield) -> frozenset:
@@ -509,61 +518,43 @@ def is_isomorphism(m: Morphism) -> bool:
     return primary
 
 
-def _unit_group_isos(F: FiniteHyperfield, G: FiniteHyperfield):
-    """All multiplicative-group isomorphisms F^x -> G^x, as full maps with
-    0 -> 0, yielded in lexicographic order of the map tuple.  Backtracking
-    with element-order and partial-product pruning plus a final full
-    multiplicativity check; fine at desk scale."""
-    n = F.size
-    if n != G.size:
+def _unit_group_isos(fmul, gmul):
+    """Every isomorphism from the units of the mul table fmul onto those of
+    gmul, as a full map with 0 -> 0, in lexicographic order of the tuple.
+    A map is fixed by the images of the greedy generators g1 < g2 < .. of
+    fmul, each a unit of the same order, and extends along the products
+    from 1; a choice is kept when it gives a bijection that respects every
+    product.  Every index below g_k is a product of g1 .. g_{k-1}, so the
+    first generator image where two maps differ decides their order, and
+    taking the images in increasing order yields the maps in order."""
+    n = len(fmul)
+    if n != len(gmul):
         return
-
-    of = {x: _mult_order(F, x) for x in F.units}
-    og = {x: _mult_order(G, x) for x in G.units}
-    perm: list[int | None] = [None] * n
-    perm[ZERO], perm[ONE] = ZERO, ONE
-    used = [False] * n
-    used[ZERO] = used[ONE] = True
-
-    def full_check() -> bool:
-        for a in range(1, n):
-            for b in range(1, n):
-                if perm[F.mul[a][b]] != G.mul[perm[a]][perm[b]]:
-                    return False
-        return True
-
-    def extend(x):
-        if x == n:
-            if full_check():
-                yield tuple(perm)
-            return
-        for y in range(1, n):
-            if used[y] or of[x] != og[y]:
-                continue
-            ok = True
-            for a in range(1, n):
-                if perm[a] is None:
-                    continue
-                p = F.mul[a][x]
-                if perm[p] is not None and perm[p] != G.mul[perm[a]][y]:
-                    ok = False
-                    break
-            if ok:
-                perm[x] = y
-                used[y] = True
-                yield from extend(x + 1)
-                perm[x] = None
-                used[y] = False
-
-    yield from extend(2)
+    units = range(1, n)
+    of = {x: _mult_order(fmul, x) for x in units}
+    og = {y: _mult_order(gmul, y) for y in units}
+    gens, tree = _greedy_generators(fmul)
+    images = [[y for y in units if og[y] == of[g]] for g in gens]
+    for choice in itertools.product(*images):
+        s = [ZERO, ONE] + [None] * (n - 2)
+        for g, y in zip(gens, choice):
+            s[g] = y
+        for y, step in tree.items():
+            if s[y] is None:  # not 0, 1 or a generator
+                x, g = step
+                s[y] = gmul[s[x]][s[g]]
+        if len(set(s)) == n and all(s[fmul[a][b]] == gmul[s[a]][s[b]]
+                                    for a in units for b in units):
+            yield tuple(s)
 
 
 def find_isomorphism(F: FiniteHyperfield, G: FiniteHyperfield) -> Morphism | None:
-    """Brute force over multiplicative-group isomorphisms, filtered by the
-    embedding condition.  They come in lexicographic order, so the first
-    that passes is the lexicographically least witness."""
+    """The first multiplicative-group isomorphism (`_unit_group_isos`) that
+    satisfies the embedding condition.  They come in lexicographic order, so
+    this is the lexicographically least witness."""
     full = (1 << G.size) - 1  # the image of a bijection
-    s = next((s for s in _unit_group_isos(F, G) if _em1_holds(F, G, s, full)), None)
+    s = next((s for s in _unit_group_isos(F.mul, G.mul)
+              if _em1_holds(F, G, s, full)), None)
     if s is None:
         return None
     m = Morphism(F, G, s)
@@ -675,7 +666,7 @@ def quotient_search(F: FiniteHyperfield, q_max: int):
             continue
         field = build_finite_field(q)
         gen = next(g for g in field.units
-                   if _mult_order(field, g) == q - 1)
+                   if _mult_order(field.mul, g) == q - 1)
         t_gen = _pow(field, gen, target_units)
         H = quotient_hyperfield(field, [t_gen])
         if find_isomorphism(H, F) is not None:
@@ -684,13 +675,13 @@ def quotient_search(F: FiniteHyperfield, q_max: int):
     return None
 
 
-def _mult_order(F: FiniteHyperfield, x: int) -> int:
+def _mult_order(mul, x: int) -> int:
     y = x
-    for k in range(1, F.size):
+    for k in range(1, len(mul)):
         if y == ONE:
             return k
-        y = F.mul[y][x]
-    raise MalformedTableError(f"no power of {F.names[x]!r} is 1: the units are no group")
+        y = mul[y][x]
+    raise MalformedTableError(f"no power of element {x} is 1: the units are no group")
 
 
 def _pow(F: FiniteHyperfield, x: int, e: int) -> int:
@@ -754,16 +745,6 @@ def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
     return table
 
 
-def _unit_automorphisms(mul) -> list[tuple[int, ...]]:
-    """Every automorphism of the unit group {1, .., n-1} of the mul table,
-    as a full map with 0 -> 0 and 1 -> 1, in lexicographic order (the
-    identity first).  Brute force over the permutations fixing 1."""
-    n = len(mul)
-    units = range(1, n)
-    return [s for s in ((ZERO, ONE) + p for p in itertools.permutations(range(2, n)))
-            if all(s[mul[a][b]] == mul[s[a]][s[b]] for a in units for b in units)]
-
-
 def _least_in_orbit(iota, h, auts) -> bool:
     """Whether no automorphism s maps the candidate (iota, h) to an earlier
     one: (s(iota), s.h) < (iota, h), where (s.h)(s(a)) = s(h(a))."""
@@ -809,7 +790,7 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
         inv = [None] * order
         for a in range(1, order):
             inv[a] = next(b for b in range(1, order) if mul[a][b] == ONE)
-        auts = _unit_automorphisms(mul)
+        auts = list(_unit_group_isos(mul, mul))
         for iota in range(1, order):
             if mul[iota][iota] != ONE:
                 continue  # -1 must square to 1

@@ -160,12 +160,6 @@ class LTContext:
     def sort_key(self, x):
         return (0,) if x is None else (1, x.value) + x.coeffs
 
-    def to_json(self) -> dict:
-        out = {"q": self.q, "gamma": self.level}
-        if self.gf.modulus is not None:  # the default modulus of F_q
-            out["modulus"] = list(self.gf.modulus)
-        return out
-
     def describe(self) -> str:
         return f"leading terms of F_{self.q}((t)) at level {self.level}"
 
@@ -251,9 +245,6 @@ class CompositeContext:
 
     def sort_key(self, x):
         return (0,) if x is None else (1, x.n, x.c)
-
-    def to_json(self) -> dict:
-        return {"p": self.p}
 
     def describe(self) -> str:
         return f"Q(X) with composite (X-adic, {self.p}-adic) leading terms"

@@ -400,10 +400,10 @@ def _all_above(desc, cut: Cut) -> bool:
 
 
 def _all_values_single(backend, s) -> bool:
-    kind, data = hs.values_of(s, backend.value_of)
-    if kind == "above":
-        return False
-    return len(data) == 1
+    """Whether the finite hyperset s has one value (a ray holds the zero, so
+    KVH1 asks only about finite sums)."""
+    _, values = hs.values_of(s, backend.value_of)
+    return len(values) == 1
 
 
 def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> ValidationReport:
@@ -528,15 +528,10 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     rep = _report(f"ultrametric of {v.describe()}", backend, bound)
     dist = [[d(x, y) for y in U] for x in U]
 
-    w = None
-    for i, (x, row) in enumerate(zip(U, dist)):
-        if row[i] is not None:
-            w = _j(backend, x)
-            break
-        j = next((j for j, dxy in enumerate(row) if j != i and dxy is None), None)
-        if j is not None:
-            w = _j(backend, x, U[j])
-            break
+    # d(x, x) is None by construction, so U1 asks that d(x, y) != None
+    # off the diagonal
+    w = next((_j(backend, x, U[j]) for i, (x, row) in enumerate(zip(U, dist))
+              for j, dxy in enumerate(row) if j != i and dxy is None), None)
     rep.add("U1", w is None, w)
 
     # Order ranks of the distances, infinity on top.

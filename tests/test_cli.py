@@ -182,6 +182,19 @@ def test_iso_on_a_non_group_table_exits_2(tmp_path):
     assert b"malformed table" in proc.stderr
 
 
+def test_iso_of_a_cyclic_order_32_pair_exits_1_quickly(tmp_path):
+    # F125/<2> and F32 have cyclic unit groups of order 31 but are not
+    # isomorphic; the timeout makes a slow search fail rather than hang
+    table = tmp_path / "q.json"
+    assert main(["quotient", "--field", "125", "--subgroup", "2",
+                 "--output", str(table)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "hyperfields.cli", "iso",
+                           str(table), "builtin:F32"],
+                          capture_output=True, check=False, timeout=10)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert json.loads(proc.stdout)["isomorphic"] is False
+
+
 def test_quotient_of_units_is_K(capsys):
     code, rep = run(capsys, "quotient", "--field", "9", "--subgroup", "units")
     assert code == 0 and rep["order"] == 2

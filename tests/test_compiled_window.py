@@ -592,7 +592,7 @@ def _proper_quotient(q: int, index: int):
     """F_q / T for the subgroup T of F_q^x of the given index."""
     F = build_finite_field(q)
     return quotient_hyperfield(F, [next(u for u in F.units
-                                        if _mult_order(F, u) == (q - 1) // index)])
+                                        if _mult_order(F.mul, u) == (q - 1) // index)])
 
 
 # Every enumerated class of orders 2-5 and three proper quotients: since

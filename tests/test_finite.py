@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import finite
-from hyperfields.finite import (FiniteHyperfield, MalformedTableError,
-                                Morphism, build_K, build_S, build_W,
-                                build_finite_field, classify,
+from hyperfields.finite import (ONE, ZERO, FiniteHyperfield,
+                                MalformedTableError, Morphism, build_K,
+                                build_S, build_W, build_finite_field, classify,
                                 enumerate_hyperfields, find_isomorphism,
                                 is_embedding, is_field, is_homomorphism,
                                 is_hyperideal, is_isomorphism,
@@ -317,7 +317,7 @@ def _associative_at(mul, middles):
 @given(mul_tables())
 def test_lights_lemma_on_the_generating_rows(F):
     n, mul = F.size, F.mul
-    rows = finite._generating_rows(F)
+    rows = (0, 1, *finite._greedy_generators(mul)[0])
     assert rows[:2] == (0, 1) and all(1 < g < n for g in rows[2:])
     closure = set(rows)
     while True:
@@ -451,10 +451,69 @@ def test_find_isomorphism_respects_unit_group_structure():
     assert m is not None and is_isomorphism(m)
 
 
+def ref_unit_group_isos(F: FiniteHyperfield, G: FiniteHyperfield):
+    """All multiplicative-group isomorphisms F^x -> G^x, as full maps with
+    0 -> 0, yielded in lexicographic order of the map tuple.  Backtracking
+    with element-order and partial-product pruning plus a final full
+    multiplicativity check; fine at desk scale."""
+    n = F.size
+    if n != G.size:
+        return
+
+    of = {x: finite._mult_order(F.mul, x) for x in F.units}
+    og = {x: finite._mult_order(G.mul, x) for x in G.units}
+    perm: list[int | None] = [None] * n
+    perm[ZERO], perm[ONE] = ZERO, ONE
+    used = [False] * n
+    used[ZERO] = used[ONE] = True
+
+    def full_check() -> bool:
+        for a in range(1, n):
+            for b in range(1, n):
+                if perm[F.mul[a][b]] != G.mul[perm[a]][perm[b]]:
+                    return False
+        return True
+
+    def extend(x):
+        if x == n:
+            if full_check():
+                yield tuple(perm)
+            return
+        for y in range(1, n):
+            if used[y] or of[x] != og[y]:
+                continue
+            ok = True
+            for a in range(1, n):
+                if perm[a] is None:
+                    continue
+                p = F.mul[a][x]
+                if perm[p] is not None and perm[p] != G.mul[perm[a]][y]:
+                    ok = False
+                    break
+            if ok:
+                perm[x] = y
+                used[y] = True
+                yield from extend(x + 1)
+                perm[x] = None
+                used[y] = False
+
+    yield from extend(2)
+
+
+def ref_unit_automorphisms(mul) -> list[tuple[int, ...]]:
+    """Every automorphism of the unit group {1, .., n-1} of the mul table,
+    as a full map with 0 -> 0 and 1 -> 1, in lexicographic order (the
+    identity first).  Brute force over the permutations fixing 1."""
+    n = len(mul)
+    units = range(1, n)
+    return [s for s in ((ZERO, ONE) + p for p in itertools.permutations(range(2, n)))
+            if all(s[mul[a][b]] == mul[s[a]][s[b]] for a in units for b in units)]
+
+
 def _least_iso(F, G):
     """The least witness by a scan of every unit-group isomorphism."""
     full = (1 << G.size) - 1
-    return min((s for s in finite._unit_group_isos(F, G)
+    return min((s for s in ref_unit_group_isos(F, G)
                 if finite._em1_holds(F, G, s, full)), default=None)
 
 
@@ -485,23 +544,36 @@ def _iso_grid():
         for q in range(index + 1, 50):
             if finite.prime_power(q) is not None and (q - 1) % index == 0:
                 K = build_finite_field(q)
-                gen = next(u for u in K.units if finite._mult_order(K, u) == q - 1)
+                gen = next(u for u in K.units if finite._mult_order(K.mul, u) == q - 1)
                 quotients.append(quotient_hyperfield(K, [finite._pow(K, gen, index)]))
         pairs += [(F, G) for F in quotients for G in quotients]
     return pairs
 
 
 def test_find_isomorphism_returns_the_least_witness():
-    # _unit_group_isos yields in lexicographic order, so the first map that
-    # passes the embedding condition is the least
+    # _unit_group_isos yields what the backtracking reference yields, in
+    # lexicographic order, so the first map that passes the embedding
+    # condition is the least
     grid = _iso_grid()
     assert len(grid) > 200
     for F, G in grid:
-        isos = list(finite._unit_group_isos(F, G))
-        assert isos == sorted(isos)
+        isos = list(finite._unit_group_isos(F.mul, G.mul))
+        assert isos == list(ref_unit_group_isos(F, G)) == sorted(isos), (F, G)
         m = find_isomorphism(F, G)
         assert (m and m.map) == _least_iso(F, G), (F, G)
     assert find_isomorphism(build_S(), build_W()) is None
+
+
+def test_find_isomorphism_decides_a_cyclic_order_32_pair_quickly():
+    # F125/<2> and F32 both have a cyclic unit group of order 31 (index 2 is
+    # the constant 2, of order 4 in F125) but are not isomorphic, so every
+    # unit-group isomorphism is tried and fails the embedding condition
+    Q, F32 = quotient_hyperfield(build_finite_field(125), [2]), build_finite_field(32)
+    assert Q.size == F32.size == 32
+    t0 = time.perf_counter()
+    assert find_isomorphism(Q, F32) is None
+    dt = time.perf_counter() - t0
+    assert dt < 0.5, f"find_isomorphism took {dt:.3f}s, budget 0.5s"
 
 
 # -- classification ----------------------------------------------------------------
@@ -555,6 +627,31 @@ def test_non_quotient_certificate_is_none_on_known_quotients():
     for F in (build_K(), build_S(), build_W(), build_finite_field(2),
               build_finite_field(7)):
         assert non_quotient_certificate(F) is None
+
+
+# An order-7 class (cyclic units of order 6, -1 = index 4) that the
+# reachability criterion certifies: 1+1 = {2, 3} and 1+1+1 = {1, 2, 3}.
+ORDER7_CERTIFIED = FiniteHyperfield(
+    ["0", "1", "a2", "a3", "a4", "a5", "a6"],
+    [[0, 0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5, 6], [0, 2, 3, 1, 5, 6, 4],
+     [0, 3, 1, 2, 6, 4, 5], [0, 4, 5, 6, 1, 2, 3], [0, 5, 6, 4, 2, 3, 1],
+     [0, 6, 4, 5, 3, 1, 2]],
+    [[[0], [1], [2], [3], [4], [5], [6]],
+     [[1], [2, 3], [1, 2], [1, 3], [0, 2, 3, 5, 6], [1, 2, 4, 5], [1, 3, 4, 6]],
+     [[2], [1, 2], [1, 3], [2, 3], [1, 2, 4, 5], [0, 1, 3, 4, 6], [2, 3, 5, 6]],
+     [[3], [1, 3], [2, 3], [1, 2], [1, 3, 4, 6], [2, 3, 5, 6], [0, 1, 2, 4, 5]],
+     [[4], [0, 2, 3, 5, 6], [1, 2, 4, 5], [1, 3, 4, 6], [5, 6], [4, 5], [4, 6]],
+     [[5], [1, 2, 4, 5], [0, 1, 3, 4, 6], [2, 3, 5, 6], [4, 5], [4, 6], [5, 6]],
+     [[6], [1, 3, 4, 6], [2, 3, 5, 6], [0, 1, 2, 4, 5], [4, 6], [5, 6], [4, 5]]])
+
+
+def test_non_quotient_certificate_on_an_order_seven_class():
+    F = ORDER7_CERTIFIED
+    assert validate(F).ok
+    cert = non_quotient_certificate(F)
+    assert cert is not None
+    assert cert["iterated_sums"] == [[1], [2, 3], [1, 2, 3]]
+    assert quotient_search(F, 43) is None  # a certificate excludes a witness
 
 
 def test_certificate_and_search_are_consistent_on_the_enumeration():
@@ -772,26 +869,36 @@ def test_enumeration_of_order_six_within_budget():
 
 def test_unit_automorphisms_are_the_group_automorphisms():
     sizes = {}
-    for order in range(2, 8):
+    for order in range(2, 10):
         for divisors, mul, _ in _unit_tables(order):
-            auts = finite._unit_automorphisms(mul)
+            auts = list(finite._unit_group_isos(mul, mul))
+            assert auts == ref_unit_automorphisms(mul)
             sizes[divisors] = len(auts)
             assert auts[0] == tuple(range(order)) and auts == sorted(set(auts))
-            units = range(1, order)
-            for s in auts:
-                assert s[0] == 0 and sorted(s) == list(range(order))
-                assert all(s[mul[a][b]] == mul[s[a]][s[b]]
-                           for a in units for b in units)
     assert sizes == {(): 1, (2,): 1, (3,): 2, (4,): 2, (2, 2): 6,
-                     (5,): 4, (2, 3): 2}
+                     (5,): 4, (2, 3): 2, (7,): 6, (8,): 4, (2, 4): 8,
+                     (2, 2, 2): 168}
+
+
+def test_unit_group_isos_from_relabelled_groups():
+    # With units 2 and 3 swapped, the first greedy generators of Z/2 x Z/4
+    # are (0, 2) and (0, 1), whose square is the first: images that break
+    # this relation can still give a bijection, which only the full
+    # product check rejects.
+    for order in range(4, 10):
+        for _, mul, _ in _unit_tables(order):
+            F = FiniteHyperfield(range(order), mul, [[(0,)] * order] * order)
+            G = _transported(F, [0, 1, 3, 2, *range(4, order)])
+            assert list(finite._unit_group_isos(G.mul, mul)) == \
+                list(ref_unit_group_isos(G, F))
 
 
 def test_automorphic_images_of_each_class_are_isomorphic_to_it():
     # the lemma behind the orbit rule, from the side find_isomorphism sees
     for order in (2, 3, 4, 5, 6):
         for H in enumerate_hyperfields(order):
-            auts = finite._unit_automorphisms(H.mul)
-            assert auts == list(finite._unit_group_isos(H, H))
+            auts = list(finite._unit_group_isos(H.mul, H.mul))
+            assert auts == list(ref_unit_group_isos(H, H))
             for s in auts:
                 image = _transported(H, s)
                 assert validate(image).ok

@@ -137,8 +137,6 @@ def test_value_of_and_serialization():
     assert ctx.value_of(None) is None
     assert ctx.value_of(ctx.elem(-4, (2, 0))) == (-4,)
     assert ctx.elem_json(ctx.elem(1, (2, 1))) == {"value": 1, "coeffs": [2, 1]}
-    assert ctx.to_json() == {"q": 3, "gamma": 1}
-    assert LTContext(4, 0).to_json() == {"q": 4, "gamma": 0, "modulus": [1, 1, 1]}
 
 
 def test_norm_cut_tracks_the_level():
@@ -208,7 +206,6 @@ def test_composite_serialization():
     ctx = CompositeContext(2)
     assert ctx.elem_json(ctx.elem(1, "1/2")) == {"n": 1, "c": "1/2"}
     assert ctx.elem_json(None) is None
-    assert ctx.to_json() == {"p": 2}
 
 
 # -- collapsed constants ---------------------------------------------------------------
