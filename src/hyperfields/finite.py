@@ -153,21 +153,22 @@ class FiniteHyperfield:
             raise MalformedTableError("mul table must be size x size")
         if len(add_cells) != n or any(len(row) != n for row in add_cells):
             raise MalformedTableError("add table must be size x size")
-        mul = tuple(tuple(int(v) for v in row) for row in mul)
-        for row in mul:
-            for v in row:
-                if not (0 <= v < n):
-                    raise MalformedTableError("mul entry out of range")
+        mul = tuple(tuple(map(int, row)) for row in mul)
+        if any(min(row) < 0 or max(row) >= n for row in mul):
+            raise MalformedTableError("mul entry out of range")
         masks = []
         for row in add_cells:
             mrow = []
             for cell in row:
-                cell = tuple(sorted(set(int(v) for v in cell)))
-                if not cell:
+                m = 0
+                for v in cell:
+                    v = int(v)
+                    if not 0 <= v < n:
+                        raise MalformedTableError("add entry out of range")
+                    m |= 1 << v
+                if not m:
                     raise MalformedTableError("empty addition cell")
-                if cell[0] < 0 or cell[-1] >= n:
-                    raise MalformedTableError("add entry out of range")
-                mrow.append(_cell_to_mask(cell))
+                mrow.append(m)
             masks.append(tuple(mrow))
         self.size = n
         self.names = names
@@ -191,11 +192,8 @@ class FiniteHyperfield:
 
     def neg(self, x: int) -> int:
         if self._neg is None:
-            neg = []
-            for a in range(self.size):
-                cands = [b for b in range(self.size) if self.contains(a, b, ZERO)]
-                neg.append(cands[0] if cands else None)
-            self._neg = neg
+            self._neg = [next((b for b, m in enumerate(row) if m & 1), None)
+                         for row in self._add]
         v = self._neg[x]
         if v is None:
             raise MalformedTableError(f"element {x} has no additive inverse")
@@ -386,7 +384,7 @@ def build_W() -> FiniteHyperfield:
 
 def build_finite_field(q: int, modulus: tuple[int, ...] | None = None) -> FiniteHyperfield:
     gf = GaloisField(q, modulus)
-    add = [[(gf.add[x][y],) for y in range(q)] for x in range(q)]
+    add = [[(v,) for v in row] for row in gf.add]
     meta = {"label": f"F{q}"}
     if gf.modulus is not None:
         meta["modulus"] = list(gf.modulus)

@@ -1,15 +1,18 @@
 """Explicit arithmetic tables for small finite fields F_q, q = p^k.
 
 Elements are indexed 0..q-1 by base-p digit vectors (index = sum d_i p^i),
-which pins 0 and 1 at indices 0 and 1.  For k > 1 arithmetic is polynomial
-arithmetic modulo a monic irreducible of degree k; if none is supplied the
-lexicographically least one is found by trial division, so table contents
-are deterministic for a given q.
+which pins 0 and 1 at indices 0 and 1.  For k > 1 the digits are the
+coefficients of a polynomial in x modulo a monic irreducible of degree k;
+if none is supplied the lexicographically least one is found by trial
+division, so table contents are deterministic for a given q.  The modulus
+need not be primitive: multiplication is read off exp/log tables of the
+least index g of multiplicative order q-1, and addition is digitwise.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 
 def is_prime(n: int) -> bool:
@@ -44,17 +47,6 @@ def _poly_trim(f: tuple[int, ...]) -> tuple[int, ...]:
     while f and f[-1] == 0:
         f = f[:-1]
     return f
-
-
-def _poly_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(tuple(out))
 
 
 def _poly_mod(f, g, p):
@@ -127,43 +119,46 @@ class GaloisField:
             i //= self.p
         return tuple(out)
 
-    def _index(self, digits) -> int:
-        i = 0
-        for d in reversed(_poly_trim(tuple(digits)) + (0,) * self.k):
-            i = i * self.p + d
-        return i
-
     def _build_tables(self):
-        q, p = self.q, self.p
-        if self.k == 1:
-            self.add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self.mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            polys = [self._digits(i) for i in range(q)]
-            self.add = [[self._index(tuple((x + y) % p for x, y in zip(polys[a], polys[b])))
-                         for b in range(q)] for a in range(q)]
-            self.mul = [[self._index(_poly_mod(_poly_mul(polys[a], polys[b], p),
-                                               self.modulus, p) + (0,) * self.k)
-                         for b in range(q)] for a in range(q)]
-        self.neg = [0] * q
-        for a in range(q):
-            for b in range(q):
-                if self.add[a][b] == 0:
-                    self.neg[a] = b
-                    break
-        self.inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul[a][b] == 1:
-                    self.inv[a] = b
-                    break
+        q, p, k = self.q, self.p, self.k
+        self.add = small = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for _ in range(1, k):  # digitwise, one more base-p digit on top
+            big, n = self.add, len(self.add)
+            self.add = [[lo + hi for hi in his for lo in row] for his in
+                        [[n * h for h in r] for r in small] for row in big]
+        add, top, m = self.add, q // p, self.modulus or (0, 1)  # F_p = F_p[x]/(x)
+        red = [sum(-d * c % p * p ** i for i, c in enumerate(m[:k])) for d in range(p)]
+        xrow = [add[a % top * p][red[a // top]] for a in range(q)]  # x d x^(k-1) = -d (m - x^k)
+        for g in range(1, q):  # the least index of order q - 1
+            row = [0] * q
+            for a in range(1, q):  # g (d + x b) = g (d - 1 + x b) + g, or x (g b) if d = 0
+                row[a] = add[row[a - 1]][g] if a % p else xrow[row[a // p]]
+            exp, a = [1], g
+            while a != 1:
+                exp.append(a)
+                a = row[a]
+            if len(exp) == q - 1:
+                break
+        self.exp, self.log = exp, [None] * q
+        for i, a in enumerate(exp):
+            self.log[a] = i
+        e2, logs = exp + exp, self.log[1:]
+        if k == 1:
+            self.mul = [[a * b % p for b in range(q)] for a in range(q)]
+        else:  # mul[a][b] = exp[log a + log b]
+            self.mul = [[0] * q] + [None] * (q - 1)
+            get = itemgetter(*logs)
+            for i, a in enumerate(exp):
+                self.mul[a] = [0, *get(e2[i:i + q - 1])]
+        self.neg = list(self.mul[p - 1])  # times -1
+        self.inv = [None] + [e2[q - 1 - i] for i in logs]
 
     def element_name(self, i: int) -> str:
         if self.k == 1:
             return str(i)
-        terms = []
+        terms, digits = [], self._digits(i)
         for e in range(self.k - 1, -1, -1):
-            c = self._digits(i)[e]
+            c = digits[e]
             if not c:
                 continue
             if e == 0:

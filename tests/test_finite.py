@@ -202,6 +202,27 @@ def test_malformed_tables_are_rejected():
     with pytest.raises(MalformedTableError):
         FiniteHyperfield(["0", "1"], [[0, 0], [0, 1]],
                          [[(0,), (1,)], [(1,), (0, 7)]])
+    # the one-pass mask loop: range-checked before any bit is set
+    for cell, message in (((0, -1), "add entry out of range"),
+                          ((2,), "add entry out of range"),
+                          ((), "empty addition cell")):
+        with pytest.raises(MalformedTableError, match=message):
+            FiniteHyperfield(["0", "1"], [[0, 0], [0, 1]], [[(0,), (1,)], [(1,), cell]])
+    for bad in (2, -1):
+        with pytest.raises(MalformedTableError, match="mul entry out of range"):
+            FiniteHyperfield(["0", "1"], [[0, 0], [0, bad]], [[(0,), (1,)], [(1,), (0,)]])
+
+
+def test_duplicated_and_string_entries_give_the_same_masks():
+    F2 = build_finite_field(2)
+    dup = FiniteHyperfield(F2.names, F2.mul, [[(0, 0), (1,)], [(1, 1), (0,)]],
+                           F2.meta)
+    assert dup == F2 and dup.add_mask(1, 0) == 0b10
+    data = F2.to_json()
+    data["add"] = [[[str(v) for v in cell] for cell in row] for row in data["add"]]
+    data["add"][1][1] = ["0", "0"]
+    strings = FiniteHyperfield.from_json(data)
+    assert strings == F2 and strings.to_json() == F2.to_json()
 
 
 def test_validate_reports_witnesses_for_broken_tables():
@@ -339,6 +360,18 @@ def test_validate_skips_ch4_when_inverses_are_missing():
     assert not rep.ok
     assert not rep.check("CH3").passed
     assert rep.skipped  # CH4 is skipped rather than crashing on neg()
+    with pytest.raises(MalformedTableError, match="element 1 has no additive inverse"):
+        broken.neg(1)
+    assert broken.neg(0) == 0
+
+
+def test_neg_takes_the_least_candidate():
+    # every sum of two units is the whole carrier, so 0 lies in 1 + 1 and 1 + 2
+    every = (0, 1, 2)
+    F = FiniteHyperfield(["0", "1", "2"], [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+                         [[(0,), (1,), (2,)], [(1,), every, every], [(2,), every, every]])
+    assert [b for b in range(3) if F.contains(1, b, ZERO)] == [1, 2]
+    assert [F.neg(x) for x in range(3)] == [0, 1, 1]
 
 
 def test_neutral_axiom_checked_directly():
