@@ -102,13 +102,14 @@ class GaloisField:
                 raise ValueError("modulus only applies to proper prime powers")
             self.modulus = None
         else:
-            if modulus is None:
+            if modulus is None:  # irreducible by construction
                 modulus = default_modulus(self.p, self.k)
-            modulus = tuple(c % self.p for c in modulus)
-            if len(modulus) != self.k + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {self.k}")
-            if not is_irreducible(modulus, self.p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{self.p}")
+            else:
+                modulus = tuple(c % self.p for c in modulus)
+                if len(modulus) != self.k + 1 or modulus[-1] != 1:
+                    raise ValueError(f"modulus must be monic of degree {self.k}")
+                if not is_irreducible(modulus, self.p):
+                    raise ValueError(f"modulus {modulus} is reducible over F_{self.p}")
             self.modulus = modulus
         self._build_tables()
 

@@ -59,6 +59,7 @@ class LTContext:
         self.zero: Optional[LTElement] = None
         self.one = LTElement(0, (1,) + (0,) * level)
         self.value_rank = 1
+        self._norm = Cut.le(1, (level,))
 
     def elem(self, value: int, coeffs) -> LTElement:
         coeffs = tuple(int(c) for c in coeffs)
@@ -85,7 +86,7 @@ class LTContext:
     def neg(self, x):
         if x is None:
             return None
-        return LTElement(x.value, tuple(self.gf.neg[c] for c in x.coeffs))
+        return LTElement(x.value, tuple(map(self.gf.neg.__getitem__, x.coeffs)))
 
     def inv(self, x):
         if x is None:
@@ -123,9 +124,9 @@ class LTContext:
             for i in range(d, self.width):
                 merged[i] = g.add[merged[i]][y.coeffs[i - d]]
             return hs.Singleton(LTElement(x.value, tuple(merged)))
-        s = tuple(g.add[a][b] for a, b in zip(x.coeffs, y.coeffs))
-        if all(c == 0 for c in s):
-            return hs.AboveValue(self.norm_cut().shift((x.value,)))
+        s = tuple(map(list.__getitem__, map(g.add.__getitem__, x.coeffs), y.coeffs))
+        if not any(s):
+            return hs.AboveValue(self._norm.shift((x.value,)))
         k = next(i for i, c in enumerate(s) if c)
         if k == 0:
             return hs.Singleton(LTElement(x.value, s))
@@ -138,7 +139,7 @@ class LTContext:
         return None if x is None else (x.value,)
 
     def norm_cut(self) -> Cut:
-        return Cut.le(1, (self.level,))
+        return self._norm
 
     def elements(self, bound: int) -> list:
         check_window((2 * bound + 1) * (self.q - 1), self.q, self.level)
@@ -189,6 +190,8 @@ class CompositeContext:
         self.zero: Optional[CompositeElement] = None
         self.one = CompositeElement(0, Fraction(1))
         self.value_rank = 2
+        # first coordinate at most 0; invariant under the second coordinate
+        self._norm = Cut.le(2, (0,))
 
     def elem(self, n: int, c) -> CompositeElement:
         c = Fraction(c)
@@ -219,14 +222,13 @@ class CompositeContext:
         s = x.c + y.c
         if s:
             return hs.Singleton(CompositeElement(x.n, s))
-        return hs.AboveValue(self.norm_cut().shift(self.value_of(x)))
+        return hs.AboveValue(self._norm.shift(self.value_of(x)))
 
     def value_of(self, x) -> Value:
         return None if x is None else (x.n, ord_p(x.c, self.p))
 
     def norm_cut(self) -> Cut:
-        # first coordinate at most 0; invariant under the second coordinate
-        return Cut.le(2, (0,))
+        return self._norm
 
     def elements(self, bound: int) -> list:
         fracs = sorted({Fraction(s * a, b) for s in (1, -1)

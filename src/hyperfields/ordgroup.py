@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from operator import add
 from typing import Iterable, Optional
 
 GroupElem = tuple[int, ...]
@@ -43,7 +44,7 @@ def lex_compare(a: GroupElem, b: GroupElem) -> int:
 def gadd(a: GroupElem, b: GroupElem) -> GroupElem:
     if len(a) != len(b):
         raise ValueError("rank mismatch")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def gneg(a: GroupElem) -> GroupElem:
@@ -168,13 +169,18 @@ class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
         return p < self.bound or (self.inclusive and p == self.bound)
 
     def shift(self, g: GroupElem) -> "Cut":
-        """The translate {m + g : m in self}; prefix bound moves by g's prefix."""
+        """The translate {m + g : m in self}; prefix bound moves by g's prefix.
+
+        A translate of a normalised cut is normalised: the prefix length
+        and the inclusive flag stay, and a bound of the right length moved
+        by a vector is still one.  So the translate is built directly,
+        without ``__new__``'s checks; only g's rank is checked."""
         if len(g) != self.rank:
             raise ValueError("rank mismatch")
         if self.prefix_len == 0:
             return self
-        return Cut(self.rank, self.prefix_len,
-                   gadd(self.bound, g[: self.prefix_len]), self.inclusive)
+        return tuple.__new__(Cut, (self.rank, self.prefix_len,
+                                   tuple(map(add, self.bound, g)), self.inclusive))
 
     def subseteq(self, other: "Cut") -> bool:
         if self.rank != other.rank:

@@ -211,15 +211,23 @@ class RingPredicate(NamedTuple):
 
 def valuation_ring(backend, v: Valuation) -> RingPredicate:
     """O_v = {x : v(x) >= 0}, cross-checked against the preimage of
-    v(1) boxplus v(1) (an independent route through the tropical hypersum)."""
+    v(1) boxplus v(1) (an independent route through the tropical hypersum).
+
+    Both routes read x only through v(x), so the predicate decides each
+    value once, cross-check included, and keeps the verdict for as long as
+    it lives; a value whose routes disagree raises each time it is met."""
     zero = gzero(v.rank)
     target = t_add(zero, zero)
+    known: dict = {}  # v(x) -> whether x lies in O_v
 
     def pred(x):
         val = v(x)
-        primary = val is None or val >= zero
-        if primary != hs.contains(target, val, t_value):
-            raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
+        primary = known.get(val)
+        if primary is None:
+            primary = val is None or val >= zero
+            if primary != hs.contains(target, val, t_value):
+                raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
+            known[val] = primary
         return primary
 
     return RingPredicate(backend, pred, f"valuation ring of {v.label}")
@@ -415,6 +423,14 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     rho + min(vx, vy).  Checked two-sided over window quadruples: per
     (x, y, z) the window t on each side are bitmasks, and the first t
     where they differ is the lowest bit of their xor.
+
+    The window sums are made and interned once.  z - t is read as row z at
+    the window index of -t, and a fresh sum is made only when z or -t lies
+    outside the window; equal elements have equal sums, so the reading is
+    exact.  What KVH1 and KVH2 ask of a sum or a difference depends on it
+    only as a hyperset, so each is decided once per interned id: KVH1's
+    verdict, the descriptor of z - t, and KVH2's first miss for a sum and
+    the least value of its summands.
     """
     if not v.intrinsic or v.rank != backend.value_rank:
         raise ValueError("check_krasner runs against the intrinsic valuation")
@@ -424,18 +440,23 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
         raise ValueError("the norm must be an initial segment containing 0")
 
     win = _Window(backend, bound)
-    U = win.window
+    U, n, sets = win.window, win.n, win.sets
     rep = _report(f"Krasner conditions for {v.describe()}", backend, bound)
+    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
 
-    sums = [[backend.add(x, y) for y in U] for x in U]
-    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, s in zip(U, row)
-              if not hs.contains(s, backend.zero, backend.value_of)
-              and not _all_values_single(backend, s)), None)
+    @functools.cache
+    def kvh1_holds(h) -> bool:
+        return (hs.contains(sets[h], backend.zero, backend.value_of)
+                or _all_values_single(backend, sets[h]))
+
+    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, h in zip(U, row)
+              if not kvh1_holds(h)), None)
     rep.add("KVH1", w is None, w)
 
     vals = [v(x) for x in U]
-    negs = [backend.neg(t) for t in U]
+    negs = [win.index(backend.neg(t)) for t in U]  # beyond n: -t is outside
     cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
+    descriptor = functools.cache(lambda h: _diff_descriptor(backend, sets[h]))
     diffs: dict = {}  # z index -> {descriptor of z-t: mask of those t}
     near: dict = {}   # (z index, m) -> mask of t with z-t above rho+m
     # does every value a descriptor describes lie above rho+m
@@ -445,9 +466,11 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
         key = (k, m)
         if key not in near:
             if k not in diffs:
-                z, classes = win.elems[k], {}
-                for t, nt in enumerate(negs):
-                    desc = _diff_descriptor(backend, backend.add(z, nt))
+                row, classes = sums[k] if k < n else None, {}
+                for t, j in enumerate(negs):
+                    h = (row[j] if row is not None and j < n else
+                         win.intern(backend.add(win.elems[k], win.elems[j])))
+                    desc = descriptor(h)
                     classes[desc] = classes.get(desc, 0) | 1 << t
                 diffs[k] = classes
             if m is None:
@@ -457,21 +480,27 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
                                 if above(desc, m))
         return near[key]
 
+    @functools.cache
+    def miss(h, m):
+        """The first (z index, t) with z in sum h where t's membership in h
+        and its distance bound rho+m disagree, or None."""
+        lhs = win.mask_of(h)
+        for k in win.members(sets[h]):
+            diff = lhs ^ close_to(k, m)
+            if diff:
+                return k, _low_bit(diff)
+        return None
+
     w = None
     note = ""
     for x, vx, row in zip(U, vals, sums):
-        for y, vy, s in zip(U, vals, row):
-            m = vmin(vx, vy)
-            lhs = win.mask(s)
-            for k in win.members(s):
-                diff = lhs ^ close_to(k, m)
-                if diff:
-                    t = _low_bit(diff)
-                    w = _j(backend, x, y, win.elems[k], U[t])
-                    note = ("membership without the distance bound"
-                            if lhs >> t & 1 else "distance bound without membership")
-                    break
-            if w:
+        for y, vy, h in zip(U, vals, row):
+            found = miss(h, vmin(vx, vy))
+            if found:
+                k, t = found
+                w = _j(backend, x, y, win.elems[k], U[t])
+                note = ("membership without the distance bound"
+                        if win.mask_of(h) >> t & 1 else "distance bound without membership")
                 break
         if w:
             break
@@ -489,19 +518,22 @@ def ultrametric(backend, v: Valuation):
         raise ValueError("the ultrametric is built from the intrinsic valuation")
 
     def d(x, y) -> Value:
-        if x == y:
-            return None
-        kind, data = hs.values_of(backend.add(x, backend.neg(y)), backend.value_of)
-        if kind == "above":
-            raise ValueError("0 lies in x-y for distinct x, y; not a "
-                             "valid hypergroup difference")
-        vals = set(data)
-        if len(vals) != 1:
-            raise ValueError(f"difference has several values {sorted(vals)}; "
-                             "not a Krasner structure")
-        return next(iter(vals))
+        return None if x == y else _single_value(backend, backend.add(x, backend.neg(y)))
 
     return d
+
+
+def _single_value(backend, s) -> Value:
+    """The value of every member of s, the difference of two distinct
+    elements; raises unless there is exactly one."""
+    kind, data = hs.values_of(s, backend.value_of)
+    if kind == "above":
+        raise ValueError("0 lies in x-y for distinct x, y; not a "
+                         "valid hypergroup difference")
+    if len(data) != 1:
+        raise ValueError(f"difference has several values {sorted(set(data))}; "
+                         "not a Krasner structure")
+    return next(iter(data))
 
 
 def ball_of(backend, d, z, cut: Cut):
@@ -519,14 +551,32 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     (x+y is the ball around any of its members with radius rho + min), and
     comparability of the balls that arise.
 
-    d is evaluated once per window pair, row by row, plus one row for each
+    The window sums are made and interned once.  x - y is read as row x
+    at the window index of -y, and a fresh sum is made only when x or -y
+    lies outside the window; equal elements have equal sums, so the reading
+    is exact.  d(x, y), the single value of x - y, is found once per
+    interned difference, and a sum's first member once per interned sum.
+    d is read for every window pair, row by row, plus one row for each
     ball centre outside the window; U3 compares the distances' order ranks
     as bitmasks, and every ball is a window mask."""
-    d = ultrametric(backend, v)
+    if not v.intrinsic:
+        raise ValueError("the ultrametric is built from the intrinsic valuation")
     win = _Window(backend, bound)
-    U = win.window
+    U, n, sets = win.window, win.n, win.sets
     rep = _report(f"ultrametric of {v.describe()}", backend, bound)
-    dist = [[d(x, y) for y in U] for x in U]
+    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
+    negs = [win.index(backend.neg(y)) for y in U]  # beyond n: -y is outside
+    single = functools.cache(lambda h: _single_value(backend, sets[h]))
+
+    def distances(k) -> list:
+        """d(elems[k], y) for y over the window (elements are distinct)."""
+        row = sums[k] if k < n else None
+        return [None if j == k else single(
+                    row[nj] if row is not None and nj < n else
+                    win.intern(backend.add(win.elems[k], win.elems[nj])))
+                for j, nj in enumerate(negs)]
+
+    dist = [distances(i) for i in range(n)]
 
     # d(x, x) is None by construction, so U1 asks that d(x, y) != None
     # off the diagonal
@@ -540,7 +590,6 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     rank = {dxy: r for r, dxy in enumerate(finite_d)}
     R = [[top if dxy is None else rank[dxy] for dxy in row] for row in dist]
 
-    n = len(U)
     w = next((_j(backend, U[i], U[j]) for i in range(n) for j in range(n)
               if R[i][j] != R[j][i]), None)
     rep.add("U2", w is None, w)
@@ -583,7 +632,7 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
         key = (k, m)
         if key not in balls:
             if k not in spheres:
-                row = dist[k] if k < n else [d(win.elems[k], t) for t in U]
+                row = dist[k] if k < n else distances(k)
                 classes: dict = {}
                 for t, dzt in enumerate(row):
                     classes[dzt] = classes.get(dzt, 0) | 1 << t
@@ -594,14 +643,14 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
                              if value_gt_cut(dzt, cut))
         return balls[key]
 
+    first = functools.cache(lambda h: win.members(sets[h])[0])
     w = None
-    for x, vx in zip(U, vals):
-        for y, vy in zip(U, vals):
+    for x, vx, row in zip(U, vals, sums):
+        for y, vy, h in zip(U, vals, row):
             m = vmin(vx, vy)
             if m is None:
                 continue
-            s = backend.add(x, y)
-            if win.mask(s) != ball_mask(win.members(s)[0], m):
+            if win.mask_of(h) != ball_mask(first(h), m):
                 w = _j(backend, x, y) + (cut_of[m].to_json(),)
                 break
         if w:
@@ -633,12 +682,20 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
 
 def induced_ring(backend) -> RingPredicate:
     """{x : x - x inside 1 - 1}, the ring a superiorly canonical structure
-    carries before any valuation is chosen."""
+    carries before any valuation is chosen.
+
+    Inclusion in 1 - 1 depends on x only through the hyperset x - x, so
+    the predicate decides it once per distinct x - x (equal hypersets are
+    equal named tuples) and keeps the verdict for as long as it lives."""
     one_minus_one = backend.add(backend.one, backend.neg(backend.one))
+    known: dict = {}  # x - x -> whether it lies inside 1 - 1
 
     def pred(x):
-        return hs.subset(backend.add(x, backend.neg(x)), one_minus_one,
-                         backend.value_of)
+        s = backend.add(x, backend.neg(x))
+        inside = known.get(s)
+        if inside is None:
+            inside = known[s] = hs.subset(s, one_minus_one, backend.value_of)
+        return inside
 
     return RingPredicate(backend, pred, "induced ring (x-x inside 1-1)")
 

@@ -2,8 +2,10 @@
 
 ``check_krasner``, ``ultrametric_report``, ``is_valuation``,
 ``check_superiorly_canonical`` and ``tropical_axiom_suite`` intern the window
-once and compare hypersums as bitmasks or interned ids.  The references
-below are the per-tuple loops they used before, copied unchanged:
+once and compare hypersums as bitmasks or interned ids, and the ring
+predicates of ``valuation_ring`` and ``induced_ring`` keep their verdicts.
+The references below are the per-tuple (and per-element) loops they used
+before, copied unchanged:
 ``ref_is_valuation`` imports ``window`` by its absolute name and finds
 ``_vge`` here, ``ref_ultrametric_report`` keeps d's answers, which only
 saves time, and ``ref_tropical_axiom_suite`` reads ``t_add`` through the
@@ -26,16 +28,19 @@ from hyperfields.finite import (_mult_order, build_K, build_S, build_W,
                                 quotient_hyperfield)
 from hyperfields.leading_terms import (CollapsedConstantsContext,
                                        CompositeContext, LTContext)
-from hyperfields.ordgroup import (ConvexSubgroup, Cut, gzero, vadd, vcompare,
-                                  vmin, vneg)
+from hyperfields.ordgroup import (ConvexSubgroup, Cut, gzero, invariance_group,
+                                  vadd, vcompare, vmin, vneg)
 from hyperfields.report import ValidationReport
 from hyperfields.tropical import (TropicalHyperfield, _sum_sets, t_add, t_mul,
                                   t_neg, t_value, tropical_axiom_suite)
-from hyperfields.valuation import (Valuation, _all_above, _all_values_single,
-                                   ball_of, check_krasner, coarsening,
+from hyperfields.valuation import (RingPredicate, Valuation, _all_above,
+                                   _all_values_single, ball_of,
+                                   check_coarsening_theorem, check_krasner,
+                                   coarsening, compare_rings, induced_ring,
                                    intrinsic_valuation, is_valuation,
                                    table_valuation, trivial_valuation,
-                                   ultrametric, ultrametric_report)
+                                   ultrametric, ultrametric_report,
+                                   valuation_ring)
 from hyperfields.window import (FiniteBackend, _hs_key, _is_finite, _j, _mode,
                                 check_superiorly_canonical)
 
@@ -394,6 +399,58 @@ def ref_check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     return rep
 
 
+def ref_valuation_ring(backend, v: Valuation) -> RingPredicate:
+    zero = gzero(v.rank)
+    target = t_add(zero, zero)
+
+    def pred(x):
+        val = v(x)
+        primary = val is None or val >= zero
+        if primary != hs.contains(target, val, t_value):
+            raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
+        return primary
+
+    return RingPredicate(backend, pred, f"valuation ring of {v.label}")
+
+
+def ref_induced_ring(backend) -> RingPredicate:
+    one_minus_one = backend.add(backend.one, backend.neg(backend.one))
+
+    def pred(x):
+        return hs.subset(backend.add(x, backend.neg(x)), one_minus_one,
+                         backend.value_of)
+
+    return RingPredicate(backend, pred, "induced ring (x-x inside 1-1)")
+
+
+def ref_coarsened_rings(backend, v: Valuation, rho: Cut, bound: int) -> ValidationReport:
+    """compare_rings on the per-element rings of check_coarsening_theorem."""
+    u = coarsening(v, invariance_group(rho))
+    return compare_rings(backend, ref_valuation_ring(backend, u),
+                         ref_induced_ring(backend), bound)
+
+
+def coarsened_rings(backend, v: Valuation, rho: Cut, bound: int) -> ValidationReport:
+    u = coarsening(v, invariance_group(rho))
+    return compare_rings(backend, valuation_ring(backend, u), induced_ring(backend), bound)
+
+
+def _bool_outcome(checker, *args):
+    try:
+        return checker(*args)
+    except Exception as exc:  # the exception is part of the outcome
+        return (type(exc), str(exc))
+
+
+def _assert_same_rings(backend, v, rho, bound):
+    """The memoised ring predicates against the per-element ones: the
+    report JSON, check_coarsening_theorem's bool, or the same exception."""
+    assert _outcome(coarsened_rings, backend, v, rho, bound) == \
+        _outcome(ref_coarsened_rings, backend, v, rho, bound)
+    assert _bool_outcome(check_coarsening_theorem, backend, v, rho, bound) == \
+        _bool_outcome(lambda *a: ref_coarsened_rings(*a).ok, backend, v, rho, bound)
+
+
 def ref_tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> ValidationReport:
     T = TropicalHyperfield(rank, strict)
     U: list = T.elements(bound)
@@ -547,6 +604,7 @@ def test_carriers_match_the_references(name, backend, bound):
     v = intrinsic_valuation(backend)
     for rho in _norms(backend.value_rank):
         _assert_same(backend, v, rho, bound)
+        _assert_same_rings(backend, v, rho, bound)
 
 
 FINITE = [build_K(), build_S(), build_W()] + [
@@ -625,9 +683,13 @@ BASES = [(LTContext(2, 1), 1), (LTContext(3, 1), 0), (LTContext(2, 2), 1),
 
 @st.composite
 def corrupted(draw):
-    """A base backend with one add entry replaced by a hyperset drawn from
-    the window and the elements just outside it, a norm and the bound."""
+    """A base backend, thinned to every step-th window element, with one add
+    entry replaced by a hyperset drawn from the window and the elements just
+    outside it, a norm and the bound.  A thinned window is not closed under
+    negation, so a checker reading x - y from the window sums must make
+    some differences afresh."""
     base, bound = draw(st.sampled_from(BASES))
+    step = draw(st.sampled_from((1, 2, 3)))
     U = base.elements(bound)
     outside = [x for x in base.elements(bound + 1) if x not in U][:8]
     elem = st.sampled_from(U + outside)
@@ -639,7 +701,7 @@ def corrupted(draw):
             lambda es: hs.FiniteSet(frozenset(es))),
         st.sampled_from(_norms(rank)).map(hs.AboveValue)))
     rho = draw(st.sampled_from(_norms(rank)))
-    return Wrapped(base, entry=(x, y), result=result), rho, bound
+    return Wrapped(base, step=step, entry=(x, y), result=result), rho, bound
 
 
 def _kvh1_pair(backend, bound):
@@ -655,6 +717,7 @@ def _kvh1_pair(backend, bound):
 def test_corrupted_entries_match_the_references(case):
     backend, rho, bound = case
     v = intrinsic_valuation(backend)
+    _assert_same_rings(backend, v, rho, bound)
     got = _outcome(ultrametric_report, backend, v, rho, bound)
     assert got == _outcome(ref_ultrametric_report, backend, v, rho, bound)
     got = _outcome(check_krasner, backend, v, rho, bound)
@@ -696,6 +759,8 @@ def test_corrupted_valuations_match_the_references(case):
     backend, v, bound = case
     assert _outcome(is_valuation, backend, v, bound) == \
         _outcome(ref_is_valuation, backend, v, bound)
+    for rho in _norms(v.rank):
+        _assert_same_rings(backend, v, rho, bound)
     assert _outcome(check_superiorly_canonical, backend, bound) == \
         _outcome(ref_check_superiorly_canonical, backend, bound)
 

@@ -3,6 +3,8 @@
 import itertools
 import time
 
+import pytest
+
 from hyperfields.galois import (GaloisField, default_modulus, is_irreducible,
                                 prime_power)
 
@@ -165,3 +167,18 @@ def test_galois_field_256_fast():
 
     dt = min(timed() for _ in range(3))
     assert dt < 0.1, f"GaloisField(256) took {dt:.3f}s, budget 0.1s"
+
+
+def test_a_supplied_modulus_is_still_checked():
+    # x^2 + 1 = (x + 1)^2 over F_2; coefficients are read mod p first
+    for f in ((1, 0, 1), (3, 2, 1)):
+        with pytest.raises(ValueError) as info:
+            GaloisField(4, f)
+        assert str(info.value) == "modulus (1, 0, 1) is reducible over F_2"
+    with pytest.raises(ValueError, match="modulus must be monic of degree 2"):
+        GaloisField(4, (1, 1, 0, 1))
+    # the default modulus is irreducible by construction
+    for q in (4, 8, 9, 16, 25, 27, 256):
+        gf = GaloisField(q)
+        assert gf.modulus == default_modulus(gf.p, gf.k)
+        assert is_irreducible(gf.modulus, gf.p)

