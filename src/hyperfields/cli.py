@@ -138,7 +138,8 @@ def _resolve_flags(args, reads: dict, subject: str) -> None:
 
 
 def _load_backend(args):
-    """Shared backend resolution for krasner/residue: a finite table URI,
+    """Shared backend resolution for krasner/residue: a finite table URI
+    (refused unless it validates),
     'kgamma' (reads --q/--gamma), 'composite' (reads --p), 'collapsed', or
     tropical:<rank> / tropical-strict:<rank> (krasner reads --norm-bound)."""
     from . import valuation as vn
@@ -159,6 +160,10 @@ def _load_backend(args):
         rho = Cut.le(trop.rank, (b,) + (0,) * (trop.rank - 1))
         return trop, vn.intrinsic_valuation(trop), rho
     F = load_finite(spec)
+    failed = validate(F).failed()
+    if failed:  # the checkers' cross-checks assume a hyperfield
+        raise ParseFailure(f"{spec!r} is not a hyperfield: it fails "
+                           + ", ".join(c.axiom for c in failed))
     backend = vn.FiniteBackend(F)
     return backend, vn.trivial_valuation(backend), Cut.whole(0)
 
@@ -181,9 +186,9 @@ def cmd_axioms(args) -> dict:
 def cmd_classify(args) -> dict:
     F = load_finite(args.input)
     rep = validate(F)
-    cls = classify(F)
-    payload = {"classification": cls.to_json(), "axioms_pass": rep.ok,
-               "size": F.size}
+    # the flags' cross-checks assume a hyperfield: none for a table failing
+    payload = {"classification": classify(F).to_json() if rep.ok else None,
+               "axioms_pass": rep.ok, "size": F.size}
     return _report("classify", {"input": args.input}, payload, rep.ok)
 
 
@@ -298,10 +303,11 @@ def scenario_example_last(args) -> tuple[dict, list]:
            vn.is_valuation(ctx, w, B).ok)
     _claim(claims, "the X-adic coarsening u is a valuation",
            vn.is_valuation(ctx, u, B).ok)
-    witness = ctx.elem(0, "1/2")
-    _claim(claims, "witness (0, 1/2) lies in O_u", u.ge_zero(witness),
+    # 1/p: a unit for u, of p-adic order -1 for w
+    witness = ctx.elem(0, f"1/{args.p}")
+    _claim(claims, f"witness (0, 1/{args.p}) lies in O_u", u.ge_zero(witness),
            ctx.elem_json(witness))
-    _claim(claims, "witness (0, 1/2) lies outside O_w",
+    _claim(claims, f"witness (0, 1/{args.p}) lies outside O_w",
            not w.ge_zero(witness), ctx.elem_json(witness))
     U = ctx.elements(B)
     _claim(claims, "O_w is contained in O_u on the window",
@@ -402,7 +408,7 @@ def scenario_coarsening_theorem(args) -> tuple[dict, list]:
            "coarsening by the invariance group yields the induced ring",
            vn.check_coarsening_theorem(ctx, v, rho, B))
     ir = vn.induced_ring(ctx)
-    w = ctx.elem(0, "1/2")
+    w = ctx.elem(0, f"1/{args.p}")
     _claim(claims, "the induced ring strictly contains O_v",
            ir.contains(w) and not v.ge_zero(w), ctx.elem_json(w))
     return {"p": args.p, "window_bound": B}, claims

@@ -231,8 +231,11 @@ class CompositeContext:
         return self._norm
 
     def elements(self, bound: int) -> list:
+        # p among the numerators and denominators puts elements of p-adic
+        # order +-1 in the window for every p, not only for 2 and 3
+        parts = sorted({1, 2, 3, 4, self.p})
         fracs = sorted({Fraction(s * a, b) for s in (1, -1)
-                        for a in range(1, 5) for b in range(1, 5)})
+                        for a in parts for b in parts})
         check_window(len(fracs), 2 * bound + 1, 1)
         out = [None]
         for n in range(-bound, bound + 1):

@@ -93,9 +93,10 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     The two verdicts must agree (they do for every map; a disagreement
     signals an internal bug and raises).
 
-    The window is interned once and v evaluated once per element of it and
-    of the sums.  Each window pair's product and sum are computed once: V2
-    and HH2 read v of the product, V3 and HH3 the sum's member values."""
+    The window and its sums are interned once and v evaluated once per
+    element of it and of the sums.  Each window pair's product is computed
+    once: V2 and HH2 read v of the product, V3 and HH3 the sum's member
+    values."""
     win = _Window(backend, bound)
     U = win.window
     rep = _report(v.describe(), backend, bound)
@@ -120,7 +121,7 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     def spread(h) -> tuple:
         """The distinct member values of hyperset h, each with its first member."""
         firsts: dict = {}
-        for k in win.members(win.sets[h]):
+        for k in win.members(h):
             firsts.setdefault(val(win.elems[k]), k)
         return tuple(firsts.items())
 
@@ -146,11 +147,10 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
     rep.add("V1", w is None, w)
 
     found: dict = {}  # axiom -> its first failing tuple, in window order
-    for x, a in rows:
+    for (x, a), row in zip(rows, win.sums):
         plus_a, times_a, low_a, aim_a = plus[a], times[a], low[a], aim[a]
-        for y, b in rows:
+        for (y, b), h in zip(rows, row):
             vxy = v(backend.mul(x, y))
-            h = win.intern(backend.add(x, y))
             if vxy != plus_a[b] and "V2" not in found:
                 found["V2"] = _j(backend, x, y)
             if "V3" not in found and not v3_holds(h, low_a[b]):
@@ -424,13 +424,11 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     (x, y, z) the window t on each side are bitmasks, and the first t
     where they differ is the lowest bit of their xor.
 
-    The window sums are made and interned once.  z - t is read as row z at
-    the window index of -t, and a fresh sum is made only when z or -t lies
-    outside the window; equal elements have equal sums, so the reading is
-    exact.  What KVH1 and KVH2 ask of a sum or a difference depends on it
-    only as a hyperset, so each is decided once per interned id: KVH1's
-    verdict, the descriptor of z - t, and KVH2's first miss for a sum and
-    the least value of its summands.
+    The window sums and the differences z - t are the window's
+    (``_Window.sums`` and ``minus``).  What KVH1 and KVH2 ask of a sum or a
+    difference depends on it only as a hyperset, so each is decided once per
+    interned id: KVH1's verdict, the descriptor of z - t, and KVH2's first
+    miss for a sum and the least value of its summands.
     """
     if not v.intrinsic or v.rank != backend.value_rank:
         raise ValueError("check_krasner runs against the intrinsic valuation")
@@ -440,9 +438,8 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
         raise ValueError("the norm must be an initial segment containing 0")
 
     win = _Window(backend, bound)
-    U, n, sets = win.window, win.n, win.sets
+    U, sums, sets = win.window, win.sums, win.sets
     rep = _report(f"Krasner conditions for {v.describe()}", backend, bound)
-    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
 
     @functools.cache
     def kvh1_holds(h) -> bool:
@@ -454,7 +451,6 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     rep.add("KVH1", w is None, w)
 
     vals = [v(x) for x in U]
-    negs = [win.index(backend.neg(t)) for t in U]  # beyond n: -t is outside
     cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
     descriptor = functools.cache(lambda h: _diff_descriptor(backend, sets[h]))
     diffs: dict = {}  # z index -> {descriptor of z-t: mask of those t}
@@ -466,10 +462,8 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
         key = (k, m)
         if key not in near:
             if k not in diffs:
-                row, classes = sums[k] if k < n else None, {}
-                for t, j in enumerate(negs):
-                    h = (row[j] if row is not None and j < n else
-                         win.intern(backend.add(win.elems[k], win.elems[j])))
+                classes = {}
+                for t, h in enumerate(win.minus(k)):
                     desc = descriptor(h)
                     classes[desc] = classes.get(desc, 0) | 1 << t
                 diffs[k] = classes
@@ -485,7 +479,7 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
         """The first (z index, t) with z in sum h where t's membership in h
         and its distance bound rho+m disagree, or None."""
         lhs = win.mask_of(h)
-        for k in win.members(sets[h]):
+        for k in win.members(h):
             diff = lhs ^ close_to(k, m)
             if diff:
                 return k, _low_bit(diff)
@@ -536,26 +530,15 @@ def _single_value(backend, s) -> Value:
     return next(iter(data))
 
 
-def ball_of(backend, d, z, cut: Cut):
-    """Membership predicate of the ball around z with radius cut:
-    everything strictly closer than the cut allows."""
-
-    def member(t) -> bool:
-        return value_gt_cut(d(z, t), cut)
-
-    return member
-
-
 def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> ValidationReport:
     """U1..U3 for the induced distance, the hypersum-as-ball identity
     (x+y is the ball around any of its members with radius rho + min), and
     comparability of the balls that arise.
 
-    The window sums are made and interned once.  x - y is read as row x
-    at the window index of -y, and a fresh sum is made only when x or -y
-    lies outside the window; equal elements have equal sums, so the reading
-    is exact.  d(x, y), the single value of x - y, is found once per
-    interned difference, and a sum's first member once per interned sum.
+    The window sums and the differences x - y are the window's
+    (``_Window.sums`` and ``minus``).  d(x, y), the single value of x - y,
+    is found once per interned difference, and a sum's first member once
+    per interned sum.
     d is read for every window pair, row by row, plus one row for each
     ball centre outside the window; U3 compares the distances' order ranks
     as bitmasks, and every ball is a window mask."""
@@ -564,17 +547,11 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     win = _Window(backend, bound)
     U, n, sets = win.window, win.n, win.sets
     rep = _report(f"ultrametric of {v.describe()}", backend, bound)
-    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
-    negs = [win.index(backend.neg(y)) for y in U]  # beyond n: -y is outside
     single = functools.cache(lambda h: _single_value(backend, sets[h]))
 
     def distances(k) -> list:
         """d(elems[k], y) for y over the window (elements are distinct)."""
-        row = sums[k] if k < n else None
-        return [None if j == k else single(
-                    row[nj] if row is not None and nj < n else
-                    win.intern(backend.add(win.elems[k], win.elems[nj])))
-                for j, nj in enumerate(negs)]
+        return [None if j == k else single(h) for j, h in enumerate(win.minus(k))]
 
     dist = [distances(i) for i in range(n)]
 
@@ -637,15 +614,15 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
                 for t, dzt in enumerate(row):
                     classes[dzt] = classes.get(dzt, 0) | 1 << t
                 spheres[k] = classes
-            # ball_of's test, made once per distance instead of once per t
+            # the ball holds the t strictly closer than the cut allows
             cut = cut_of[m]
             balls[key] = sum(mask for dzt, mask in spheres[k].items()
                              if value_gt_cut(dzt, cut))
         return balls[key]
 
-    first = functools.cache(lambda h: win.members(sets[h])[0])
+    first = functools.cache(lambda h: win.members(h)[0])
     w = None
-    for x, vx, row in zip(U, vals, sums):
+    for x, vx, row in zip(U, vals, win.sums):
         for y, vy, h in zip(U, vals, row):
             m = vmin(vx, vy)
             if m is None:

@@ -9,6 +9,13 @@ leading-term carriers implement it natively.  Checks visit every tuple of a
 finite backend ("proof by exhaustion") or of a window ("bounded
 verification").  Nothing here needs a valuation or a symbolic carrier, so
 ``classify`` can check superior canonicity on a finite table.
+
+``_Window`` is the one place a checker meets its window.  It owns the
+element indices, the interned hypersets, the table of window sums, the
+differences x - t and the window masks, and every windowed checker reads
+them from it.  A hyperset is keyed by itself: the shapes are named tuples,
+equal exactly when the hypersets are, and no two shapes compare equal, so
+one id per key is one id per hyperset.
 """
 
 from __future__ import annotations
@@ -80,85 +87,86 @@ def _j(backend, *elems):
 
 
 class _Window:
-    """The window of one checker call, interned once.
+    """The window of one checker call, with its sums, interned once.
 
     Element k is ``elems[k]``.  The window comes first, in window order, and
-    owns bit k of every mask.  A hypersum member outside the window (LT
-    cancellation can land at value bound+k) gets the next index when first
-    seen and never sets a bit.  Hyperset h is ``sets[h]``; ``mask_of(h)``
-    gives its window members, made on first read.  Each checker call builds
-    its own."""
+    owns bit k of every mask.  A member outside the window (LT cancellation
+    can land at value bound+k) gets the next index when first indexed and
+    never sets a bit.  Hyperset h is ``sets[h]``, keyed by itself: equal
+    hypersets are equal named tuples, and two shapes never collide (see
+    ``hypersets``), so equal ids mean equal hypersets.  ``sums[a][b]`` is
+    the id of U[a] + U[b], ``minus(k)`` the ids of elems[k] - U[t], and
+    ``mask_of(h)`` the window members of h, made on first read.  Each
+    checker call builds its own."""
 
     def __init__(self, backend, bound: int):
-        self.value_of = backend.value_of
+        self.value_of, self._add, self._neg = backend.value_of, backend.add, backend.neg
         self.elems = list(backend.elements(bound))
         self.n = len(self.elems)
-        self.window = self.elems[:self.n]
+        self.window = U = self.elems[:self.n]
         self._index = {x: k for k, x in enumerate(self.elems)}
-        # the same, by identity: a carrier often returns an operand as a sum
-        self._same = {id(x): k for k, x in enumerate(self.elems)}
-        self._above: dict = {}  # cut -> mask of AboveValue(cut)
         self.sets: list = []
+        self._ids: dict = {}    # hyperset -> id
         self._masks: dict = {}  # id -> mask, for the ids read so far
-        self._ids: dict = {}    # member index of a singleton, or the hyperset -> id
-        self._first: dict = {}  # the same, by identity of the first of each
+        self._negs = None       # indices of -U[t], made on the first minus
+        add, intern = backend.add, self.intern
+        self.sums = [[intern(add(x, y)) for y in U] for x in U]
 
     def index(self, x) -> int:
-        k = self._same.get(id(x))  # elems keeps every object keyed here alive
+        k = self._index.get(x)
         if k is None:
-            k = self._index.get(x)
-            if k is None:
-                k = self._index[x] = self._same[id(x)] = len(self.elems)
-                self.elems.append(x)
+            k = self._index[x] = len(self.elems)
+            self.elems.append(x)
         return k
 
     def intern(self, s) -> int:
         """The id of hyperset s, shared by equal ones (the first stands for all)."""
-        h = self._first.get(id(s))  # sets keeps every object keyed here alive
+        h = self._ids.get(s)
         if h is None:
-            key = self.index(s.elem) if isinstance(s, hs.Singleton) else s
-            h = self._ids.get(key)
-            if h is None:
-                h = self._ids[key] = self._first[id(s)] = len(self.sets)
-                self.sets.append(s)
+            h = self._ids[s] = len(self.sets)
+            self.sets.append(s)
         return h
+
+    def minus(self, k) -> list:
+        """The ids of elems[k] - U[t] for t over the window: row k of
+        ``sums`` where elems[k] and -U[t] both lie in the window (equal
+        elements have equal sums, so the reading is exact), a fresh add
+        otherwise."""
+        if self._negs is None:
+            self._negs = [self.index(self._neg(t)) for t in self.window]
+        z = self.elems[k]
+        row = self.sums[k] if k < self.n else ()
+        n = len(row)
+        return [row[j] if j < n else self.intern(self._add(z, self.elems[j]))
+                for j in self._negs]
 
     def mask_of(self, h) -> int:
         """The window members of hyperset h, as bits."""
         m = self._masks.get(h)
         if m is None:
-            m = self._masks[h] = self.mask(self.sets[h])
+            s = self.sets[h]
+            if isinstance(s, hs.AboveValue):
+                m = sum(1 << k for k, x in enumerate(self.window)
+                        if value_gt_cut(self.value_of(x), s.cut))
+            elif isinstance(s, (hs.Singleton, hs.FiniteSet)):
+                m = 0
+                for x in (s.elem,) if isinstance(s, hs.Singleton) else s.elems:
+                    k = self._index.get(x)
+                    if k is not None and k < self.n:
+                        m |= 1 << k
+            else:
+                raise TypeError(f"not a hyperset: {s!r}")
+            self._masks[h] = m
         return m
 
-    def mask(self, s) -> int:
-        """The window members of a hypersum, as bits."""
-        if isinstance(s, hs.AboveValue):
-            m = self._above.get(s.cut)
-            if m is None:
-                m = self._above[s.cut] = sum(
-                    1 << k for k, x in enumerate(self.window)
-                    if value_gt_cut(self.value_of(x), s.cut))
-            return m
-        if isinstance(s, hs.Singleton):
-            elems = (s.elem,)
-        elif isinstance(s, hs.FiniteSet):
-            elems = s.elems
-        else:
-            raise TypeError(f"not a hyperset: {s!r}")
-        m = 0
-        for x in elems:
-            k = self._index.get(x)
-            if k is not None and k < self.n:
-                m |= 1 << k
-        return m
-
-    def members(self, s) -> list:
-        """Indices of ``members(s, window)``, in its order."""
+    def members(self, h) -> list:
+        """Indices of ``members(sets[h], window)``, in its order."""
+        s = self.sets[h]
         if isinstance(s, hs.Singleton):
             return [self.index(s.elem)]
         if isinstance(s, hs.FiniteSet):
             return [self.index(x) for x in sorted(s.elems, key=repr)]
-        return list(_bits(self.mask(s)))
+        return list(_bits(self.mask_of(h)))
 
 
 def _low_bit(mask: int) -> int:
@@ -178,21 +186,17 @@ def _hs_key(s) -> tuple:
 def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     """SCH1..SCH4 over the window (exhaustive on finite backends).
 
-    The window, its sums and the self-differences z - z are interned once,
-    so equal hypersets share an id.  Window membership is read from masks,
-    and inclusion from the members' bits unless a ray is involved; then it
-    is decided once per pair of distinct hypersets."""
+    The window sums, the differences and the self-differences z - z are
+    interned once, so equal hypersets share an id.  Window membership is
+    read from masks, and inclusion from the members' bits unless a ray is
+    involved; then it is decided once per pair of distinct hypersets."""
     win = _Window(backend, bound)
     U, n, sets, mask_of = win.window, win.n, win.sets, win.mask_of
     val = backend.value_of
     rep = _report(f"superior canonicity of {backend.describe()}", backend, bound)
 
-    @functools.cache
-    def bits(h) -> int:
-        """The members of finite hyperset h, as bits of their indices."""
-        s = sets[h]
-        return _cell_to_mask(map(win.index, (s.elem,) if isinstance(s, hs.Singleton)
-                                 else s.elems))
+    # the members of finite hyperset h, as bits of their indices
+    bits = functools.cache(lambda h: _cell_to_mask(win.members(h)))
 
     @functools.cache
     def inside(a, b) -> bool:
@@ -200,10 +204,9 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
             return hs.subset(sets[a], sets[b], val)
         return not bits(a) & ~bits(b)
 
-    sums = [[win.intern(backend.add(x, y)) for y in U] for x in U]
     # bit i of apart[h]: U[i] lies in hyperset h, yet h is not {U[i]}
     apart = [0 if isinstance(s, hs.Singleton) else mask_of(h) for h, s in enumerate(sets)]
-    w = next((_j(backend, x, U[j]) for i, (x, row) in enumerate(zip(U, sums))
+    w = next((_j(backend, x, U[j]) for i, (x, row) in enumerate(zip(U, win.sums))
               for j, h in enumerate(row) if apart[h] >> i & 1), None)
     rep.add("SCH1", w is None, w, note="x in x+y forces x+y = {x}")
 
@@ -211,9 +214,10 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     # fail.  Their shapes: a finite sum's bits, or a ray's window mask and
     # the indexed elements above its cut, plus a bit no finite sum has.  Two
     # sums meet iff their shapes share a bit, and are nested iff one shape
-    # holds the other; two rays always are, as their cuts are.
-    items = sorted((_hs_key(sets[h]), h) for h in {h for row in sums for h in row}
-                   if not isinstance(sets[h], hs.Singleton))
+    # holds the other; two rays always are, as their cuts are.  The ids so
+    # far are those of the window sums.
+    items = sorted((_hs_key(s), h) for h, s in enumerate(sets)
+                   if not isinstance(s, hs.Singleton))
     shape = {h: bits(h) for _, h in items if not isinstance(sets[h], hs.AboveValue)}
     ray = 1 << len(win.elems)
     for _, h in items:
@@ -234,14 +238,11 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     @functools.cache
     def share(h) -> bool:
         """Do the members of hyperset h share their z - z?"""
-        ks = win.members(sets[h])
+        ks = win.members(h)
         return all(sd(k) == sd(ks[0]) for k in ks[1:])
 
-    # x - y is the window sum x + (-y) when -y lies in the window
-    negs = [win.index(backend.neg(y)) for y in U]
-    w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, ny in zip(U, negs)
-              if x != y and not share(row[ny] if ny < n else
-                                      win.intern(backend.add(x, win.elems[ny])))), None)
+    w = next((_j(backend, x, y) for i, x in enumerate(U)
+              for y, h in zip(U, win.minus(i)) if x != y and not share(h)), None)
     rep.add("SCH3", w is None, w, note="members of x-y share their z-z set")
 
     by_sd: dict = {}  # id of z - z -> mask of the window z with it

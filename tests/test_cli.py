@@ -147,6 +147,39 @@ def test_classify_reports_the_flag_vector(capsys):
     assert rep["classification"]["superiorly_canonical"] is True
 
 
+# Two tables that are no hyperfields.  T1 is S with 1+1 = {1, -1} and
+# 1+(-1) = {0}; T2's units are no group (a*a = a).  T1 made classify and
+# residue exit 3 (is_field's cross-check, the residue's validation), and
+# residue on T2 exited 0 with a "residue".
+NON_HYPERFIELDS = {
+    "T1": {"names": ["0", "1", "-1"], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+           "add": [[[0], [1], [2]], [[1], [1, 2], [0]], [[2], [0], [2]]]},
+    "T2": {"names": ["0", "1", "a"], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+           "add": [[[0], [1], [2]], [[1], [0, 1, 2], [0, 1, 2]],
+                   [[2], [0, 1, 2], [0, 1, 2]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_HYPERFIELDS))
+def test_classify_of_a_non_hyperfield_exits_1_without_flags(name, tmp_path, capsys):
+    table = tmp_path / f"{name}.json"
+    table.write_text(json.dumps(NON_HYPERFIELDS[name]))
+    code, rep = run(capsys, "classify", str(table))
+    assert code == 1
+    assert rep["classification"] is None and rep["axioms_pass"] is False
+
+
+@pytest.mark.parametrize("verb", ["krasner", "residue"])
+@pytest.mark.parametrize("name,failed", [("T1", "CH4, CH1, HR3"), ("T2", "CH3, HF, HR3")])
+def test_valuation_verbs_refuse_a_non_hyperfield_table(verb, name, failed, tmp_path, capsys):
+    table = tmp_path / f"{name}.json"
+    table.write_text(json.dumps(NON_HYPERFIELDS[name]))
+    assert main([verb, str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"is not a hyperfield: it fails {failed}\n")
+
+
 # -- quotient / iso / enumerate / hyperideals ------------------------------------------
 
 def test_quotient_then_iso_pipeline(tmp_path, capsys):
@@ -342,3 +375,15 @@ def test_scenario_matches_golden_file(name):
     golden = (GOLDEN / f"{name}.json").read_bytes()
     assert _run_cli("scenario", name) == golden
     assert json.loads(golden)["passed"] is True
+
+
+# Both failed a claim for every p != 2: the witness (0, 1/2) is a p-adic
+# unit for odd p, and for p >= 5 no window element had a nonzero p-adic order.
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", ["example-last", "coarsening-theorem"])
+def test_composite_scenarios_hold_for_odd_p(name, p, capsys):
+    code, rep = run(capsys, "scenario", name, "--p", str(p))
+    assert code == 0, [c for c in rep["claims"] if not c["passed"]]
+    assert {"n": 0, "c": f"1/{p}"} in [c.get("witness") for c in rep["claims"]]
+    if name == "example-last":
+        assert f"witness (0, 1/{p}) lies outside O_w" in [c["claim"] for c in rep["claims"]]

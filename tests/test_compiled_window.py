@@ -5,7 +5,10 @@
 once and compare hypersums as bitmasks or interned ids, and the ring
 predicates of ``valuation_ring`` and ``induced_ring`` keep their verdicts.
 The references below are the per-tuple (and per-element) loops they used
-before, copied unchanged:
+before, copied unchanged, with their own copies of the helpers they
+shared with the checkers (``_ref_all_values_single``, ``_ref_all_above``,
+``_ref_distance`` and ``_ref_ball_of``), so that a fault in a helper shows
+as a disagreement:
 ``ref_is_valuation`` imports ``window`` by its absolute name and finds
 ``_vge`` here, ``ref_ultrametric_report`` keeps d's answers, which only
 saves time, and ``ref_tropical_axiom_suite`` reads ``t_add`` through the
@@ -29,25 +32,40 @@ from hyperfields.finite import (_mult_order, build_K, build_S, build_W,
 from hyperfields.leading_terms import (CollapsedConstantsContext,
                                        CompositeContext, LTContext)
 from hyperfields.ordgroup import (ConvexSubgroup, Cut, gzero, invariance_group,
-                                  vadd, vcompare, vmin, vneg)
+                                  vadd, value_gt_cut, vcompare, vmin, vneg)
 from hyperfields.report import ValidationReport
 from hyperfields.tropical import (TropicalHyperfield, _sum_sets, t_add, t_mul,
                                   t_neg, t_value, tropical_axiom_suite)
-from hyperfields.valuation import (RingPredicate, Valuation, _all_above,
-                                   _all_values_single, ball_of,
+from hyperfields.valuation import (RingPredicate, Valuation,
                                    check_coarsening_theorem, check_krasner,
                                    coarsening, compare_rings, induced_ring,
                                    intrinsic_valuation, is_valuation,
-                                   table_valuation, trivial_valuation,
-                                   ultrametric, ultrametric_report,
+                                   residue_embedding_check, table_valuation,
+                                   trivial_valuation, ultrametric_report,
                                    valuation_ring)
 from hyperfields.window import (FiniteBackend, _hs_key, _is_finite, _j, _mode,
-                                check_superiorly_canonical)
+                                _Window, check_superiorly_canonical)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- the per-tuple references ------------------------------------------------------
+
+def _ref_all_values_single(backend, s) -> bool:
+    """Whether the finite hyperset s has one value."""
+    _, values = hs.values_of(s, backend.value_of)
+    return len(values) == 1
+
+
+def _ref_all_above(desc, cut: Cut) -> bool:
+    """Does every value the descriptor desc describes lie above cut?"""
+    kind, data = desc
+    if kind == "above":
+        return cut.subseteq(data)
+    if data is None:
+        return True  # every member is the additive zero
+    return value_gt_cut(data, cut)
+
 
 def _ref_diff_descriptor(backend, z, t, cache):
     """Summary of z - t good enough to decide 'every value above a cut':
@@ -86,7 +104,7 @@ def ref_check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valida
             sums[(x, y)] = s
             if hs.contains(s, backend.zero, backend.value_of):
                 continue
-            if not _all_values_single(backend, s):
+            if not _ref_all_values_single(backend, s):
                 w = _j(backend, x, y)
                 break
         if w:
@@ -111,7 +129,7 @@ def ref_check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valida
                     if shifted is None:
                         rhs = desc == ("vals", None)
                     else:
-                        rhs = _all_above(desc, shifted)
+                        rhs = _ref_all_above(desc, shifted)
                     if lhs != rhs:
                         w = _j(backend, x, y, z, t)
                         note = ("membership without the distance bound"
@@ -139,8 +157,35 @@ def _kept(d):
     return kept
 
 
+def _ref_distance(backend, v: Valuation):
+    """d(x, y) = the single value of x - y (None for x = y); a multivalued
+    difference, or one holding 0 for distinct x, y, raises."""
+    if not v.intrinsic:
+        raise ValueError("the ultrametric is built from the intrinsic valuation")
+
+    def d(x, y):
+        if x == y:
+            return None
+        kind, data = hs.values_of(backend.add(x, backend.neg(y)), backend.value_of)
+        if kind == "above":
+            raise ValueError("0 lies in x-y for distinct x, y; not a "
+                             "valid hypergroup difference")
+        if len(data) != 1:
+            raise ValueError(f"difference has several values {sorted(set(data))}; "
+                             "not a Krasner structure")
+        return next(iter(data))
+
+    return d
+
+
+def _ref_ball_of(d, z, cut: Cut):
+    """Membership predicate of the ball around z with radius cut:
+    everything strictly closer than the cut allows."""
+    return lambda t: value_gt_cut(d(z, t), cut)
+
+
 def ref_ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> ValidationReport:
-    d = _kept(ultrametric(backend, v))
+    d = _kept(_ref_distance(backend, v))
     U = backend.elements(bound)
     rep = ValidationReport(subject=f"ultrametric of {v.describe()}",
                            mode=_mode(backend),
@@ -195,7 +240,7 @@ def ref_ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> V
             cut = rho.shift(m)
             z = hs.members(s, U, backend.value_of)[0]
             balls.append((z, cut))
-            ball = ball_of(backend, d, z, cut)
+            ball = _ref_ball_of(d, z, cut)
             for t in U:
                 if hs.contains(s, t, backend.value_of) != ball(t):
                     w = _j(backend, x, y) + (cut.to_json(),)
@@ -212,9 +257,9 @@ def ref_ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> V
                   key=lambda item: (item[0], item[2].prefix_len,
                                     item[2].bound, item[2].inclusive))[:40]
     for i, (_, z1, c1) in enumerate(seen):
-        b1 = {t for t in U if ball_of(backend, d, z1, c1)(t)}
+        b1 = {t for t in U if _ref_ball_of(d, z1, c1)(t)}
         for (_, z2, c2) in seen[i + 1:]:
-            b2 = {t for t in U if ball_of(backend, d, z2, c2)(t)}
+            b2 = {t for t in U if _ref_ball_of(d, z2, c2)(t)}
             if (b1 & b2) and not (b1 <= b2 or b2 <= b1):
                 w = (backend.elem_json(z1), c1.to_json(),
                      backend.elem_json(z2), c2.to_json())
@@ -709,7 +754,7 @@ def _kvh1_pair(backend, bound):
     U = backend.elements(bound)
     return next((_j(backend, x, y) for x in U for y in U
                  if not hs.contains(backend.add(x, y), backend.zero, backend.value_of)
-                 and not _all_values_single(backend, backend.add(x, y))), None)
+                 and not _ref_all_values_single(backend, backend.add(x, y))), None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -813,6 +858,18 @@ def test_witness_paths_match_the_references(path):
         assert kvh2.witness[2] not in [backend.elem_json(x) for x in U]
     else:
         assert kvh2.note == NOTES[path]
+
+
+def test_residue_section_can_fail_on_its_own():
+    # 0 + 0 = {t} in LT(3,0): the unit cosets still lie in distinct classes
+    # (RE1), but the residue sum 0 + 0 = {0} is carried onto no hypersum
+    # member among the representatives (RE2).
+    ctx = LTContext(3, 0)
+    backend = Wrapped(ctx, entry=(None, None), result=hs.Singleton(ctx.elem(1, (1,))))
+    rep = residue_embedding_check(backend, 1)
+    assert rep.check("RE1").passed and rep.skipped == []
+    assert [c.axiom for c in rep.failed()] == ["RE2"]
+    assert rep.check("RE2").witness == (None, None)
 
 
 def test_failed_kvh1_still_reports_kvh2():
@@ -1043,3 +1100,40 @@ def test_windowed_digests_match_the_pins():
         seen[kind] += 1
     assert seen.pop("tropical_axiom_suite") == 16
     assert min(seen.values()) > 40, seen
+
+
+# -- the window's contract and the references' own helpers ----------------------------
+
+def test_ball_membership_is_a_strict_radius():
+    ctx = LTContext(2, 0)
+    d = _ref_distance(ctx, intrinsic_valuation(ctx))
+    ball = _ref_ball_of(d, ctx.one, Cut.le(1, (0,)))
+    assert ball(ctx.one)
+    assert ball(ctx.elem(1, (1,))) is False  # distance 0, not above the cut
+    assert ball(None) is False
+
+
+# (name, backend, bound, whether some -t lies outside the window)
+WINDOWS = [("lt:2:1", LTContext(2, 1), 1, False),
+           ("tropical:2", TropicalHyperfield(2), 2, False),
+           ("composite:2", CompositeContext(2), 1, False),
+           ("thinned-lt:3:1", Wrapped(LTContext(3, 1), 2), 1, True)]
+
+
+@pytest.mark.parametrize("name,backend,bound,open_under_neg", WINDOWS,
+                         ids=[c[0] for c in WINDOWS])
+def test_window_sums_and_differences_are_the_backend_sums(name, backend, bound,
+                                                          open_under_neg):
+    win = _Window(backend, bound)
+    U, sets = win.window, win.sets
+    for a, x in enumerate(U):
+        for b, y in enumerate(U):
+            assert hs.equal(sets[win.sums[a][b]], backend.add(x, y))
+    assert any(win.index(backend.neg(t)) >= win.n for t in U) == open_under_neg
+    # rows k beyond the window are always made afresh
+    outside = [win.index(x) for x in backend.elements(bound + 1) if x not in U][:6]
+    assert outside and min(outside) >= win.n
+    for k in list(range(win.n)) + outside:
+        z = win.elems[k]
+        for t, h in zip(U, win.minus(k)):
+            assert hs.equal(sets[h], backend.add(z, backend.neg(t))), (k, t)

@@ -447,6 +447,23 @@ def test_reverse_sign_map_is_not_a_hom():
     assert not is_homomorphism(Morphism(build_W(), build_S(), (0, 1, 2)))
 
 
+def test_a_map_keeping_sums_but_not_products_is_not_a_hom():
+    # F5 -> W with 1, 2 -> 1 and 3, 4 -> -1 keeps every sum (in W any two
+    # units sum to both signs, and it sends -x to -s(x)), but 2*2 = 4 goes
+    # to -1 while 1*1 = 1.  Swapping 2 and 4 in F5 breaks 1+1 first.
+    F, W = build_finite_field(5), build_W()
+    s = (0, 1, 1, 2, 2)
+    assert all(W.contains(s[x], s[y], s[z]) for x in range(5) for y in range(5)
+               for z in F.add_cell(x, y))
+    assert not is_homomorphism(Morphism(F, W, s))
+
+
+def test_isomorphism_needs_a_bijection():
+    F = build_finite_field(5)
+    assert not is_isomorphism(Morphism(F, F, (0, 1, 1, 3, 4)))
+    assert not is_isomorphism(Morphism(F, build_K(), (0, 1, 1, 1, 1)))
+
+
 def test_field_collapse_onto_K_is_a_hom():
     F = build_finite_field(5)
     m = Morphism(F, build_K(), (0, 1, 1, 1, 1))

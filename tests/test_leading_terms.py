@@ -202,6 +202,23 @@ def test_composite_multiplication_and_inverse():
     assert ctx.mul(x, None) is None
 
 
+def test_composite_window_sees_the_p_adic_order_for_every_p():
+    # with fractions a/b, a, b <= 4 alone, no element of the p = 5 window
+    # had a nonzero 5-adic order
+    ctx = CompositeContext(5)
+    orders = {ctx.value_of(x)[1] for x in ctx.elements(0) if x is not None}
+    assert {-1, 1} <= orders
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("bound", [0, 2])
+def test_composite_windows_for_p_2_and_3_are_unchanged(p, bound):
+    fracs = sorted({Fraction(s * a, b) for s in (1, -1)
+                    for a in range(1, 5) for b in range(1, 5)})
+    assert CompositeContext(p).elements(bound) == [None] + [
+        CompositeElement(n, c) for n in range(-bound, bound + 1) for c in fracs]
+
+
 def test_composite_serialization():
     ctx = CompositeContext(2)
     assert ctx.elem_json(ctx.elem(1, "1/2")) == {"n": 1, "c": "1/2"}

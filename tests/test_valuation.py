@@ -13,7 +13,7 @@ from hyperfields.leading_terms import (CollapsedConstantsContext,
 from hyperfields.ordgroup import ConvexSubgroup, Cut, invariance_group
 from hyperfields.tropical import TropicalHyperfield
 from hyperfields.valuation import (FiniteBackend, RingPredicate, Valuation,
-                                   ball_of, check_coarsening_theorem,
+                                   check_coarsening_theorem,
                                    check_krasner, check_superiorly_canonical,
                                    coarsening, compare_rings,
                                    induced_norm_cut, induced_ring,
@@ -297,6 +297,12 @@ def test_krasner_preconditions():
         check_krasner(ctx, intrinsic_valuation(ctx), Cut.empty(1))
 
 
+def test_krasner_refuses_a_norm_of_another_rank():
+    ctx = LTContext(2, 0)
+    with pytest.raises(ValueError, match="norm rank mismatch"):
+        check_krasner(ctx, intrinsic_valuation(ctx), Cut.le(2, (0,)))
+
+
 def test_composite_krasner_within_budget():
     ctx = CompositeContext(2)
     t0 = time.perf_counter()
@@ -346,19 +352,16 @@ def test_ball_identity_fails_without_krasner():
     assert not rep.check("BALL").passed
 
 
-def test_ball_membership_is_a_strict_radius():
-    ctx = LTContext(2, 0)
-    d = ultrametric(ctx, intrinsic_valuation(ctx))
-    ball = ball_of(ctx, d, ctx.one, Cut.le(1, (0,)))
-    assert ball(ctx.one)
-    assert ball(ctx.elem(1, (1,))) is False  # distance 0, not above the cut
-    assert ball(None) is False
-
-
 def test_ultrametric_requires_the_intrinsic_valuation():
     ctx = LTContext(2, 0)
     with pytest.raises(ValueError):
         ultrametric(ctx, trivial_valuation(ctx))
+
+
+def test_ultrametric_report_requires_the_intrinsic_valuation():
+    ctx = LTContext(2, 0)
+    with pytest.raises(ValueError, match="built from the intrinsic valuation"):
+        ultrametric_report(ctx, trivial_valuation(ctx), ctx.norm_cut())
 
 
 # -- superior canonicity ----------------------------------------------------------------
