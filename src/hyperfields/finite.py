@@ -2,8 +2,11 @@
 
 A finite hyperfield is stored as a full multiplication table plus one
 bitmask per addition cell (bit i set means element i belongs to x+y), so the
-exhaustive axiom checks reduce to integer bit algebra.  Index 0 is always
-the additive zero and index 1 the multiplicative unit.
+exhaustive axiom checks reduce to integer bit algebra.  `validate`, `is_field`
+(the mask of 1 - 1, cross-checked by one count of all set bits), quotients,
+hyperideals and the morphism checks read the masks directly; `add_cell`
+decodes a cell only for output.  Index 0 is always the additive zero and
+index 1 the multiplicative unit.
 
 The module ships the three classical small examples (K, the sign hyperfield
 S, the weak sign hyperfield W), finite fields as degenerate hyperfields,
@@ -67,6 +70,17 @@ def _mul_mask(row, mask: int) -> int:
     return out
 
 
+class _MaskImages(dict):
+    """mask -> its image under a -> row[a], each computed on first use."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __missing__(self, mask):
+        img = self[mask] = _mul_mask(self.row, mask)
+        return img
+
+
 def _hr2_witness(mul, rows=None):
     """0 absorbing, commutativity, and (xy)z = x(yz) for y in rows (every y
     when None): the first failure in x, y, z order, or None."""
@@ -93,15 +107,11 @@ def _hr3_witness(mul, add, rows=None):
     distinct cell masks, so each one's image under x is computed once per x."""
     n = len(add)
     for x in range(n) if rows is None else rows:
-        row, image = mul[x], {}
+        row, image = mul[x], _MaskImages(mul[x])
         for y in range(n):
             cells, target = add[y], add[row[y]]
             for z in range(n):
-                cell = cells[z]
-                img = image.get(cell)
-                if img is None:
-                    img = image[cell] = _mul_mask(row, cell)
-                if img != target[row[z]]:
+                if image[cells[z]] != target[row[z]]:
                     return (x, y, z)
     return None
 
@@ -341,11 +351,12 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
 
 
 def is_field(F: FiniteHyperfield) -> bool:
-    """1 - 1 = {0} decides fieldness; cross-checked against all cells being
-    singletons (the two are equivalent for valid hyperfields)."""
-    primary = F.add_cell(ONE, F.neg(ONE)) == (ZERO,)
-    all_single = all(F.add_mask(x, y).bit_count() == 1
-                     for x in range(F.size) for y in range(F.size))
+    """1 - 1 = {0} (that cell's mask is 1) decides fieldness; cross-checked
+    against all cells being singletons, read as n^2 set bits in all n^2 masks
+    (no cell is empty).  The routes are equivalent for valid hyperfields."""
+    primary = F.add_mask(ONE, F.neg(ONE)) == 1
+    bits = sum(map(int.bit_count, itertools.chain.from_iterable(F._add)))
+    all_single = bits == F.size ** 2
     if primary != all_single:
         raise RuntimeError("1-1={0} disagrees with the singleton criterion; "
                            "the table is not a valid hyperfield")
@@ -430,14 +441,12 @@ def quotient_hyperfield(K: FiniteHyperfield, generators) -> FiniteHyperfield:
     for i, a in enumerate([ZERO] + reps):
         for j, b in enumerate([ZERO] + reps):
             mul[i][j] = coset_of[K.mul[a][b]]
-    add = [[None] * n for _ in range(n)]
-    for i, a in enumerate([ZERO] + reps):
-        for j, b in enumerate([ZERO] + reps):
-            cell = set()
-            for t in T:
-                s = K.add_cell(a, K.mul[b][t])[0]
-                cell.add(coset_of[s])
-            add[i][j] = tuple(sorted(cell))
+    # every cell of K is one bit (is_field), so a + u is row[u].bit_length() - 1
+    cosets = [[K.mul[b][t] for t in T] for b in [ZERO] + reps]
+    add = []
+    for a in [ZERO] + reps:
+        row = K._add[a]
+        add.append([{coset_of[row[u].bit_length() - 1] for u in bT} for bT in cosets])
     H = FiniteHyperfield(
         names, mul, add,
         {"label": f"{K.meta.get('label', 'F')}/T",
@@ -465,17 +474,17 @@ class Morphism(namedtuple("Morphism", "source target map")):
 
 
 def is_homomorphism(m: Morphism) -> bool:
+    """s(xy) = s(x)s(y), s(x+y) inside s(x)+s(y), s(1/x) = 1/s(x); the image
+    of each distinct add mask is computed once per call."""
     F, G, s = m.source, m.target, m.map
     if s[ZERO] != ZERO or s[ONE] != ONE:
         return False
+    image = _MaskImages(s)
     for x in range(F.size):
-        for y in range(F.size):
-            if s[F.mul[x][y]] != G.mul[s[x]][s[y]]:
+        fmul, gmul, gadd = F.mul[x], G.mul[s[x]], G._add[s[x]]
+        for y, cell in enumerate(F._add[x]):
+            if s[fmul[y]] != gmul[s[y]] or image[cell] & ~gadd[s[y]]:
                 return False
-            target = G.add_mask(s[x], s[y])
-            for z in F.add_cell(x, y):
-                if not (target >> s[z] & 1):
-                    return False
     for x in F.units:
         if s[F.inv(x)] != G.inv(s[x]):
             return False
@@ -484,11 +493,11 @@ def is_homomorphism(m: Morphism) -> bool:
 
 def _em1_holds(F: FiniteHyperfield, G: FiniteHyperfield, s, img: int) -> bool:
     """sigma(x+y) = (sigma x + sigma y) intersected with img, the image of s."""
-    gadd = G._add
+    gadd, image = G._add, _MaskImages(s)
     for x, row in enumerate(F._add):
         grow = gadd[s[x]]
         for y, cell in enumerate(row):
-            if _mul_mask(s, cell) != grow[s[y]] & img:
+            if image[cell] != grow[s[y]] & img:
                 return False
     return True
 
@@ -595,18 +604,24 @@ def classify(F: FiniteHyperfield) -> Classification:
 # -- hyperideals ---------------------------------------------------------------
 
 def is_hyperideal(F: FiniteHyperfield, subset) -> bool:
+    """0 in S, S - S inside S and xS inside S for every x, on the mask of S."""
     s = frozenset(subset)
-    if ZERO not in s:
+    bad = [x for x in s if not (isinstance(x, int) and 0 <= x < F.size)]
+    if bad:
+        raise ValueError(f"element {bad[0]!r} is not an index in range({F.size})")
+    return _is_hyperideal(F, s)
+
+
+def _is_hyperideal(F: FiniteHyperfield, s: frozenset) -> bool:
+    S = _cell_to_mask(s)
+    if not S & 1:
         return False
+    add, out = F._add, ~S
     for x in s:
-        for y in s:
-            if any(z not in s for z in F.add_cell(x, F.neg(y))):
-                return False
-    for x in range(F.size):
-        for y in s:
-            if F.mul[x][y] not in s:
-                return False
-    return True
+        row = add[x]
+        if any(row[F.neg(y)] & out for y in s):
+            return False
+    return not any(_mul_mask(row, S) & out for row in F.mul)
 
 
 def scalar_hyperideal(F: FiniteHyperfield) -> frozenset:
@@ -625,7 +640,7 @@ def list_hyperideals(F: FiniteHyperfield) -> list[frozenset]:
     for r in range(len(rest) + 1):
         for combo in itertools.combinations(rest, r):
             cand = frozenset((ZERO,) + combo)
-            if is_hyperideal(F, cand):
+            if _is_hyperideal(F, cand):
                 out.append(cand)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
@@ -743,14 +758,24 @@ def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
     return table
 
 
+def _mask_images(row) -> list[int]:
+    """The image of every mask under a -> row[a], indexed by the mask."""
+    out = [0] * (1 << len(row))
+    for mask in range(1, len(out)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] | 1 << row[low.bit_length() - 1]
+    return out
+
+
 def _least_in_orbit(iota, h, auts) -> bool:
-    """Whether no automorphism s maps the candidate (iota, h) to an earlier
-    one: (s(iota), s.h) < (iota, h), where (s.h)(s(a)) = s(h(a))."""
+    """Whether no automorphism s, given with its `_mask_images` table, maps
+    the candidate (iota, h) to an earlier one: (s(iota), s.h) < (iota, h),
+    where (s.h)(s(a)) = s(h(a))."""
     key = (iota, h)
-    for s in auts:
+    for s, img in auts:
         image = [0] * len(h)
         for a, mask in enumerate(h):
-            image[s[a]] = _mul_mask(s, mask)
+            image[s[a]] = img[mask]
         if (s[iota], tuple(image)) < key:
             return False
     return True
@@ -788,7 +813,7 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
         inv = [None] * order
         for a in range(1, order):
             inv[a] = next(b for b in range(1, order) if mul[a][b] == ONE)
-        auts = list(_unit_group_isos(mul, mul))
+        auts = [(s, _mask_images(s)) for s in _unit_group_isos(mul, mul)]
         for iota in range(1, order):
             if mul[iota][iota] != ONE:
                 continue  # -1 must square to 1
@@ -825,14 +850,7 @@ def _candidate_tables(order, mul, inv, iota):
     a CH4 instance (a, c) fails whose rows h(a) and h(-c^-1) are both
     chosen, and a table is built only for a full choice."""
     full = (1 << order) - 1
-    # img[x][mask] is the image of mask under multiplication by x
-    img = []
-    for x in range(order):
-        row = [0] * (full + 1)
-        for mask in range(1, full + 1):
-            low = mask & -mask
-            row[mask] = row[mask ^ low] | 1 << mul[x][low.bit_length() - 1]
-        img.append(row)
+    img = [_mask_images(row) for row in mul]  # img[x][mask]: x times mask
 
     units = range(1, order)
     slots = [a for a in units if a <= inv[a]]  # h(a) also fixes h(a^-1)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import finite
+from hyperfields.galois import prime_power
 from hyperfields.finite import (ONE, ZERO, FiniteHyperfield,
                                 MalformedTableError, Morphism, build_K,
                                 build_S, build_W, build_finite_field, classify,
@@ -154,6 +156,142 @@ def mask_tables(draw):
     return FiniteHyperfield([str(i) for i in range(n)], mul, cells)
 
 
+# -- cell-decoding references -----------------------------------------------------
+# is_field, quotient_hyperfield, is_hyperideal, list_hyperideals and
+# is_homomorphism as they read the table before they read the add masks:
+# every cell decoded to a tuple, every cell visited.  Only the names of the
+# functions they call from this block are changed.
+
+def ref_is_field(F: FiniteHyperfield) -> bool:
+    """1 - 1 = {0} decides fieldness; cross-checked against all cells being
+    singletons (the two are equivalent for valid hyperfields)."""
+    primary = F.add_cell(ONE, F.neg(ONE)) == (ZERO,)
+    all_single = all(F.add_mask(x, y).bit_count() == 1
+                     for x in range(F.size) for y in range(F.size))
+    if primary != all_single:
+        raise RuntimeError("1-1={0} disagrees with the singleton criterion; "
+                           "the table is not a valid hyperfield")
+    return primary
+
+
+def ref_quotient_hyperfield(K: FiniteHyperfield, generators) -> FiniteHyperfield:
+    """K_T for a finite field K and T the subgroup generated by `generators`:
+    carrier is {0} plus the cosets of T, with xT + yT = {(x+yt)T : t in T}."""
+    if not ref_is_field(K):
+        raise ValueError("quotient construction requires a finite field table")
+    T = subgroup_closure(K, generators)
+    # Scanning units in increasing order creates the coset of 1 (T itself)
+    # first and the remaining cosets in increasing order of least member.
+    coset_of = {ZERO: ZERO}
+    reps = []
+    for u in K.units:
+        if u in coset_of:
+            continue
+        coset = sorted(K.mul[u][t] for t in T)
+        for v in coset:
+            coset_of[v] = len(reps) + 1  # index 0 is reserved for zero
+        reps.append(coset[0])
+    assert coset_of[ONE] == 1
+
+    n = len(reps) + 1
+    names = ["0"] + [f"[{K.names[r]}]" for r in reps]
+    mul = [[0] * n for _ in range(n)]
+    for i, a in enumerate([ZERO] + reps):
+        for j, b in enumerate([ZERO] + reps):
+            mul[i][j] = coset_of[K.mul[a][b]]
+    add = [[None] * n for _ in range(n)]
+    for i, a in enumerate([ZERO] + reps):
+        for j, b in enumerate([ZERO] + reps):
+            cell = set()
+            for t in T:
+                s = K.add_cell(a, K.mul[b][t])[0]
+                cell.add(coset_of[s])
+            add[i][j] = tuple(sorted(cell))
+    H = FiniteHyperfield(
+        names, mul, add,
+        {"label": f"{K.meta.get('label', 'F')}/T",
+         "subgroup": sorted(T),
+         "base_field": K.meta.get("label", "")})
+    rep_check = validate(H)
+    if not rep_check.ok:
+        raise RuntimeError(f"quotient table failed validation: {rep_check.failed()}")
+    return H
+
+
+def ref_is_hyperideal(F: FiniteHyperfield, subset) -> bool:
+    s = frozenset(subset)
+    if ZERO not in s:
+        return False
+    for x in s:
+        for y in s:
+            if any(z not in s for z in F.add_cell(x, F.neg(y))):
+                return False
+    for x in range(F.size):
+        for y in s:
+            if F.mul[x][y] not in s:
+                return False
+    return True
+
+
+def ref_list_hyperideals(F: FiniteHyperfield) -> list[frozenset]:
+    """All hyperideals, by exhaustive subset search (carrier is small)."""
+    out = []
+    rest = [x for x in range(F.size) if x != ZERO]
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            cand = frozenset((ZERO,) + combo)
+            if ref_is_hyperideal(F, cand):
+                out.append(cand)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def ref_is_homomorphism(m: Morphism) -> bool:
+    F, G, s = m.source, m.target, m.map
+    if s[ZERO] != ZERO or s[ONE] != ONE:
+        return False
+    for x in range(F.size):
+        for y in range(F.size):
+            if s[F.mul[x][y]] != G.mul[s[x]][s[y]]:
+                return False
+            target = G.add_mask(s[x], s[y])
+            for z in F.add_cell(x, y):
+                if not (target >> s[z] & 1):
+                    return False
+    for x in F.units:
+        if s[F.inv(x)] != G.inv(s[x]):
+            return False
+    return True
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e)
+
+
+def _unit_subgroup_generators(F):
+    """The least generator of each cyclic subgroup of the units of F."""
+    seen = {}
+    for u in F.units:
+        seen.setdefault(subgroup_closure(F, [u]), u)
+    return list(seen.values())
+
+
+def _random_maps(F, G, rng, k=3):
+    """k maps F -> G fixing 0 and 1 with the units sent to random units, and
+    k random bijections fixing 0 and 1 when the sizes agree."""
+    maps = [(ZERO, ONE) + tuple(rng.randrange(1, G.size) for _ in range(F.size - 2))
+            for _ in range(k)]
+    if F.size == G.size:
+        for _ in range(k):
+            rest = list(range(2, G.size))
+            rng.shuffle(rest)
+            maps.append((ZERO, ONE) + tuple(rest))
+    return maps
+
+
 # -- construction and validation ------------------------------------------------
 
 def test_K_table_is_the_two_element_quotient():
@@ -273,6 +411,27 @@ def test_validate_matches_full_scan_references(F):
     ref = _ref_witnesses(F)
     got = {c.axiom: (c.passed, c.witness) for c in validate(F).checks
            if c.axiom in ref}
+    assert got == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_tables(), st.data())
+def test_mask_readers_match_the_cell_decoding_references(F, data):
+    # on tables that are often no hyperfield: the same verdict, or an
+    # exception of the same type
+    n = F.size
+    assert _outcome(is_field, F) == _outcome(ref_is_field, F)
+    subset = data.draw(st.frozensets(st.integers(0, n - 1)))
+    assert _outcome(is_hyperideal, F, subset) == _outcome(ref_is_hyperideal, F, subset)
+    assert _outcome(list_hyperideals, F) == _outcome(ref_list_hyperideals, F)
+    G = data.draw(st.sampled_from([F] + SMALL_HYPERFIELDS))
+    s = (ZERO, ONE) + tuple(data.draw(st.integers(0, G.size - 1)) for _ in range(n - 2))
+    m = Morphism(F, G, s)
+    assert _outcome(is_homomorphism, m) == _outcome(ref_is_homomorphism, m)
+    u = data.draw(st.integers(1, n - 1))
+    got, ref = (_outcome(f, F, [u]) for f in (quotient_hyperfield, ref_quotient_hyperfield))
+    if isinstance(ref, FiniteHyperfield):
+        got, ref = got.to_json(), ref.to_json()
     assert got == ref
 
 
@@ -433,6 +592,42 @@ def test_quotient_results_validate():
         for u in F.units:
             T = subgroup_closure(F, [u])
             assert validate(quotient_hyperfield(F, T)).ok
+
+
+def _index_4_quotient_input():
+    F = build_finite_field(49)
+    g = next(u for u in F.units if finite._mult_order(F.mul, u) == 48)
+    return F, finite._pow(F, g, 4)
+
+
+def test_quotients_match_the_cell_decoding_reference():
+    # every quotient of every prime power q <= 64 by every unit subgroup
+    count = 0
+    for q in range(2, 65):
+        if prime_power(q) is None:
+            continue
+        F = build_finite_field(q)
+        assert is_field(F) is ref_is_field(F) is True
+        for u in _unit_subgroup_generators(F):  # F_q has cyclic units
+            Q = quotient_hyperfield(F, [u])
+            assert Q.to_json() == ref_quotient_hyperfield(F, [u]).to_json(), (q, u)
+            assert is_field(Q) == ref_is_field(Q), (q, u)
+            if Q.size <= 12:
+                assert list_hyperideals(Q) == ref_list_hyperideals(Q), (q, u)
+            count += 1
+    assert count == 142
+
+
+def test_quotient_of_f49_at_index_4_fast():
+    F, t = _index_4_quotient_input()
+
+    def timed():
+        t0 = time.perf_counter()
+        assert quotient_hyperfield(F, [t]).size == 5
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.0006, f"quotient_hyperfield(F49, index 4) took {dt * 1e3:.3f}ms, budget 0.6ms"
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -626,6 +821,42 @@ def test_find_isomorphism_decides_a_cyclic_order_32_pair_quickly():
     assert dt < 0.5, f"find_isomorphism took {dt:.3f}s, budget 0.5s"
 
 
+def test_morphism_checks_match_the_cell_decoding_reference():
+    # K, S, W and every enumerated class of orders 2..6, under random maps
+    # (bijective and not), the collapse of every unit onto 1, and the
+    # unit-group isomorphisms, on which the additive condition decides
+    structures = [build_K(), build_S(), build_W()]
+    structures += [H for order in range(2, 7) for H in enumerate_hyperfields(order)]
+    rng = random.Random(20)
+    verdicts = {True: 0, False: 0}
+    for F in structures:
+        for G in structures:
+            maps = _random_maps(F, G, rng) + [(ZERO,) + (ONE,) * (F.size - 1)]
+            for s in maps + list(finite._unit_group_isos(F.mul, G.mul)):
+                m = Morphism(F, G, s)
+                hom = ref_is_homomorphism(m)
+                assert is_homomorphism(m) == hom, (F, G, s)
+                verdicts[hom] += 1
+                if len(set(s)) == F.size == G.size:
+                    inv = tuple(sorted(range(F.size), key=s.__getitem__))
+                    back = ref_is_homomorphism(Morphism(G, F, inv))
+                    assert is_isomorphism(m) == (hom and back), (F, G, s)
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_isomorphism_of_f64_with_itself_fast():
+    F = build_finite_field(64)
+    m = Morphism(F, F, tuple(range(64)))
+
+    def timed():
+        t0 = time.perf_counter()
+        assert is_isomorphism(m)
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.006, f"is_isomorphism(F64 identity) took {dt * 1e3:.2f}ms, budget 6ms"
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classification_flags_on_named_hyperfields():
@@ -662,6 +893,29 @@ def test_is_hyperideal_rejects_non_ideals():
     assert is_hyperideal(S, {0, 1, 2})
     assert not is_hyperideal(S, {0, 1})
     assert not is_hyperideal(S, {1, 2})
+
+
+def test_is_hyperideal_refuses_elements_outside_the_carrier():
+    F5 = build_finite_field(5)
+    # -1 once read row 4 by negative indexing, and 7 raised a bare IndexError
+    with pytest.raises(ValueError, match="element -1 is not an index"):
+        is_hyperideal(F5, {0, -1, 1, 2, 3})
+    with pytest.raises(ValueError, match="element 7 is not an index"):
+        is_hyperideal(F5, {0, 7})
+
+
+def test_hyperideals_of_the_index_11_quotient_of_f23_fast():
+    F = build_finite_field(23)
+    Q = quotient_hyperfield(F, [finite._pow(F, 5, 11)])  # 5 has order 22
+    assert Q.size == 12
+
+    def timed():
+        t0 = time.perf_counter()
+        assert list_hyperideals(Q) == [frozenset({0}), frozenset(range(12))]
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.018, f"list_hyperideals(F23/T) took {dt * 1e3:.1f}ms, budget 18ms"
 
 
 def test_scalar_hyperideal_detects_multivalued_differences():
