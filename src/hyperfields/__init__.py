@@ -21,26 +21,25 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "finite": ("FiniteHyperfield", "MalformedTableError", "Morphism", "build_K",
                "build_S", "build_W", "build_finite_field", "classify",
-               "enumerate_hyperfields", "find_isomorphism", "is_embedding",
-               "is_field", "is_homomorphism", "is_hyperideal", "is_isomorphism",
+               "enumerate_hyperfields", "find_isomorphism", "is_field",
+               "is_homomorphism", "is_hyperideal", "is_isomorphism",
                "list_hyperideals", "non_quotient_certificate",
-               "quotient_hyperfield", "quotient_search", "scalar_hyperideal",
-               "squares_subgroup", "validate"),
+               "quotient_hyperfield", "quotient_search", "squares_subgroup",
+               "validate"),
     "galois": (),
     "hypersets": (),
     "leading_terms": ("CollapsedConstantsContext", "CompositeContext",
                       "LTContext", "LTElement"),
     "ordgroup": ("ConvexSubgroup", "Cut", "invariance_group"),
     "report": ("AxiomCheck", "ValidationReport"),
-    "tropical": ("TropicalHyperfield", "tropical_axiom_suite",
-                 "two_element_subhyperfield"),
+    "tropical": ("TropicalHyperfield", "tropical_axiom_suite"),
     "valuation": ("FiniteBackend", "Valuation", "check_coarsening_theorem",
                   "check_krasner", "check_superiorly_canonical", "coarsening",
                   "compare_rings", "induced_ring", "intrinsic_valuation",
                   "is_valuation", "is_valuation_hyperring", "maximal_ideal",
                   "residue_embedding_check", "residue_hyperfield",
-                  "trivial_valuation", "ultrametric", "ultrametric_report",
-                  "unit_group", "valuation_ring"),
+                  "trivial_valuation", "ultrametric_report", "unit_group",
+                  "valuation_ring"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

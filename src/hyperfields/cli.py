@@ -6,7 +6,8 @@ structured I/O is JSON; reports are deterministic (sorted keys, no
 timestamps) and carry the tool version plus the window parameters used.
 
 Exit codes: 0 every requested check passed, 1 a check failed (the report
-holds witnesses), 2 malformed input, 3 internal error.
+holds witnesses), 2 malformed input, 3 internal error.  A table failing its
+axioms fails ``axioms`` and ``classify`` and is malformed input elsewhere.
 
 Only the finite-table layer is imported here.  The verbs on symbolic
 carriers (``krasner``, ``residue``, ``coarsen``, ``scenario`` and
@@ -87,6 +88,17 @@ def load_finite(spec: str) -> FiniteHyperfield:
         raise ParseFailure(f"{spec!r} is not a hyperfield table: {e}")
 
 
+def load_hyperfield(spec: str) -> FiniteHyperfield:
+    """load_finite, refused unless the table passes validate: the input of
+    iso, hyperideals, krasner and residue."""
+    F = load_finite(spec)
+    failed = validate(F).failed()
+    if failed:
+        raise ParseFailure(f"{spec!r} is not a hyperfield: it fails "
+                           + ", ".join(c.axiom for c in failed))
+    return F
+
+
 def _tropical_spec(spec: str):
     """The TropicalHyperfield a tropical:<rank> / tropical-strict:<rank> spec
     names, or None for any other spec."""
@@ -138,10 +150,9 @@ def _resolve_flags(args, reads: dict, subject: str) -> None:
 
 
 def _load_backend(args):
-    """Shared backend resolution for krasner/residue: a finite table URI
-    (refused unless it validates),
-    'kgamma' (reads --q/--gamma), 'composite' (reads --p), 'collapsed', or
-    tropical:<rank> / tropical-strict:<rank> (krasner reads --norm-bound)."""
+    """Shared backend resolution for krasner/residue: a hyperfield table
+    (load_hyperfield), 'kgamma' (--q/--gamma), 'composite' (--p), 'collapsed',
+    or tropical:<rank> / tropical-strict:<rank> (krasner reads --norm-bound)."""
     from . import valuation as vn
     spec = args.backend
     _resolve_flags(args, BACKEND_FLAGS.get(spec.partition(":")[0], {}), f"backend {spec!r}")
@@ -159,12 +170,7 @@ def _load_backend(args):
         b = getattr(args, "norm_bound", 0)
         rho = Cut.le(trop.rank, (b,) + (0,) * (trop.rank - 1))
         return trop, vn.intrinsic_valuation(trop), rho
-    F = load_finite(spec)
-    failed = validate(F).failed()
-    if failed:  # the checkers' cross-checks assume a hyperfield
-        raise ParseFailure(f"{spec!r} is not a hyperfield: it fails "
-                           + ", ".join(c.axiom for c in failed))
-    backend = vn.FiniteBackend(F)
+    backend = vn.FiniteBackend(load_hyperfield(spec))
     return backend, vn.trivial_valuation(backend), Cut.whole(0)
 
 
@@ -209,9 +215,7 @@ def cmd_quotient(args) -> dict:
 
 
 def cmd_iso(args) -> dict:
-    F = load_finite(args.left)
-    G = load_finite(args.right)
-    m = find_isomorphism(F, G)
+    m = find_isomorphism(load_hyperfield(args.left), load_hyperfield(args.right))
     payload = {"isomorphic": m is not None,
                "map": None if m is None else list(m.map)}
     return _report("iso", {"left": args.left, "right": args.right},
@@ -231,10 +235,9 @@ def cmd_enumerate(args) -> dict:
 
 
 def cmd_hyperideals(args) -> dict:
-    F = load_finite(args.input)
+    F = load_hyperfield(args.input)
     ideals = list_hyperideals(F)
-    dichotomy = (len(ideals) == 2 and frozenset({0}) in ideals
-                 and frozenset(range(F.size)) in ideals)
+    dichotomy = ideals == [frozenset({0}), frozenset(range(F.size))]  # sorted by size
     payload = {"hyperideals": [sorted(s) for s in ideals],
                "only_trivial_and_whole": dichotomy}
     return _report("hyperideals", {"input": args.input}, payload, dichotomy)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from . import hypersets as hs
-from .finite import FiniteHyperfield, _bits
+from .finite import _bits
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
                        gadd, gneg, gzero, window)
 from .report import ValidationReport
@@ -225,19 +225,3 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
 
 def _first_diff(a: list, b: list) -> int:
     return next(k for k, (p, q) in enumerate(zip(a, b)) if p != q)
-
-
-def two_element_subhyperfield(rank: int, strict: bool = False) -> FiniteHyperfield:
-    """The induced table on {infinity, 0}: the only relational
-    subhyperfield of a tropical hyperfield with more than one element."""
-    T = TropicalHyperfield(rank, strict)
-    S = [None, T.one]
-    add = [[None] * 2 for _ in range(2)]
-    for i, x in enumerate(S):
-        for j, y in enumerate(S):
-            s = t_add(x, y, strict)
-            cell = [k for k, z in enumerate(S) if hs.contains(s, z, t_value)]
-            add[i][j] = tuple(cell)
-    mul = [[0, 0], [0, 1]]
-    return FiniteHyperfield(["0", "1"], mul, add,
-                            {"label": f"{{inf,0}} inside Z^{rank} tropical"})

@@ -505,18 +505,6 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
 
 # -- ultrametrics -----------------------------------------------------------------
 
-def ultrametric(backend, v: Valuation):
-    """d(x, y) = the single value of x - y (None for x = y).  Only Krasner
-    structures admit this; a multivalued difference raises."""
-    if not v.intrinsic:
-        raise ValueError("the ultrametric is built from the intrinsic valuation")
-
-    def d(x, y) -> Value:
-        return None if x == y else _single_value(backend, backend.add(x, backend.neg(y)))
-
-    return d
-
-
 def _single_value(backend, s) -> Value:
     """The value of every member of s, the difference of two distinct
     elements; raises unless there is exactly one."""

@@ -1,16 +1,22 @@
 """CLI contract: verbs, exit codes, JSON reports, byte-level determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfields import leading_terms as lt
 from hyperfields import tropical
-from hyperfields.cli import SCENARIOS, main
+from hyperfields.cli import SCENARIOS, load_finite, main
 from hyperfields.ordgroup import WINDOW_LIMIT, gzero
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,6 +71,16 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     notatable.write_text("[1, 2, 3]")
     assert main(["axioms", str(notatable)]) == 2
     capsys.readouterr()
+    misshapen = tmp_path / "misshapen.json"
+    for table, message in (
+            ({"names": ["0", "1"], "mul": [[0, 0], [0, 1]], "add": [[[0], [1]], [[1]]]},
+             "add table must be size x size"),
+            ({"size": 3, "names": ["0", "1"], "mul": [[0, 0], [0, 1]],
+              "add": [[[0], [1]], [[1], [0]]]}, "declared size disagrees with names")):
+        misshapen.write_text(json.dumps(table))
+        assert main(["axioms", str(misshapen)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"{message}\n")
 
 
 def test_usage_errors_exit_2():
@@ -147,17 +163,23 @@ def test_classify_reports_the_flag_vector(capsys):
     assert rep["classification"]["superiorly_canonical"] is True
 
 
-# Two tables that are no hyperfields.  T1 is S with 1+1 = {1, -1} and
-# 1+(-1) = {0}; T2's units are no group (a*a = a).  T1 made classify and
-# residue exit 3 (is_field's cross-check, the residue's validation), and
-# residue on T2 exited 0 with a "residue".
+# Three tables that are no hyperfields.  T1 is S with 1+1 = {1, -1} and
+# 1+(-1) = {0}; T2's units are no group (a*a = a); T3 has 0*0 = 1, so 0 is
+# not absorbing.  T1 made classify and residue exit 3 (is_field's
+# cross-check, the residue's validation), residue on T2 exited 0 with a
+# "residue", hyperideals passed on T1 and T2, and iso against K exited 3 on
+# T3 (find_isomorphism's re-check).
 NON_HYPERFIELDS = {
     "T1": {"names": ["0", "1", "-1"], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
            "add": [[[0], [1], [2]], [[1], [1, 2], [0]], [[2], [0], [2]]]},
     "T2": {"names": ["0", "1", "a"], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
            "add": [[[0], [1], [2]], [[1], [0, 1, 2], [0, 1, 2]],
                    [[2], [0, 1, 2], [0, 1, 2]]]},
+    "T3": {"names": ["0", "1"], "mul": [[1, 1], [1, 1]],
+           "add": [[[0], [1]], [[1], [0, 1]]]},
 }
+# a hyperfield of the same size, so iso gets past comparing sizes
+ISO_PARTNER = {"T1": "builtin:S", "T2": "builtin:S", "T3": "builtin:K"}
 
 
 @pytest.mark.parametrize("name", sorted(NON_HYPERFIELDS))
@@ -169,12 +191,17 @@ def test_classify_of_a_non_hyperfield_exits_1_without_flags(name, tmp_path, caps
     assert rep["classification"] is None and rep["axioms_pass"] is False
 
 
-@pytest.mark.parametrize("verb", ["krasner", "residue"])
-@pytest.mark.parametrize("name,failed", [("T1", "CH4, CH1, HR3"), ("T2", "CH3, HF, HR3")])
+# Every verb whose input is a hyperfield refuses any other table (exit 2);
+# "iso-right" puts the table second.
+@pytest.mark.parametrize("verb", ["krasner", "residue", "hyperideals", "iso", "iso-right"])
+@pytest.mark.parametrize("name,failed", [("T1", "CH4, CH1, HR3"), ("T2", "CH3, HF, HR3"),
+                                         ("T3", "HR2, HR3")])
 def test_valuation_verbs_refuse_a_non_hyperfield_table(verb, name, failed, tmp_path, capsys):
     table = tmp_path / f"{name}.json"
     table.write_text(json.dumps(NON_HYPERFIELDS[name]))
-    assert main([verb, str(table)]) == 2
+    argv = {"iso": ["iso", str(table), ISO_PARTNER[name]],
+            "iso-right": ["iso", ISO_PARTNER[name], str(table)]}.get(verb, [verb, str(table)])
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"is not a hyperfield: it fails {failed}\n")
@@ -200,7 +227,8 @@ def test_quotient_then_iso_pipeline(tmp_path, capsys):
 
 def test_iso_on_a_non_group_table_exits_2(tmp_path):
     # a * a = a, so no power of a is 1: the nonzero elements are no group.
-    # The unit-group search used to loop forever looking for a's order.
+    # The unit-group search used to loop forever looking for a's order; the
+    # table now fails validate and is refused before the search.
     bad = tmp_path / "nongroup.json"
     bad.write_text(json.dumps({
         "names": ["0", "1", "a"],
@@ -212,7 +240,7 @@ def test_iso_on_a_non_group_table_exits_2(tmp_path):
                            str(bad), "builtin:S"],
                           capture_output=True, check=False, timeout=10)
     assert proc.returncode == 2, proc.stderr.decode()
-    assert b"malformed table" in proc.stderr
+    assert b"is not a hyperfield: it fails CH3, HF, HR3" in proc.stderr
 
 
 def test_iso_of_a_cyclic_order_32_pair_exits_1_quickly(tmp_path):
@@ -387,3 +415,161 @@ def test_composite_scenarios_hold_for_odd_p(name, p, capsys):
     assert {"n": 0, "c": f"1/{p}"} in [c.get("witness") for c in rep["claims"]]
     if name == "example-last":
         assert f"witness (0, 1/{p}) lies outside O_w" in [c["claim"] for c in rep["claims"]]
+
+
+# -- the exit-code contract under fuzzing ------------------------------------------------
+# Any argument vector argparse accepts exits 0, 1 or 2, never 3: stdout is
+# one JSON report on 0 and 1, and on 2 stdout is empty and stderr names the
+# problem.  Tables are drawn small and windows at bound 0 or 1, so a run
+# takes seconds.
+
+BUILTIN_TABLES = [load_finite(f"builtin:{name}").to_json()
+                  for name in ("K", "S", "W", "F2", "F3", "F4", "F5")]
+# builtin hyperfields by size, for iso to compare a drawn table against
+SIZED = {2: ("builtin:K", "builtin:F2"), 3: ("builtin:S", "builtin:W", "builtin:F3"),
+         4: ("builtin:F4",), 5: ("builtin:F5",)}
+FINITE_SPECS = ("builtin:K", "builtin:W", "builtin:F9", "builtin:F6", "builtin:Fx",
+                "builtin:nope", "no-such-file.json")
+BACKENDS = ("kgamma", "composite", "collapsed", "tropical:1", "tropical-strict:1",
+            "tropical:0", "tropical:x", "bogus")
+
+
+def _square(n, elems):
+    return st.lists(st.lists(elems, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _damaged(draw, data):
+    """A builtin table with one defect: a mul that is no group with a zero,
+    an add cell changed, emptied or out of range, a wrong shape or size, a
+    missing key or a value of the wrong type."""
+    n = len(data["names"])
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from(("mul", "mul-entry", "mul-entry", "cell", "cell",
+                                   "empty-cell", "cell-entry", "drop-row", "short-row",
+                                   "long-row", "size", "missing-key", "wrong-type")))
+    if defect == "mul":
+        data["mul"] = draw(_square(n, st.integers(0, n - 1)))
+    elif defect == "mul-entry":
+        data["mul"][x][y] = draw(st.one_of(st.integers(0, n - 1),
+                                           st.sampled_from((-1, n, "a", None))))
+    elif defect == "cell":
+        data["add"][x][y] = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    elif defect == "empty-cell":
+        data["add"][x][y] = []
+    elif defect == "cell-entry":
+        data["add"][x][y] = [draw(st.sampled_from((-1, n, "a", None)))]
+    elif defect == "drop-row":
+        del data[draw(st.sampled_from(("mul", "add")))][x]
+    elif defect == "short-row":
+        del data[draw(st.sampled_from(("mul", "add")))][x][y]
+    elif defect == "long-row":
+        data["add"][x].append([0])
+    elif defect == "size":
+        data["size"] = n + draw(st.sampled_from((-1, 1)))
+    elif defect == "missing-key":
+        del data[draw(st.sampled_from(("names", "mul", "add")))]
+    else:
+        data[draw(st.sampled_from(("names", "mul", "add")))] = draw(
+            st.sampled_from((None, 3, "x", [])))
+    return data
+
+
+@st.composite
+def _table(draw):
+    """A table file's text and the number of names in it: a builtin,
+    damaged or random table, bare or wrapped in a list or a "table" key, or
+    no JSON table at all (size None)."""
+    kind = draw(st.sampled_from(("damaged", "damaged", "damaged", "random", "random",
+                                 "builtin", "not-json", "scalar")))
+    if kind == "not-json":
+        return draw(st.sampled_from(("", "{", "[1, 2"))), None
+    if kind == "scalar":
+        return json.dumps(draw(st.sampled_from((None, 0, "K", {})))), None
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        data = {"names": [str(i) for i in range(n)],
+                "mul": draw(_square(n, st.integers(0, n - 1))),
+                "add": draw(_square(n, st.lists(st.integers(0, n - 1), min_size=1,
+                                                max_size=n)))}
+    else:
+        data = copy.deepcopy(draw(st.sampled_from(BUILTIN_TABLES)))
+        if kind == "damaged":
+            data = draw(_damaged(data))
+    wrap = draw(st.sampled_from(("bare", "bare", "list", "table")))
+    text = json.dumps({"bare": data, "list": [data], "table": {"table": data}}[wrap])
+    names = data.get("names")
+    return text, len(names) if isinstance(names, list) else None
+
+
+@st.composite
+def _cases(draw):
+    """An argument vector over every verb, and the texts of the table files
+    it names (each "TABLE" token stands for the next file)."""
+    texts = []
+
+    def table():
+        text, n = draw(_table())
+        texts.append(text)
+        return n
+
+    def spec():
+        if draw(st.booleans()):
+            table()
+            return "TABLE"
+        return draw(st.sampled_from(FINITE_SPECS))
+
+    bound = ["--window-bound", str(draw(st.integers(0, 1)))]
+    verb = draw(st.sampled_from(("axioms", "classify", "quotient", "iso", "enumerate",
+                                 "hyperideals", "krasner", "residue", "coarsen",
+                                 "scenario")))
+    if verb == "axioms":
+        target = draw(st.sampled_from(("", "tropical:1", "tropical-strict:2", "tropical:0",
+                                       "tropical:x")))
+        argv = ["axioms", target or spec()] + bound
+    elif verb in ("classify", "hyperideals"):
+        argv = [verb, spec()]
+    elif verb == "iso":  # a table against a builtin of its size, either way round
+        n = table()
+        pair = ["TABLE", draw(st.sampled_from(SIZED.get(n, FINITE_SPECS)))]
+        argv = ["iso", *draw(st.permutations(pair))]
+    elif verb == "quotient":
+        argv = ["quotient", "--field", str(draw(st.integers(0, 10))), "--subgroup",
+                draw(st.sampled_from(("squares", "units", "0", "2", "1,2", "x", "")))]
+    elif verb == "enumerate":
+        argv = ["enumerate", "--order", str(draw(st.integers(-1, 4)))]
+    elif verb == "coarsen":
+        argv = ["coarsen", "--p", draw(st.sampled_from(("2", "3")))] + bound
+    else:
+        flags = draw(st.lists(st.sampled_from((("--q", "4"), ("--gamma", "0"), ("--p", "3"),
+                                               ("--norm-bound", "1"))), unique=True))
+        if verb != "krasner":
+            flags = [f for f in flags if f[0] != "--norm-bound"]  # krasner's flag only
+        flags = [tok for flag in flags for tok in flag]
+        if verb == "scenario":
+            target = draw(st.sampled_from(sorted(SCENARIOS) + ["nope"]))
+        else:
+            target = draw(st.sampled_from(BACKENDS + ("",))) or spec()
+        argv = [verb, target] + flags + bound
+    return argv, texts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=_cases())
+def test_fuzzed_argv_and_tables_exit_0_1_or_2(case):
+    argv, texts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files, argv = iter(texts), list(argv)
+        for k, tok in enumerate(argv):
+            if tok == "TABLE":
+                argv[k] = str(Path(tmp) / f"t{k}.json")
+                Path(argv[k]).write_text(next(files))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith("hyperval: "), (argv, err)
+    else:
+        assert json.loads(out)["passed"] is (code == 0), argv

@@ -15,11 +15,10 @@ from hyperfields.finite import (ONE, ZERO, FiniteHyperfield,
                                 MalformedTableError, Morphism, build_K,
                                 build_S, build_W, build_finite_field, classify,
                                 enumerate_hyperfields, find_isomorphism,
-                                is_embedding, is_field, is_homomorphism,
-                                is_hyperideal, is_isomorphism,
-                                list_hyperideals, non_quotient_certificate,
-                                quotient_hyperfield, quotient_search,
-                                scalar_hyperideal, squares_subgroup,
+                                is_field, is_homomorphism, is_hyperideal,
+                                is_isomorphism, list_hyperideals,
+                                non_quotient_certificate, quotient_hyperfield,
+                                quotient_search, squares_subgroup,
                                 subgroup_closure, validate)
 
 
@@ -349,6 +348,30 @@ def test_malformed_tables_are_rejected():
     for bad in (2, -1):
         with pytest.raises(MalformedTableError, match="mul entry out of range"):
             FiniteHyperfield(["0", "1"], [[0, 0], [0, bad]], [[(0,), (1,)], [(1,), (0,)]])
+    rows = [[(0,), (1,)], [(1,), (0,)]]
+    for add in (rows[:1], rows + [rows[0]], [rows[0], [(1,)]],
+                [rows[0], [(1,), (0,), (1,)]]):
+        with pytest.raises(MalformedTableError, match="add table must be size x size"):
+            FiniteHyperfield(["0", "1"], [[0, 0], [0, 1]], add)
+    data = build_finite_field(2).to_json()
+    data["size"] = 3
+    with pytest.raises(MalformedTableError, match="declared size disagrees with names"):
+        FiniteHyperfield.from_json(data)
+    del data["size"]
+    assert FiniteHyperfield.from_json(data) == build_finite_field(2)
+
+
+def test_tables_differing_in_one_part_are_unequal():
+    F = build_finite_field(2)
+    cells = [[F.add_cell(x, y) for y in range(2)] for x in range(2)]
+    assert FiniteHyperfield(F.names, F.mul, cells, F.meta) == F
+    others = (FiniteHyperfield(F.names, F.mul, [cells[0], [(1,), (0, 1)]], F.meta),
+              FiniteHyperfield(["z", "u"], F.mul, cells, F.meta),
+              FiniteHyperfield(F.names, [[0, 0], [0, 0]], cells, F.meta),
+              FiniteHyperfield(F.names, F.mul, cells, {**F.meta, "label": "other"}))
+    for G in others:
+        assert G != F and F != G
+    assert F != F.to_json()
 
 
 def test_duplicated_and_string_entries_give_the_same_masks():
@@ -635,7 +658,7 @@ def test_quotient_of_f49_at_index_4_fast():
 def test_sign_map_is_hom_but_not_embedding():
     m = Morphism(build_S(), build_W(), (0, 1, 2))
     assert is_homomorphism(m)
-    assert not is_embedding(m)  # sigma(1+1) = {1} but (1+1) cap Im = {1,-1}
+    assert not is_isomorphism(m)  # a bijection, but sigma(1+1) = {1} and 1+1 = {1,-1} in W
 
 
 def test_reverse_sign_map_is_not_a_hom():
@@ -663,7 +686,6 @@ def test_field_collapse_onto_K_is_a_hom():
     F = build_finite_field(5)
     m = Morphism(F, build_K(), (0, 1, 1, 1, 1))
     assert is_homomorphism(m)
-    assert not is_embedding(m)
 
 
 def test_morphism_must_fix_zero_and_one():
@@ -757,9 +779,8 @@ def ref_unit_automorphisms(mul) -> list[tuple[int, ...]]:
 
 def _least_iso(F, G):
     """The least witness by a scan of every unit-group isomorphism."""
-    full = (1 << G.size) - 1
     return min((s for s in ref_unit_group_isos(F, G)
-                if finite._em1_holds(F, G, s, full)), default=None)
+                if finite._em1_holds(F, G, s)), default=None)
 
 
 def _transported(F, p):
@@ -877,6 +898,33 @@ def test_superior_canonicity_fails_for_K_S_W():
         assert not is_field(F)
 
 
+def _all_quotients(q_max):
+    """F_q / T for every prime power q <= q_max and every subgroup T of the
+    cyclic unit group: the field itself at T = {1}, K at T = all units."""
+    for q in range(2, q_max + 1):
+        if prime_power(q) is None:
+            continue
+        K = build_finite_field(q)
+        gen = next(u for u in K.units if finite._mult_order(K.mul, u) == q - 1)
+        for index in range(1, q):
+            if (q - 1) % index == 0:
+                yield quotient_hyperfield(K, [finite._pow(K, gen, index)])
+
+
+def test_classify_obeys_the_structure_theorems():
+    # classify's docstring: a finite superiorly canonical hyperfield is a
+    # field, and a finite stringent one is a field, K or S (Bowler-Su)
+    K, S = build_K(), build_S()
+    tables = [F for order in range(2, 7) for F in enumerate_hyperfields(order)]
+    tables += [K, S, build_W(), *_all_quotients(64)]
+    assert len(tables) == 202
+    for F in tables:
+        c = classify(F)
+        assert c.superiorly_canonical == c.is_field, F
+        assert c.stringent == (c.is_field or find_isomorphism(F, K) is not None
+                               or find_isomorphism(F, S) is not None), F
+
+
 # -- hyperideals -------------------------------------------------------------------
 
 def test_hyperideal_dichotomy_for_hyperfields():
@@ -916,13 +964,6 @@ def test_hyperideals_of_the_index_11_quotient_of_f23_fast():
 
     dt = min(timed() for _ in range(3))
     assert dt < 0.018, f"list_hyperideals(F23/T) took {dt * 1e3:.1f}ms, budget 18ms"
-
-
-def test_scalar_hyperideal_detects_multivalued_differences():
-    for F in (build_S(), build_K(), build_W()):
-        assert scalar_hyperideal(F) == frozenset({0})
-    F7 = build_finite_field(7)
-    assert scalar_hyperideal(F7) == frozenset(range(7))
 
 
 # -- quotient recognition ------------------------------------------------------------

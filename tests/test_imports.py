@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TRACKED = ("hyperfields.hypersets", "hyperfields.leading_terms",
            "hyperfields.tropical", "hyperfields.valuation", "hyperfields.window")
 
-# The package's exports before they became lazy: 53 names and 8 submodules.
+# The package's exports: 49 names and 8 submodules.
 PUBLIC = [
     "AxiomCheck", "CollapsedConstantsContext", "CompositeContext",
     "ConvexSubgroup", "Cut", "FiniteBackend", "FiniteHyperfield", "LTContext",
@@ -30,15 +30,14 @@ PUBLIC = [
     "check_superiorly_canonical", "classify", "coarsening", "compare_rings",
     "enumerate_hyperfields", "find_isomorphism", "finite", "galois",
     "hypersets", "induced_ring", "intrinsic_valuation", "invariance_group",
-    "is_embedding", "is_field", "is_homomorphism", "is_hyperideal",
-    "is_isomorphism", "is_valuation", "is_valuation_hyperring",
-    "leading_terms", "list_hyperideals", "maximal_ideal",
-    "non_quotient_certificate", "ordgroup", "quotient_hyperfield",
-    "quotient_search", "report", "residue_embedding_check",
-    "residue_hyperfield", "scalar_hyperideal", "squares_subgroup",
+    "is_field", "is_homomorphism", "is_hyperideal", "is_isomorphism",
+    "is_valuation", "is_valuation_hyperring", "leading_terms",
+    "list_hyperideals", "maximal_ideal", "non_quotient_certificate",
+    "ordgroup", "quotient_hyperfield", "quotient_search", "report",
+    "residue_embedding_check", "residue_hyperfield", "squares_subgroup",
     "trivial_valuation", "tropical", "tropical_axiom_suite",
-    "two_element_subhyperfield", "ultrametric", "ultrametric_report",
-    "unit_group", "validate", "valuation", "valuation_ring"]
+    "ultrametric_report", "unit_group", "validate", "valuation",
+    "valuation_ring"]
 
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:

@@ -5,11 +5,9 @@ import time
 import pytest
 
 from hyperfields import hypersets as hs
-from hyperfields.finite import build_K, build_finite_field, find_isomorphism
 from hyperfields.ordgroup import ConvexSubgroup, Cut, WindowTooLarge
 from hyperfields.tropical import (TropicalHyperfield, t_add, t_inv, t_mul,
-                                  t_neg, t_value, tropical_axiom_suite,
-                                  two_element_subhyperfield)
+                                  t_neg, t_value, tropical_axiom_suite)
 from hyperfields.valuation import (coarsening, intrinsic_valuation,
                                    is_valuation, valuation_ring)
 
@@ -93,13 +91,6 @@ def test_axiom_suite_observations_separate_the_variants():
         assert rep.check("stringent").passed
     assert inclusive.check("cchar1").passed
     assert not strict.check("cchar1").passed
-
-
-def test_two_element_subhyperfield_depends_on_strictness():
-    assert find_isomorphism(two_element_subhyperfield(1), build_K())
-    assert find_isomorphism(two_element_subhyperfield(2), build_K())
-    assert find_isomorphism(two_element_subhyperfield(1, strict=True),
-                            build_finite_field(2))
 
 
 def _projection(rank, delta):

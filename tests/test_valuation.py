@@ -21,7 +21,7 @@ from hyperfields.valuation import (FiniteBackend, RingPredicate, Valuation,
                                    is_valuation_hyperring, maximal_ideal,
                                    residue_embedding_check, residue_hyperfield,
                                    table_valuation, trivial_valuation,
-                                   ultrametric, ultrametric_report, unit_group,
+                                   ultrametric_report, unit_group,
                                    valuation_ring)
 
 
@@ -314,16 +314,6 @@ def test_composite_krasner_within_budget():
 
 # -- ultrametrics -----------------------------------------------------------------------
 
-def test_ultrametric_distances_on_leading_terms():
-    ctx = LTContext(2, 1)
-    d = ultrametric(ctx, intrinsic_valuation(ctx))
-    x, y = ctx.elem(0, (1, 0)), ctx.elem(0, (1, 1))
-    assert d(x, x) is None
-    assert d(x, y) == (1,)
-    assert d(x, ctx.elem(1, (1, 0))) == (0,)
-    assert d(x, None) == (0,)
-
-
 def test_ultrametric_report_passes_for_krasner_structures():
     ctx = LTContext(2, 1)
     rep = ultrametric_report(ctx, intrinsic_valuation(ctx), ctx.norm_cut(), bound=1)
@@ -350,12 +340,6 @@ def test_ball_identity_fails_without_krasner():
     ctx = CollapsedConstantsContext()
     rep = ultrametric_report(ctx, intrinsic_valuation(ctx), ctx.norm_cut(), bound=2)
     assert not rep.check("BALL").passed
-
-
-def test_ultrametric_requires_the_intrinsic_valuation():
-    ctx = LTContext(2, 0)
-    with pytest.raises(ValueError):
-        ultrametric(ctx, trivial_valuation(ctx))
 
 
 def test_ultrametric_report_requires_the_intrinsic_valuation():
