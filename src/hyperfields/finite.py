@@ -5,8 +5,9 @@ bitmask per addition cell (bit i set means element i belongs to x+y), so the
 exhaustive axiom checks reduce to integer bit algebra.  `validate`, `is_field`
 (the mask of 1 - 1, cross-checked by one count of all set bits), quotients,
 hyperideals and the morphism checks read the masks directly; `add_cell`
-decodes a cell only for output.  Index 0 is always the additive zero and
-index 1 the multiplicative unit.
+decodes a cell for output, and `_decoded` each distinct mask once for the
+CH4 and CH1 scans.  Index 0 is always the additive zero and index 1 the
+multiplicative unit.
 
 The module ships the three classical small examples (K, the sign hyperfield
 S, the weak sign hyperfield W), finite fields as degenerate hyperfields,
@@ -116,25 +117,29 @@ def _hr3_witness(mul, add, rows=None):
     return None
 
 
-def _ch4_witness(add, neg):
-    """Reversibility on raw mask rows: the first (x, y, z) in x, y, z order
-    with z in x+y but y not in z+(-x), or None."""
+def _decoded(add):
+    """Each cell of a mask table as a tuple, every distinct mask decoded once."""
+    memo = {m: tuple(_bits(m)) for m in set().union(*add)}
+    return [[memo[m] for m in row] for row in add]
+
+
+def _ch4_witness(add, cells, neg):
+    """Reversibility on raw mask rows and their `_decoded` cells: the first
+    (x, y, z) in x, y, z order with z in x+y but y not in z+(-x), or None."""
     n = len(add)
     for x in range(n):
         nx = neg[x]
-        for y in range(n):
-            for z in _bits(add[x][y]):
+        for y, cell in enumerate(cells[x]):
+            for z in cell:
                 if not (add[z][nx] >> y & 1):
                     return (x, y, z)
     return None
 
 
-def _ch1_witness(add, rows=None):
-    """Associativity on raw mask rows, for x in rows (every x when None): the
-    first (x, y, z) in x, y, z order with (x+y)+z != x+(y+z), or None."""
+def _ch1_witness(add, cells, rows=None):
+    """Associativity on mask rows and `_decoded` cells, for x in rows (all x
+    when None): the first (x, y, z) in x, y, z order with (x+y)+z != x+(y+z)."""
     n = len(add)
-    memo = {m: tuple(_bits(m)) for m in set().union(*add)}
-    cells = [[memo[m] for m in row] for row in add]
     for x in range(n) if rows is None else rows:
         row_x = add[x]
         for y in range(n):
@@ -317,7 +322,7 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
       (x, y, z) with x != 0 is CH1 at (1, y/x, z/x): x in {0, 1} suffices.
     When a prerequisite or a reduced scan fails, the full scan runs, so each
     witness is the first failing tuple in x, y, z order."""
-    n, mul, add = F.size, F.mul, F._add
+    n, mul, add, cells = F.size, F.mul, F._add, _decoded(F._add)
     rep = ValidationReport(subject=repr(F), mode="proof by exhaustion")
 
     w = next(((x, y) for x in range(n) for y in range(n)
@@ -329,7 +334,7 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
     rep.add("CH3", w is None, w)
 
     if w is None:
-        w = _ch4_witness(add, [c[0] for c in zeros])
+        w = _ch4_witness(add, cells, [c[0] for c in zeros])
         rep.add("CH4", w is None, w)
     else:
         rep.skipped.append("CH4 (needs CH3 to define -x)")
@@ -340,7 +345,8 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
     hf = next(((x,) for x in F.units if mul[ONE][x] != x
                or ONE not in mul[x][1:] or ZERO in mul[x][1:]), None)
     hr3 = (hr2 or _hr3_witness(mul, add, rows)) and _hr3_witness(mul, add)
-    ch1 = (hr2 or hf or hr3 or _ch1_witness(add, (ZERO, ONE))) and _ch1_witness(add)
+    ch1 = ((hr2 or hf or hr3 or _ch1_witness(add, cells, (ZERO, ONE)))
+           and _ch1_witness(add, cells))
     rep.add("CH1", ch1 is None, ch1)
     w = next((x for x in range(n) if add[x][ZERO] != 1 << x), None)
     rep.add("NEUTRAL", w is None, w, note="x+0={x}; derived from CH2..CH4 but checked directly")
@@ -557,8 +563,9 @@ def find_isomorphism(F: FiniteHyperfield, G: FiniteHyperfield) -> Morphism | Non
     if s is None:
         return None
     m = Morphism(F, G, s)
-    if not is_isomorphism(m):  # belt and braces; should be unreachable
-        raise RuntimeError("candidate passed cellwise check but not is_isomorphism")
+    if not is_isomorphism(m):  # unreachable when both tables are hyperfields
+        raise MalformedTableError("a unit-group map keeping every sum is no "
+                                  "isomorphism: the tables are not hyperfields")
     return m
 
 
@@ -576,32 +583,30 @@ class Classification(NamedTuple):
 
 
 def classify(F: FiniteHyperfield) -> Classification:
-    """The classification flags of a hyperfield table.  Two have exact
-    answers (held in tests/test_finite.py).  Stringent: a stringent
-    hyperfield extends a field, K or S by an ordered group (Bowler and Su,
-    J. Algebra 2021), torsion-free and so trivial here: a finite one is a
-    field, K or S.  Superiorly canonical: a finite one is a field.  Write
-    A(x, y) for x + y = {x}, transitive by associativity.  A unit u in 1 - 1
-    gives 1 in 1 + u (reversibility), so A(1, u) by SCH1 and A(u^k, u^(k+1))
-    for all k; chaining to u's order m gives A(1, u^(m-1)) and A(u^(m-1), 1),
-    so u = 1, 1 lies in 1 - 1 and SCH1 gives 1 - 1 = {1}, against 0 in 1 - 1.
-    So 1 - 1 = {0} and y - y = {0} for all y; z, z' in x + y give x in z - y
-    and z' in (z - y) + y = {z}: every sum is one element."""
+    """The classification flags of a table that passes `validate` (as
+    `hyperval classify` requires).  Two have exact answers, held in
+    tests/test_finite.py.  Stringent: a stringent hyperfield extends a field,
+    K or S by an ordered group (Bowler and Su, J. Algebra 2021), torsion-free
+    and so trivial here: a finite one is a field, K or S.  Superiorly
+    canonical: a finite one is a field, so the flag is `is_field` (the test
+    holds it to `window.check_superiorly_canonical`).  Write A(x, y) for
+    x + y = {x}, transitive by associativity.  A unit u in 1 - 1 gives 1 in
+    1 + u (reversibility), so A(1, u) by SCH1 and A(u^k, u^(k+1)) for all k;
+    chaining to u's order m gives A(1, u^(m-1)) and A(u^(m-1), 1), so u = 1,
+    1 lies in 1 - 1 and SCH1 gives 1 - 1 = {1}, against 0 in 1 - 1.  So
+    1 - 1 = {0} and y - y = {0} for all y; z, z' in x + y give x in z - y and
+    z' in (z - y) + y = {z}: every sum is one element."""
     one_plus_one = F.add_mask(ONE, ONE)
     # stringency: every cell without 0 is a singleton
-    stringent = True
-    for x in range(F.size):
-        for y in range(F.size):
-            m = F.add_mask(x, y)
-            if not (m & 1) and m.bit_count() != 1:
-                stringent = False
-    from .window import FiniteBackend, check_superiorly_canonical  # only classify needs hypersets
+    stringent = all(m & 1 or m.bit_count() == 1
+                    for m in itertools.chain.from_iterable(F._add))
+    field = is_field(F)
     return Classification(
-        is_field=is_field(F),
+        is_field=field,
         char2=bool(one_plus_one & 1),
         cchar1=bool(one_plus_one >> ONE & 1),
         stringent=stringent,
-        superiorly_canonical=check_superiorly_canonical(FiniteBackend(F), 0).ok)
+        superiorly_canonical=field)
 
 
 # -- hyperideals ---------------------------------------------------------------
@@ -628,15 +633,18 @@ def _is_hyperideal(F: FiniteHyperfield, s: frozenset) -> bool:
 
 
 def list_hyperideals(F: FiniteHyperfield) -> list[frozenset]:
-    """All hyperideals, by exhaustive subset search (carrier is small)."""
-    out = []
-    rest = [x for x in range(F.size) if x != ZERO]
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            cand = frozenset((ZERO,) + combo)
-            if _is_hyperideal(F, cand):
-                out.append(cand)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """All hyperideals.  Call u onto when x -> xu hits every element: an
+    absorbing S holding an onto u holds every xu, so S = F, by no hyperfield
+    axiom.  So the search covers the subsets of 0 and the elements that are
+    not onto, then F once; in a hyperfield that is {0} and F."""
+    n = F.size
+    rest = [u for u in range(1, n) if len({row[u] for row in F.mul}) < n]
+    cands = [frozenset((ZERO,) + combo) for r in range(len(rest) + 1)
+             for combo in itertools.combinations(rest, r)]
+    if len(rest) < n - 1:
+        cands.append(frozenset(range(n)))
+    return sorted((s for s in cands if _is_hyperideal(F, s)),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 # -- quotient certificates -------------------------------------------------------
@@ -815,10 +823,9 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
                 # row 1 of the table is h itself
                 if not _least_in_orbit(iota, tuple(cand[ONE]), auts):
                     continue
-                if _ch1_witness(cand, rows=(ZERO, ONE)) is not None:
+                add = _decoded(cand)
+                if _ch1_witness(cand, add, (ZERO, ONE)) is not None:
                     continue
-                add = [[_mask_to_cell(cand[x][y]) for y in range(order)]
-                       for x in range(order)]
                 H = FiniteHyperfield(names, mul, add,
                                      {"label": f"order{order}"})
                 if validate(H).ok:

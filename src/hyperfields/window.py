@@ -7,8 +7,8 @@ results), ``value_rank``, ``elements(bound)``, ``elem_json``, ``sort_key``
 and ``describe``.  FiniteBackend adapts a FiniteHyperfield; the tropical and
 leading-term carriers implement it natively.  Checks visit every tuple of a
 finite backend ("proof by exhaustion") or of a window ("bounded
-verification").  Nothing here needs a valuation or a symbolic carrier, so
-``classify`` can check superior canonicity on a finite table.
+verification").  Nothing here needs a valuation or a symbolic carrier; on a
+finite table the tests hold ``check_superiorly_canonical`` to ``is_field``.
 
 ``_Window`` is the one place a checker meets its window.  It owns the
 element indices, the interned hypersets, the table of window sums, the

@@ -1,5 +1,6 @@
 """Finite hyperfields: tables, axioms, quotients, morphisms, enumeration."""
 
+import functools
 import itertools
 import json
 import random
@@ -20,6 +21,7 @@ from hyperfields.finite import (ONE, ZERO, FiniteHyperfield,
                                 non_quotient_certificate, quotient_hyperfield,
                                 quotient_search, squares_subgroup,
                                 subgroup_closure, validate)
+from hyperfields.window import FiniteBackend, check_superiorly_canonical
 
 
 def _cells(F):
@@ -865,6 +867,15 @@ def test_morphism_checks_match_the_cell_decoding_reference():
     assert min(verdicts.values()) > 100, verdicts
 
 
+def test_find_isomorphism_refuses_tables_that_are_not_hyperfields():
+    # every element times 1 is 1, and 1 + 1 = {0, 1}: no unit group, yet the
+    # identity keeps every sum of K; this once raised a RuntimeError
+    T3 = FiniteHyperfield.from_json({"names": ["0", "1"], "mul": [[1, 1], [1, 1]],
+                                     "add": [[[0], [1]], [[1], [0, 1]]]})
+    with pytest.raises(MalformedTableError, match="the tables are not hyperfields"):
+        find_isomorphism(T3, build_K())
+
+
 def test_isomorphism_of_f64_with_itself_fast():
     F = build_finite_field(64)
     m = Morphism(F, F, tuple(range(64)))
@@ -911,18 +922,47 @@ def _all_quotients(q_max):
                 yield quotient_hyperfield(K, [finite._pow(K, gen, index)])
 
 
+@functools.cache
+def _theorem_tables():
+    """The enumerated classes of orders 2-6, K, S, W and every quotient with
+    q <= 64: 202 tables."""
+    tables = [F for order in range(2, 7) for F in enumerate_hyperfields(order)]
+    return tables + [build_K(), build_S(), build_W(), *_all_quotients(64)]
+
+
 def test_classify_obeys_the_structure_theorems():
     # classify's docstring: a finite superiorly canonical hyperfield is a
     # field, and a finite stringent one is a field, K or S (Bowler-Su)
     K, S = build_K(), build_S()
-    tables = [F for order in range(2, 7) for F in enumerate_hyperfields(order)]
-    tables += [K, S, build_W(), *_all_quotients(64)]
+    tables = _theorem_tables()
     assert len(tables) == 202
     for F in tables:
         c = classify(F)
         assert c.superiorly_canonical == c.is_field, F
         assert c.stringent == (c.is_field or find_isomorphism(F, K) is not None
                                or find_isomorphism(F, S) is not None), F
+
+
+def test_the_generic_checker_finds_superior_canonicity_exactly_on_fields():
+    # classify reads the flag as is_field; the windowed checker on the whole
+    # table is the second route
+    tables = _theorem_tables()
+    assert len(tables) == 202
+    for F in tables:
+        checked = check_superiorly_canonical(FiniteBackend(F), 0).ok
+        assert checked == is_field(F) == classify(F).superiorly_canonical, F
+
+
+def test_classify_of_f37_fast():
+    F = build_finite_field(37)
+
+    def timed():
+        t0 = time.perf_counter()
+        assert classify(F).superiorly_canonical
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.0009, f"classify(F37) took {dt * 1e3:.3f}ms, budget 0.9ms"
 
 
 # -- hyperideals -------------------------------------------------------------------
@@ -964,6 +1004,44 @@ def test_hyperideals_of_the_index_11_quotient_of_f23_fast():
 
     dt = min(timed() for _ in range(3))
     assert dt < 0.018, f"list_hyperideals(F23/T) took {dt * 1e3:.1f}ms, budget 18ms"
+
+
+def _residues(n):
+    """Z/n as a table: each sum a single residue, so every x with
+    gcd(x, n) > 1 is not onto and lies in a proper ideal."""
+    return FiniteHyperfield([str(i) for i in range(n)],
+                            [[x * y % n for y in range(n)] for x in range(n)],
+                            [[((x + y) % n,) for y in range(n)] for x in range(n)])
+
+
+def test_pruned_hyperideal_search_matches_the_full_search():
+    tables = [F for order in range(2, 7) for F in enumerate_hyperfields(order)]
+    tables += [build_K(), build_S(), build_W(), *map(_residues, range(2, 13))]
+    # F2 x F2, with 0 = (0, 0), 1 = (1, 1), 2 = (1, 0) and 3 = (0, 1)
+    tables.append(FiniteHyperfield("0123", [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0],
+                                            [0, 3, 0, 3]],
+                                   [[(0,), (1,), (2,), (3,)], [(1,), (0,), (3,), (2,)],
+                                    [(2,), (3,), (0,), (1,)], [(3,), (2,), (1,), (0,)]]))
+    for F in tables:
+        assert list_hyperideals(F) == ref_list_hyperideals(F), F
+    assert list_hyperideals(_residues(12)) == [
+        frozenset(range(0, 12, d)) for d in (12, 6, 4, 3, 2, 1)]
+    assert list_hyperideals(tables[-1]) == [
+        frozenset({0}), frozenset({0, 2}), frozenset({0, 3}), frozenset(range(4))]
+
+
+def test_hyperideals_of_the_index_9_quotient_of_f37_fast():
+    F = build_finite_field(37)
+    Q = quotient_hyperfield(F, [finite._pow(F, 2, 9)])  # 2 has order 36
+    assert Q.size == 10
+
+    def timed():
+        t0 = time.perf_counter()
+        assert list_hyperideals(Q) == [frozenset({0}), frozenset(range(10))]
+        return time.perf_counter() - t0
+
+    dt = min(timed() for _ in range(3))
+    assert dt < 0.0005, f"list_hyperideals(F37/T) took {dt * 1e3:.3f}ms, budget 0.5ms"
 
 
 # -- quotient recognition ------------------------------------------------------------
@@ -1114,7 +1192,7 @@ def _unit_groups(order):
 def _ref_reversible_tables(order, mul, inv, iota):
     neg = [mul[iota][x] for x in range(order)]
     return [cand for cand in _ref_candidate_tables(order, mul, inv, iota)
-            if finite._ch4_witness(cand, neg) is None]
+            if finite._ch4_witness(cand, finite._decoded(cand), neg) is None]
 
 
 # The enumerator before the orbit rule: each table that validates is
@@ -1124,7 +1202,7 @@ def _ref_enumerate(order):
     found = []
     for mul, inv, iota in _unit_groups(order):
         for cand in _ref_reversible_tables(order, mul, inv, iota):
-            if finite._ch1_witness(cand) is not None:
+            if finite._ch1_witness(cand, finite._decoded(cand)) is not None:
                 continue
             names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
             add = [[finite._mask_to_cell(cand[x][y]) for y in range(order)]

@@ -15,8 +15,8 @@ from hyperfields import finite
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The modules the layering test watches: the symbolic layer, and the
-# compiled window that classify loads with hypersets.
+# The modules the layering test watches: the symbolic layer and the
+# compiled window.
 TRACKED = ("hyperfields.hypersets", "hyperfields.leading_terms",
            "hyperfields.tropical", "hyperfields.valuation", "hyperfields.window")
 
@@ -92,13 +92,12 @@ def _layers(*names: str) -> dict:
 
 
 def test_finite_verbs_leave_the_symbolic_layer_unloaded():
-    steps = _layers("axioms", "iso", "quotient", "enumerate", "hyperideals", "bad-q")
+    steps = _layers("axioms", "iso", "quotient", "enumerate", "hyperideals", "bad-q",
+                    "classify")
+    # classify reads superior canonicity from is_field: no hypersets, no window
     assert steps == {"import": [None, []], "axioms": [0, []], "iso": [1, []],
                      "quotient": [0, []], "enumerate": [0, []],
-                     "hyperideals": [0, []], "bad-q": [2, []]}
-    # classify runs the generic superior canonicity checker on the table
-    assert _layers("classify")["classify"] == [
-        0, ["hyperfields.hypersets", "hyperfields.window"]]
+                     "hyperideals": [0, []], "bad-q": [2, []], "classify": [0, []]}
     steps = _layers("axioms tropical:1", "krasner")
     # the tropical suite needs neither valuation nor leading_terms
     assert steps["axioms tropical:1"] == [
