@@ -257,7 +257,10 @@ def cmd_krasner(args) -> dict:
 def cmd_residue(args) -> dict:
     from . import valuation as vn
     backend, v, _ = _load_backend(args)
-    R = vn.residue_hyperfield(backend, v, args.window_bound)
+    try:
+        R = vn.residue_hyperfield(backend, v, args.window_bound)
+    except vn.ResidueOutOfReach as e:
+        raise ParseFailure(str(e))
     payload = {"residue": R.to_json(), "order": R.size,
                "is_field": is_field(R)}
     return _report("residue", _backend_params(args), payload, True)

@@ -10,7 +10,8 @@ all presented through the data a coset actually determines:
 
 * `CompositeContext`: Q(X) with the rank-2 value (X-adic order, then p-adic
   order of the leading rational coefficient), modulo 1 + X Q[[X]]-units.  An
-  element is Zero or (n, c) with c a nonzero rational.
+  element is Zero or (n, c) with c a nonzero rational, kept as the reduced
+  int pair (numerator, denominator > 0).
 
 * `CollapsedConstantsContext`: Q(X) with the entire constant group Q^x
   collapsed, keeping only the X-adic order.  As a hyperfield it is the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from . import hypersets as hs
@@ -41,8 +43,11 @@ class LTElement(NamedTuple):
 
 
 class CompositeElement(NamedTuple):
+    """The coset of X^n (c + X Q[[X]]); c is the reduced int pair
+    (numerator, denominator) of a nonzero rational, denominator > 0."""
+
     n: int
-    c: Fraction
+    c: tuple[int, int]
 
 
 class LTContext:
@@ -126,7 +131,8 @@ class LTContext:
             return hs.Singleton(LTElement(x.value, tuple(merged)))
         s = tuple(map(list.__getitem__, map(g.add.__getitem__, x.coeffs), y.coeffs))
         if not any(s):
-            return hs.AboveValue(self._norm.shift((x.value,)))
+            # the norm {m <= level} shifted by the value, built normalised
+            return hs.AboveValue(Cut.le(1, (x.value + self.level,)))
         k = next(i for i, c in enumerate(s) if c)
         if k == 0:
             return hs.Singleton(LTElement(x.value, s))
@@ -165,10 +171,11 @@ class LTContext:
         return f"leading terms of F_{self.q}((t)) at level {self.level}"
 
 
-def ord_p(c: Fraction, p: int) -> int:
-    if c == 0:
+def ord_p(c: tuple[int, int], p: int) -> int:
+    """The p-adic order of the nonzero rational c = (numerator, denominator)."""
+    n, d = c
+    if n == 0:
         raise ValueError("0 has no finite order")
-    n, d = c.numerator, c.denominator
     k = 0
     while n % p == 0:
         n //= p
@@ -181,14 +188,18 @@ def ord_p(c: Fraction, p: int) -> int:
 
 class CompositeContext:
     """Q(X) with the composite rank-2 value (X-adic, then p-adic on the
-    leading coefficient), modulo the 1-units 1 + X Q[[X]] it determines."""
+    leading coefficient), modulo the 1-units 1 + X Q[[X]] it determines.
+
+    Coefficients are reduced int pairs (numerator, denominator > 0):
+    sums and products cross-multiply and divide out the gcd, so equal
+    rationals are equal pairs."""
 
     def __init__(self, p: int = 2):
         if not is_prime(p):
             raise ValueError("p must be a prime")
         self.p = p
         self.zero: Optional[CompositeElement] = None
-        self.one = CompositeElement(0, Fraction(1))
+        self.one = CompositeElement(0, (1, 1))
         self.value_rank = 2
         # first coordinate at most 0; invariant under the second coordinate
         self._norm = Cut.le(2, (0,))
@@ -197,20 +208,24 @@ class CompositeContext:
         c = Fraction(c)
         if c == 0:
             raise ValueError("leading coefficient must be nonzero")
-        return CompositeElement(int(n), c)
+        return CompositeElement(int(n), c.as_integer_ratio())
 
     def mul(self, x, y):
         if x is None or y is None:
             return None
-        return CompositeElement(x.n + y.n, x.c * y.c)
+        (a, b), (c, d) = x.c, y.c
+        num, den = a * c, b * d
+        g = gcd(num, den)
+        return CompositeElement(x.n + y.n, (num // g, den // g))
 
     def neg(self, x):
-        return None if x is None else CompositeElement(x.n, -x.c)
+        return None if x is None else CompositeElement(x.n, (-x.c[0], x.c[1]))
 
     def inv(self, x):
         if x is None:
             raise ZeroDivisionError("zero has no inverse")
-        return CompositeElement(-x.n, 1 / x.c)
+        a, b = x.c
+        return CompositeElement(-x.n, (b, a) if a > 0 else (-b, -a))
 
     def add(self, x, y):
         if x is None:
@@ -219,10 +234,14 @@ class CompositeContext:
             return hs.Singleton(x)
         if x.n != y.n:
             return hs.Singleton(x if x.n < y.n else y)
-        s = x.c + y.c
-        if s:
-            return hs.Singleton(CompositeElement(x.n, s))
-        return hs.AboveValue(self._norm.shift(self.value_of(x)))
+        (a, b), (c, d) = x.c, y.c
+        num = a * d + c * b
+        if num:
+            den = b * d
+            g = gcd(num, den)
+            return hs.Singleton(CompositeElement(x.n, (num // g, den // g)))
+        # the norm bounds the X-order alone: its shift by v(x) is {m <= n}
+        return hs.AboveValue(Cut.le(2, (x.n,)))
 
     def value_of(self, x) -> Value:
         return None if x is None else (x.n, ord_p(x.c, self.p))
@@ -237,19 +256,20 @@ class CompositeContext:
         fracs = sorted({Fraction(s * a, b) for s in (1, -1)
                         for a in parts for b in parts})
         check_window(len(fracs), 2 * bound + 1, 1)
+        coeffs = [f.as_integer_ratio() for f in fracs]
         out = [None]
         for n in range(-bound, bound + 1):
-            for c in fracs:
+            for c in coeffs:
                 out.append(CompositeElement(n, c))
         return out
 
     def elem_json(self, x):
         if x is None:
             return None
-        return {"n": x.n, "c": f"{x.c.numerator}/{x.c.denominator}"}
+        return {"n": x.n, "c": f"{x.c[0]}/{x.c[1]}"}
 
     def sort_key(self, x):
-        return (0,) if x is None else (1, x.n, x.c)
+        return (0,) if x is None else (1, x.n, Fraction(*x.c))
 
     def describe(self) -> str:
         return f"Q(X) with composite (X-adic, {self.p}-adic) leading terms"

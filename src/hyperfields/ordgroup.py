@@ -145,8 +145,14 @@ class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
 
     @classmethod
     def le(cls, rank: int, bound: GroupElem) -> "Cut":
-        """{m : m[:k] <= bound} with k = len(bound)."""
-        return cls(rank, len(bound), tuple(bound), True)
+        """{m : m[:k] <= bound} with k = len(bound).
+
+        An inclusive bound is already normalised, so the cut is built
+        directly; only the bound's length is checked against the rank."""
+        bound = tuple(bound)
+        if len(bound) > rank:
+            raise ValueError("prefix_len must lie in [0, rank]")
+        return tuple.__new__(cls, (rank, len(bound), bound, True))
 
     @classmethod
     def lt(cls, rank: int, bound: GroupElem) -> "Cut":

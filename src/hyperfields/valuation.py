@@ -297,6 +297,12 @@ def _same_residue_class(backend, v: Valuation, x, y, U) -> bool:
     return False
 
 
+class ResidueOutOfReach(ValueError):
+    """A residue the window cannot build: more classes than the table may
+    hold, or a product or sum of representatives in no class the window
+    reaches."""
+
+
 def residue_hyperfield(backend, v: Valuation, bound: int = 2) -> FiniteHyperfield:
     """O_v / M_v with (x+M) + (y+M) = {z+M : z in x+y}, built from window
     representatives and validated (at most 64 classes)."""
@@ -314,13 +320,16 @@ def _residue(backend, v: Valuation, bound: int, cap: int):
             continue
         reps.append(x)
         if len(reps) > cap:
-            raise ValueError(f"more than {cap} residue classes in the window")
+            raise ResidueOutOfReach(f"the residue hyperfield has more than {cap} "
+                                    f"classes, the most a residue table holds")
 
     def class_of(x) -> int:
         for i, r in enumerate(reps):
             if _same_residue_class(backend, v, x, r, U):
                 return i
-        raise ValueError("element in no discovered class; enlarge the window")
+        raise ResidueOutOfReach(
+            f"the window reaches only {len(reps)} residue classes, and "
+            f"{json.dumps(backend.elem_json(x), sort_keys=True)} lies in none of them")
 
     n = len(reps)
     names = ["0", "1"]

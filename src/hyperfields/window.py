@@ -96,7 +96,8 @@ class _Window:
     hypersets are equal named tuples, and two shapes never collide (see
     ``hypersets``), so equal ids mean equal hypersets.  ``sums[a][b]`` is
     the id of U[a] + U[b], ``minus(k)`` the ids of elems[k] - U[t], and
-    ``mask_of(h)`` the window members of h, made on first read.  Each
+    ``mask_of(h)`` the window members of h, made on first read; a ray's
+    is the union of the window's value levels above its cut.  Each
     checker call builds its own."""
 
     def __init__(self, backend, bound: int):
@@ -108,6 +109,7 @@ class _Window:
         self.sets: list = []
         self._ids: dict = {}    # hyperset -> id
         self._masks: dict = {}  # id -> mask, for the ids read so far
+        self._levels = None     # (value, mask of the window at it), on the first ray
         self._negs = None       # indices of -U[t], made on the first minus
         add, intern = backend.add, self.intern
         self.sums = [[intern(add(x, y)) for y in U] for x in U]
@@ -146,8 +148,16 @@ class _Window:
         if m is None:
             s = self.sets[h]
             if isinstance(s, hs.AboveValue):
-                m = sum(1 << k for k, x in enumerate(self.window)
-                        if value_gt_cut(self.value_of(x), s.cut))
+                if self._levels is None:
+                    levels: dict = {}
+                    for k, x in enumerate(self.window):
+                        v = self.value_of(x)
+                        levels[v] = levels.get(v, 0) | 1 << k
+                    self._levels = list(levels.items())
+                m = 0
+                for v, level in self._levels:
+                    if value_gt_cut(v, s.cut):
+                        m |= level
             elif isinstance(s, (hs.Singleton, hs.FiniteSet)):
                 m = 0
                 for x in (s.elem,) if isinstance(s, hs.Singleton) else s.elems:

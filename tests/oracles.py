@@ -13,7 +13,9 @@ The composite carrier has rational (infinite) tails, so enumeration is
 replaced by witness construction: for each claimed member a concrete pair
 of 1-unit multipliers is built and then verified by exact Fraction
 arithmetic; for each claimed non-member the valuation inequality rules it
-out.
+out.  The carrier keeps its coefficients as reduced int pairs; the
+``frac_*`` functions redo its arithmetic, value, text and order on
+``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from hyperfields import hypersets as hs
 from hyperfields.leading_terms import LTContext, LTElement, CompositeElement
 
 
@@ -88,6 +91,70 @@ def lift_product_coset(ctx: LTContext, x, y):
 
 # -- composite oracle -----------------------------------------------------------
 
+def frac(e: CompositeElement) -> Fraction:
+    """The leading coefficient of a composite element, as a Fraction."""
+    return Fraction(*e.c)
+
+
+def composite(n: int, c: Fraction) -> CompositeElement:
+    """The composite element X^n c for a nonzero Fraction c."""
+    return CompositeElement(n, (c.numerator, c.denominator))
+
+
+def frac_ord_p(c: Fraction, p: int) -> int:
+    n, d = c.numerator, c.denominator
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    while d % p == 0:
+        d //= p
+        k -= 1
+    return k
+
+
+def frac_value(ctx, x):
+    return None if x is None else (x.n, frac_ord_p(frac(x), ctx.p))
+
+
+def frac_add(ctx, x, y):
+    """The composite hypersum, by Fraction arithmetic; full cancellation is
+    the norm shifted by the value of x."""
+    if x is None or y is None:
+        return hs.Singleton(y if x is None else x)
+    if x.n != y.n:
+        return hs.Singleton(x if x.n < y.n else y)
+    s = frac(x) + frac(y)
+    if s:
+        return hs.Singleton(composite(x.n, s))
+    return hs.AboveValue(ctx.norm_cut().shift(frac_value(ctx, x)))
+
+
+def frac_mul(x, y):
+    if x is None or y is None:
+        return None
+    return composite(x.n + y.n, frac(x) * frac(y))
+
+
+def frac_neg(x):
+    return None if x is None else composite(x.n, -frac(x))
+
+
+def frac_inv(x):
+    return composite(-x.n, 1 / frac(x))
+
+
+def frac_json(x):
+    if x is None:
+        return None
+    c = frac(x)
+    return {"n": x.n, "c": f"{c.numerator}/{c.denominator}"}
+
+
+def frac_sort_key(x):
+    return (0,) if x is None else (1, x.n, frac(x))
+
+
 def _frac_poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
@@ -101,7 +168,7 @@ def _frac_poly_coset(ctx, poly: dict):
     if not poly:
         return None
     n = min(poly)
-    return CompositeElement(n, poly[n])
+    return composite(n, poly[n])
 
 
 def composite_realize(ctx, x, y, z) -> bool:
@@ -114,9 +181,9 @@ def composite_realize(ctx, x, y, z) -> bool:
         return z == (y if x is None else x)
 
     def poly_of(e: CompositeElement, tail: dict | None = None) -> dict:
-        out = {e.n: e.c}
+        out = {e.n: frac(e)}
         for k, d in (tail or {}).items():
-            out[e.n + k] = out.get(e.n + k, Fraction(0)) + e.c * d
+            out[e.n + k] = out.get(e.n + k, Fraction(0)) + frac(e) * d
         return {k: c for k, c in out.items() if c}
 
     def verify(tail_x: dict | None, tail_y: dict | None) -> bool:
@@ -126,12 +193,12 @@ def composite_realize(ctx, x, y, z) -> bool:
 
     if x.n != y.n:
         return z == min((x, y), key=lambda e: e.n) and verify(None, None)
-    if x.c + y.c != 0:
-        return z == CompositeElement(x.n, x.c + y.c) and verify(None, None)
+    if frac(x) + frac(y) != 0:
+        return z == composite(x.n, frac(x) + frac(y)) and verify(None, None)
     # full cancellation: members are exactly Zero and every element of
     # strictly larger X-order
     if z is None:
         return verify(None, None)
     if z.n <= x.n:
         return False
-    return verify({z.n - x.n: z.c / x.c}, None)
+    return verify({z.n - x.n: frac(z) / frac(x)}, None)

@@ -363,6 +363,27 @@ def test_residue_verb(capsys):
     assert rep["order"] == 2 and rep["is_field"] is False
 
 
+# Both exited 3 before.  The composite window's constants are +-a/b with
+# a, b in {1, 2, 3, 4, p}, the same at every bound; they reach 23 residue
+# classes, so F_p for p above 23 has a class no window element lies in.
+@pytest.mark.parametrize("argv, limit", [
+    (("residue", "kgamma", "--q", "67", "--gamma", "0", "--window-bound", "0"),
+     "more than 64 classes"),
+    (("residue", "composite", "--p", "29", "--window-bound", "1"),
+     "the window reaches only 23 residue classes"),
+])
+def test_residue_beyond_the_window_exits_2(argv, limit, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and limit in err
+
+
+def test_composite_residue_is_f_23_at_the_window_limit(capsys):
+    code, rep = run(capsys, "residue", "composite", "--p", "23", "--window-bound", "1")
+    assert code == 0
+    assert rep["order"] == 23 and rep["is_field"]
+
+
 def test_coarsen_verb(capsys):
     code, rep = run(capsys, "coarsen", "--p", "2", "--window-bound", "2")
     assert code == 0

@@ -1137,3 +1137,40 @@ def test_window_sums_and_differences_are_the_backend_sums(name, backend, bound,
         z = win.elems[k]
         for t, h in zip(U, win.minus(k)):
             assert hs.equal(sets[h], backend.add(z, backend.neg(t))), (k, t)
+
+
+def _ref_ray_mask(win, cut) -> int:
+    """A ray's window mask as ``_Window.mask_of`` made it before it read
+    the value levels: one ``value_gt_cut`` per window element."""
+    return sum(1 << k for k, x in enumerate(win.window)
+               if value_gt_cut(win.value_of(x), cut))
+
+
+RAY_WINDOWS = [(f"{name}:{bound}", backend, bound) for bound in (0, 1, 2)
+               for name, backend in (("lt:2:1", LTContext(2, 1)),
+                                     ("lt:3:0", LTContext(3, 0)),
+                                     ("composite:2", CompositeContext(2)),
+                                     ("composite:5", CompositeContext(5)),
+                                     ("collapsed", CollapsedConstantsContext()),
+                                     ("tropical:1", TropicalHyperfield(1)),
+                                     ("tropical:2", TropicalHyperfield(2)),
+                                     ("tropical-strict:2", TropicalHyperfield(2, True)))]
+
+
+@pytest.mark.parametrize("name,backend,bound", RAY_WINDOWS, ids=[c[0] for c in RAY_WINDOWS])
+def test_ray_masks_match_the_per_element_scan(name, backend, bound):
+    win = _Window(backend, bound)
+    # the differences from members outside the window reach further rays
+    outside = [win.index(x) for x in backend.elements(bound + 1) if x not in win.window]
+    assert outside
+    for k in list(range(win.n)) + outside:
+        win.minus(k)
+    assert any(isinstance(s, hs.AboveValue) for s in win.sets)
+    vals = [win.value_of(x) for x in win.window if x != backend.zero]
+    rank = backend.value_rank
+    top = win.intern(hs.AboveValue(Cut.le(rank, max(vals))))    # above every value
+    bottom = win.intern(hs.AboveValue(Cut.lt(rank, min(vals))))  # below every value
+    for h in [h for h, s in enumerate(win.sets) if isinstance(s, hs.AboveValue)]:
+        assert win.mask_of(h) == _ref_ray_mask(win, win.sets[h].cut), win.sets[h]
+    assert win.mask_of(top) == 1  # only the zero, which comes first
+    assert win.mask_of(bottom) == (1 << win.n) - 1

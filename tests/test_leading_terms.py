@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfields import hypersets as hs
 from hyperfields.leading_terms import (CollapsedConstantsContext,
@@ -11,7 +13,9 @@ from hyperfields.leading_terms import (CollapsedConstantsContext,
 from hyperfields.ordgroup import Cut, WindowTooLarge
 from hyperfields.tropical import t_add
 
-from oracles import composite_realize, lift_product_coset, lift_sum_cosets
+from oracles import (composite, composite_realize, frac, frac_add, frac_inv,
+                     frac_json, frac_mul, frac_neg, frac_sort_key, frac_value,
+                     lift_product_coset, lift_sum_cosets)
 
 
 def assert_add_matches_oracle(ctx, x, y):
@@ -122,6 +126,17 @@ def test_oversize_context_is_refused_before_it_is_built():
         ctx.elements(1)  # ... but not three values of it
 
 
+@pytest.mark.parametrize("q,gamma", [(2, 0), (3, 1), (4, 2)])
+def test_full_cancellation_is_the_shifted_norm(q, gamma):
+    ctx = LTContext(q, gamma)
+    for x in ctx.elements(2)[1:]:
+        got = ctx.add(x, ctx.neg(x))
+        want = ctx.norm_cut().shift((x.value,))
+        assert got == hs.AboveValue(want)
+        assert got.cut == want and hash(got.cut) == hash(want)
+        assert hash(got) == hash(hs.AboveValue(want))
+
+
 def test_neg_is_an_additive_inverse_window():
     ctx = LTContext(2, 1)
     x = ctx.elem(-2, (1, 1))
@@ -147,11 +162,11 @@ def test_norm_cut_tracks_the_level():
 # -- composite rank-2 carrier ---------------------------------------------------------
 
 def test_ord_p_on_rationals():
-    assert ord_p(Fraction(8, 3), 2) == 3
-    assert ord_p(Fraction(3, 8), 2) == -3
-    assert ord_p(Fraction(5, 7), 2) == 0
+    assert ord_p(Fraction(8, 3).as_integer_ratio(), 2) == 3
+    assert ord_p(Fraction(3, 8).as_integer_ratio(), 2) == -3
+    assert ord_p(Fraction(5, 7).as_integer_ratio(), 2) == 0
     with pytest.raises(ValueError):
-        ord_p(Fraction(0), 2)
+        ord_p(Fraction(0).as_integer_ratio(), 2)
 
 
 def test_composite_values_are_lex_pairs():
@@ -173,7 +188,7 @@ def test_composite_hypersum_cases():
     ctx = CompositeContext(2)
     x = ctx.elem(0, "3/2")
     assert ctx.add(x, ctx.elem(2, 5)) == hs.Singleton(x)
-    assert ctx.add(x, ctx.elem(0, "1/2")) == hs.Singleton(CompositeElement(0, Fraction(2)))
+    assert ctx.add(x, ctx.elem(0, "1/2")) == hs.Singleton(composite(0, Fraction(2)))
     got = ctx.add(x, ctx.neg(x))
     assert got == hs.AboveValue(Cut.le(2, (0,)))
     assert hs.contains(got, ctx.elem(1, "1/1000"), ctx.value_of)
@@ -184,7 +199,7 @@ def test_composite_hypersum_cases():
 def test_composite_hypersum_agrees_with_witness_oracle():
     ctx = CompositeContext(2)
     U = [x for x in ctx.elements(1) if x is None
-         or (abs(x.c.numerator) <= 2 and x.c.denominator <= 2)]
+         or (abs(frac(x).numerator) <= 2 and frac(x).denominator <= 2)]
     for x in U:
         for y in U:
             s = ctx.add(x, y)
@@ -197,7 +212,7 @@ def test_composite_multiplication_and_inverse():
     ctx = CompositeContext(2)
     x = ctx.elem(3, "2/3")
     y = ctx.elem(-1, "3/4")
-    assert ctx.mul(x, y) == CompositeElement(2, Fraction(1, 2))
+    assert ctx.mul(x, y) == composite(2, Fraction(1, 2))
     assert ctx.mul(x, ctx.inv(x)) == ctx.one
     assert ctx.mul(x, None) is None
 
@@ -216,13 +231,78 @@ def test_composite_windows_for_p_2_and_3_are_unchanged(p, bound):
     fracs = sorted({Fraction(s * a, b) for s in (1, -1)
                     for a in range(1, 5) for b in range(1, 5)})
     assert CompositeContext(p).elements(bound) == [None] + [
-        CompositeElement(n, c) for n in range(-bound, bound + 1) for c in fracs]
+        composite(n, c) for n in range(-bound, bound + 1) for c in fracs]
 
 
 def test_composite_serialization():
     ctx = CompositeContext(2)
     assert ctx.elem_json(ctx.elem(1, "1/2")) == {"n": 1, "c": "1/2"}
     assert ctx.elem_json(None) is None
+
+
+def test_composite_coefficients_are_reduced_int_pairs():
+    ctx = CompositeContext(2)
+    assert ctx.elem(1, "-6/4") == ctx.elem(1, Fraction(6, -4)) == CompositeElement(1, (-3, 2))
+    assert ctx.one == CompositeElement(0, (1, 1))
+    assert ctx.elem(0, -3) == ctx.elem(0, "-3") == ctx.elem(0, Fraction(-3)) == CompositeElement(0, (-3, 1))
+    assert ctx.inv(ctx.elem(2, "-2/3")) == CompositeElement(-2, (-3, 2))
+    assert ctx.inv(ctx.elem(0, -5)) == CompositeElement(0, (-1, 5))
+
+
+@pytest.mark.parametrize("ctx", [LTContext(3, 1), CompositeContext(2)])
+def test_zero_has_no_inverse(ctx):
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(None)
+
+
+def _pair_with_p_powers(p):
+    """A nonzero rational (numerator, denominator) carrying powers of p."""
+    unit = st.integers(1, 60).filter(lambda k: k % p)
+    return st.tuples(st.sampled_from((1, -1)), unit, unit,
+                     st.integers(0, 4), st.integers(0, 4)).map(
+        lambda t: (t[0] * t[1] * p ** t[3], t[2] * p ** t[4]))
+
+
+@st.composite
+def _composite_draws(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    ctx = CompositeContext(p)
+    elem = st.one_of(st.none(), st.builds(
+        lambda n, c: ctx.elem(n, Fraction(*c)), st.integers(-3, 3), _pair_with_p_powers(p)))
+    x = draw(elem)
+    # equal X-orders, and y = -x, are where the sums cancel
+    y = draw(st.one_of(elem, st.just(ctx.neg(x)),
+                       st.builds(lambda c: None if x is None else ctx.elem(x.n, Fraction(*c)),
+                                 _pair_with_p_powers(p))))
+    return ctx, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_composite_draws())
+def test_int_composite_carrier_matches_the_fraction_oracle(case):
+    ctx, x, y = case
+    assert ctx.add(x, y) == frac_add(ctx, x, y)
+    assert ctx.mul(x, y) == frac_mul(x, y)
+    for z in (x, y):
+        assert ctx.neg(z) == frac_neg(z)
+        assert ctx.value_of(z) == frac_value(ctx, z)
+        assert ctx.elem_json(z) == frac_json(z)
+        if z is not None:
+            assert ctx.inv(z) == frac_inv(z)
+            assert z.c[1] > 0 and ctx.inv(z).c[1] > 0
+            c = frac(z)
+            assert ctx.elem(z.n, c) == ctx.elem(z.n, f"{c.numerator}/{c.denominator}") == z
+            if c.denominator == 1:
+                assert ctx.elem(z.n, c.numerator) == z
+    assert ((ctx.sort_key(x) < ctx.sort_key(y)) == (frac_sort_key(x) < frac_sort_key(y)))
+    assert ((ctx.sort_key(x) == ctx.sort_key(y)) == (frac_sort_key(x) == frac_sort_key(y)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_composite_window_order_is_the_fraction_order(p):
+    U = CompositeContext(p).elements(1)
+    assert sorted(U, key=frac_sort_key) == U
+    assert sorted(U, key=CompositeContext(p).sort_key) == U
 
 
 # -- collapsed constants ---------------------------------------------------------------

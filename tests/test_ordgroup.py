@@ -185,6 +185,18 @@ def test_cut_json_round_trip():
         assert Cut(2, data["prefix_len"], tuple(data["bound"]), data["inclusive"]) == c
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_le_equals_the_checked_constructor(rank):
+    # le skips __new__ (an inclusive bound needs no normalising)
+    for k in range(rank + 1):
+        for bound in itertools.product(range(-1, 2), repeat=k):
+            got, want = Cut.le(rank, list(bound)), Cut(rank, k, bound, True)
+            assert type(got) is Cut and type(got.bound) is tuple
+            assert got == want and hash(got) == hash(want)
+    with pytest.raises(ValueError):
+        Cut.le(rank, (0,) * (rank + 1))
+
+
 def test_cut_rank_guards():
     with pytest.raises(ValueError):
         Cut.le(1, (0,)).contains((0, 0))
