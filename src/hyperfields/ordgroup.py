@@ -74,13 +74,21 @@ def vcompare(a: Value, b: Value) -> int:
 
 
 def vmin(a: Value, b: Value) -> Value:
-    return a if vcompare(a, b) <= 0 else b
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if len(a) != len(b):
+        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
+    return a if a <= b else b
 
 
 def vadd(a: Value, b: Value) -> Value:
     if a is None or b is None:
         return None
-    return gadd(a, b)
+    if len(a) != len(b):
+        raise ValueError("rank mismatch")
+    return tuple(map(add, a, b))
 
 
 def vneg(a: Value) -> Value:
@@ -156,7 +164,18 @@ class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
 
     @classmethod
     def lt(cls, rank: int, bound: GroupElem) -> "Cut":
-        return cls(rank, len(bound), tuple(bound), False)
+        """{m : m[:k] < bound} with k = len(bound).
+
+        Built directly in its normalised form, the predecessor bound made
+        inclusive; an empty bound gives the empty cut.  Only the bound's
+        length is checked against the rank."""
+        bound = tuple(bound)
+        k = len(bound)
+        if k > rank:
+            raise ValueError("prefix_len must lie in [0, rank]")
+        if not k:
+            return tuple.__new__(cls, (rank, 0, (), False))
+        return tuple.__new__(cls, (rank, k, bound[:-1] + (bound[-1] - 1,), True))
 
     @property
     def is_whole(self) -> bool:
@@ -167,12 +186,7 @@ class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
         return self.prefix_len == 0 and not self.inclusive
 
     def contains(self, g: GroupElem) -> bool:
-        if len(g) != self.rank:
-            raise ValueError("rank mismatch")
-        if self.prefix_len == 0:
-            return self.inclusive
-        p = g[: self.prefix_len]
-        return p < self.bound or (self.inclusive and p == self.bound)
+        return not value_gt_cut(g, self)
 
     def shift(self, g: GroupElem) -> "Cut":
         """The translate {m + g : m in self}; prefix bound moves by g's prefix.
@@ -216,8 +230,18 @@ class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
 
 
 def value_gt_cut(v: Value, cut: Cut) -> bool:
-    """v > cut in the sense 'v is not a member' (infinity beats every cut)."""
-    return v is None or not cut.contains(v)
+    """v > cut in the sense 'v is not a member' (infinity beats every cut).
+
+    The one copy of the membership rule (``Cut.contains`` negates it).  A
+    normalised cut with a prefix is inclusive, so v lies above it exactly
+    when its prefix exceeds the bound; with no prefix, () > () is false and
+    the flag alone decides."""
+    if v is None:
+        return True
+    rank, k, bound, inclusive = cut
+    if len(v) != rank:
+        raise ValueError("rank mismatch")
+    return v[:k] > bound or not inclusive
 
 
 def invariance_group(cut: Cut) -> ConvexSubgroup:

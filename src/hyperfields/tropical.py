@@ -17,7 +17,7 @@ import functools
 from . import hypersets as hs
 from .finite import _bits
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
-                       gadd, gneg, gzero, window)
+                       gadd, gneg, gzero, value_gt_cut, window)
 from .report import ValidationReport
 from .window import _low_bit, _Window
 
@@ -49,13 +49,13 @@ def t_add(x: TropElem, y: TropElem, strict: bool = False):
     """Hypersum: {min} when the values differ, the ray above the common
     value when they agree (closed ray, or open in the strict variant)."""
     if x is None:
-        return hs.Singleton(y)
+        return tuple.__new__(hs.Singleton, (y,))
     if y is None:
-        return hs.Singleton(x)
+        return tuple.__new__(hs.Singleton, (x,))
     if x != y:
-        return hs.Singleton(min(x, y))
+        return tuple.__new__(hs.Singleton, (min(x, y),))
     rank = len(x)
-    return hs.AboveValue(Cut.le(rank, x) if strict else Cut.lt(rank, x))
+    return tuple.__new__(hs.AboveValue, (Cut.le(rank, x) if strict else Cut.lt(rank, x),))
 
 
 def _sum_sets(a, b, strict: bool):
@@ -64,8 +64,7 @@ def _sum_sets(a, b, strict: bool):
         a, b = b, a
     if isinstance(b, hs.Singleton):
         return t_add(a.elem, b.elem, strict)
-    c = a.elem
-    return a if c is not None and b.cut.contains(c) else b
+    return b if value_gt_cut(a.elem, b.cut) else a
 
 
 class TropicalHyperfield:

@@ -219,9 +219,10 @@ def valuation_ring(backend, v: Valuation) -> RingPredicate:
     zero = gzero(v.rank)
     target = t_add(zero, zero)
     known: dict = {}  # v(x) -> whether x lies in O_v
+    func = v.func
 
     def pred(x):
-        val = v(x)
+        val = func(x)
         primary = known.get(val)
         if primary is None:
             primary = val is None or val >= zero
@@ -274,7 +275,8 @@ def compare_rings(backend, r1: RingPredicate, r2: RingPredicate, bound: int) -> 
     Two valuations are equivalent exactly when their rings agree.  The
     witness is the first element, in window order, in one ring only."""
     U = backend.elements(bound)
-    diff = [x for x in U if r1.contains(x) != r2.contains(x)]
+    p1, p2 = r1.pred, r2.pred
+    diff = [x for x in U if p1(x) != p2(x)]
     rep = ValidationReport(subject=f"{r1.describe()} against {r2.describe()} "
                                    f"on {backend.describe()}",
                            mode=_mode(backend),
@@ -660,12 +662,18 @@ def induced_ring(backend) -> RingPredicate:
 
     Inclusion in 1 - 1 depends on x only through the hyperset x - x, so
     the predicate decides it once per distinct x - x (equal hypersets are
-    equal named tuples) and keeps the verdict for as long as it lives."""
-    one_minus_one = backend.add(backend.one, backend.neg(backend.one))
+    equal named tuples) and keeps the verdict for as long as it lives.
+
+    It still computes x - x for each element it is asked about, and does
+    not key by v(x): x - x = x(1 - 1) is HR3, and HR3 has not been checked
+    on the leading-term or composite carriers (ROADMAP item 3), so keying
+    by v(x) would rest on an axiom nothing has verified there."""
+    add, neg = backend.add, backend.neg
+    one_minus_one = add(backend.one, neg(backend.one))
     known: dict = {}  # x - x -> whether it lies inside 1 - 1
 
     def pred(x):
-        s = backend.add(x, backend.neg(x))
+        s = add(x, neg(x))
         inside = known.get(s)
         if inside is None:
             inside = known[s] = hs.subset(s, one_minus_one, backend.value_of)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperfields import hypersets as hs
@@ -147,6 +147,88 @@ def test_neg_is_an_additive_inverse_window():
     assert isinstance(ctx3.add(y, ctx3.neg(y)), hs.AboveValue)
 
 
+def _checked(s):
+    """The hyperset s rebuilt through the checked constructors: each named
+    tuple's own ``__new__`` and ``Cut.__new__``, which normalises."""
+    if isinstance(s, hs.Singleton):
+        e = s.elem
+        return hs.Singleton(None if e is None else type(e)(*e))
+    if isinstance(s, hs.FiniteSet):
+        return hs.FiniteSet(frozenset(type(e)(*e) for e in s.elems))
+    return hs.AboveValue(Cut(*s.cut))
+
+
+def assert_built_as_checked(s):
+    """The carriers build their results with ``tuple.__new__``; each must
+    equal, and hash as, the value the checked constructors build."""
+    want = _checked(s)
+    assert type(s) is type(want) and s == want and hash(s) == hash(want)
+    if isinstance(s, hs.AboveValue):
+        assert type(s.cut) is Cut and type(s.cut.bound) is tuple
+    else:
+        elems = [s.elem] if isinstance(s, hs.Singleton) else s.elems
+        assert all(e is None or type(e) in (LTElement, CompositeElement) for e in elems)
+
+
+@st.composite
+def _lt_draws(draw):
+    """LT(q, level) with q in {2, 3, 4, 5} and level 0-3, and two of its
+    elements.  y is drawn at x's value, within the level of it, or as
+    ctx.neg(x) on purpose: those are where the sums merge and cancel."""
+    ctx = LTContext(draw(st.sampled_from((2, 3, 4, 5))), draw(st.integers(0, 3)))
+
+    def of_value(v):
+        return st.builds(lambda c0, rest: ctx.elem(v, (c0, *rest)),
+                         st.integers(1, ctx.q - 1),
+                         st.lists(st.integers(0, ctx.q - 1),
+                                  min_size=ctx.level, max_size=ctx.level))
+
+    elem = st.one_of(st.none(), st.integers(-3, 3).flatmap(of_value))
+    x = draw(elem)
+    near = st.none() if x is None else st.integers(0, ctx.level + 1).flatmap(
+        lambda d: of_value(x.value + d))
+    y = draw(st.one_of(elem, near, st.just(ctx.neg(x))))
+    return ctx, x, y
+
+
+@settings(max_examples=250, deadline=None)
+@given(_lt_draws())
+@example((LTContext(4, 1), LTElement(1, (3, 2)), LTElement(1, (3, 2))))  # char-2 neg
+@example((LTContext(3, 0), LTElement(-1, (2,)), LTElement(2, (2,))))    # level-0 mul
+def test_lt_carrier_matches_the_polynomial_lifts(case):
+    ctx, x, y = case
+    assert_add_matches_oracle(ctx, x, y)
+    assert_built_as_checked(ctx.add(x, y))
+    got = ctx.mul(x, y)
+    assert got == lift_product_coset(ctx, x, y)
+    assert got is None or type(got) is LTElement
+    for z in (x, y):
+        if z is None:
+            assert ctx.neg(z) is None
+            continue
+        n = ctx.neg(z)
+        # -z is the one element of z's value whose lift cancels z's: the
+        # zero-tail lifts of z and n sum to the zero series
+        assert type(n) is LTElement and n.value == z.value
+        assert lift_sum_cosets(ctx, z, n, extra=0)[0] == {None}
+        if ctx.gf.p == 2:
+            assert n is z
+        # an inverse in a group is unique, so the product pins it
+        assert lift_product_coset(ctx, z, ctx.inv(z)) == ctx.one
+
+
+@pytest.mark.parametrize("ctx", [LTContext(2, 0), LTContext(3, 1), LTContext(4, 2),
+                                 CompositeContext(2), CompositeContext(3)])
+def test_full_cancellation_rays_equal_the_checked_constructor(ctx):
+    for x in ctx.elements(1)[1:]:
+        got = ctx.add(x, ctx.neg(x))
+        assert isinstance(got, hs.AboveValue)
+        assert_built_as_checked(got)
+        # the norm's bound, moved by the leading value
+        bound = ((x.value + ctx.level,) if isinstance(ctx, LTContext) else (x.n,))
+        assert got.cut == Cut(ctx.value_rank, 1, bound, True)
+
+
 def test_value_of_and_serialization():
     ctx = LTContext(3, 1)
     assert ctx.value_of(None) is None
@@ -281,10 +363,15 @@ def _composite_draws(draw):
 @given(_composite_draws())
 def test_int_composite_carrier_matches_the_fraction_oracle(case):
     ctx, x, y = case
-    assert ctx.add(x, y) == frac_add(ctx, x, y)
-    assert ctx.mul(x, y) == frac_mul(x, y)
+    got = ctx.add(x, y)
+    assert got == frac_add(ctx, x, y)
+    assert_built_as_checked(got)
+    got = ctx.mul(x, y)
+    assert got == frac_mul(x, y)
+    assert got is None or type(got) is CompositeElement
     for z in (x, y):
         assert ctx.neg(z) == frac_neg(z)
+        assert z is None or type(ctx.neg(z)) is CompositeElement
         assert ctx.value_of(z) == frac_value(ctx, z)
         assert ctx.elem_json(z) == frac_json(z)
         if z is not None:

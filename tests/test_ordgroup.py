@@ -197,6 +197,53 @@ def test_le_equals_the_checked_constructor(rank):
         Cut.le(rank, (0,) * (rank + 1))
 
 
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_lt_equals_the_checked_constructor(rank):
+    # lt skips __new__ and builds the normalised form (pred(bound), inclusive)
+    for k in range(rank + 1):
+        for bound in itertools.product(range(-1, 2), repeat=k):
+            got, want = Cut.lt(rank, list(bound)), Cut(rank, k, bound, False)
+            assert type(got) is Cut and type(got.bound) is tuple
+            assert got == want and hash(got) == hash(want)
+    assert Cut.lt(rank, ()) == Cut.empty(rank)
+    with pytest.raises(ValueError):
+        Cut.lt(rank, (0,) * (rank + 1))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_value_gt_cut_is_the_unnormalised_rule(rank):
+    # the rule before normalisation: v[:k] < b, or v[:k] == b when inclusive
+    for k in range(rank + 1):
+        for bound in itertools.product(range(-1, 2), repeat=k):
+            for inclusive in (False, True):
+                c = Cut(rank, k, bound, inclusive)
+                for v in window(rank, 2):
+                    inside = v[:k] < bound or (inclusive and v[:k] == bound)
+                    assert value_gt_cut(v, c) is not inside
+                    assert c.contains(v) is inside
+                assert value_gt_cut(None, c)
+
+
+def test_value_helpers_decide_as_vcompare_does():
+    vals = [None] + window(2, 1)
+    for a in vals:
+        for b in vals:
+            assert vmin(a, b) is (a if vcompare(a, b) <= 0 else b)
+            assert vadd(a, b) == (None if a is None or b is None else gadd(a, b))
+
+
+def test_value_helpers_refuse_a_rank_mismatch():
+    c = Cut.le(2, (0,))
+    for call in (lambda: vmin((1,), (1, 2)), lambda: vmin((1, 2), (1,)),
+                 lambda: vadd((1,), (1, 2)), lambda: gadd((1,), (1, 2)),
+                 lambda: value_gt_cut((1,), c), lambda: c.contains((1, 2, 3))):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            call()
+    # infinity carries no rank: it decides without the check
+    assert vmin(None, (1,)) == vmin((1,), None) == (1,)
+    assert vadd(None, (1, 2)) is None and vadd((1,), None) is None
+
+
 def test_cut_rank_guards():
     with pytest.raises(ValueError):
         Cut.le(1, (0,)).contains((0, 0))

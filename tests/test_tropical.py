@@ -5,7 +5,7 @@ import time
 import pytest
 
 from hyperfields import hypersets as hs
-from hyperfields.ordgroup import ConvexSubgroup, Cut, WindowTooLarge
+from hyperfields.ordgroup import ConvexSubgroup, Cut, WindowTooLarge, window
 from hyperfields.tropical import (TropicalHyperfield, t_add, t_inv, t_mul,
                                   t_neg, t_value, tropical_axiom_suite)
 from hyperfields.valuation import (coarsening, intrinsic_valuation,
@@ -50,6 +50,24 @@ def test_rays_compare_through_their_cuts():
     assert hash(closed_at_3) == hash(open_at_2)
     assert not hs.equal(closed_at_3, t_add((3,), (3,), strict=True))
     assert t_add((0, 0), (0, 0)).cut == Cut.lt(2, (0, 0))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_t_add_builds_what_the_checked_constructors_build(rank):
+    # t_add skips the named tuples' __new__; Cut(..., False) normalises the
+    # inclusive ray's strict bound, Cut(..., True) is the strict ray's
+    U = [None] + window(rank, 1)
+    for x in U:
+        for y in U:
+            for strict in (False, True):
+                got = t_add(x, y, strict)
+                if x is not None and x == y:
+                    want = hs.AboveValue(Cut(rank, rank, x, strict))
+                    assert type(got.cut) is Cut and type(got.cut.bound) is tuple
+                else:
+                    want = hs.Singleton(y if x is None else x if y is None else min(x, y))
+                assert type(got) is type(want)
+                assert got == want and hash(got) == hash(want)
 
 
 def test_backend_add_wraps_rays_as_hypersets():
