@@ -90,8 +90,12 @@ def load_finite(spec: str) -> FiniteHyperfield:
 
 def load_hyperfield(spec: str) -> FiniteHyperfield:
     """load_finite, refused unless the table passes validate: the input of
-    iso, hyperideals, krasner and residue."""
+    iso, hyperideals, krasner and residue.  The builtins are hyperfields by
+    construction (the tests validate each), so only tables read from files
+    are validated."""
     F = load_finite(spec)
+    if spec.startswith("builtin:"):
+        return F
     failed = validate(F).failed()
     if failed:
         raise ParseFailure(f"{spec!r} is not a hyperfield: it fails "
@@ -149,6 +153,18 @@ def _resolve_flags(args, reads: dict, subject: str) -> None:
             setattr(args, key, value)
 
 
+def _carrier(name: str, args):
+    """The leading-term carrier 'kgamma' (read from --q/--gamma),
+    'composite' (--p) or 'collapsed', with its intrinsic valuation and its
+    norm."""
+    from . import leading_terms as lt
+    from . import valuation as vn
+    ctx = (lt.LTContext(args.q, args.gamma) if name == "kgamma"
+           else lt.CompositeContext(args.p) if name == "composite"
+           else lt.CollapsedConstantsContext())
+    return ctx, vn.intrinsic_valuation(ctx), ctx.norm_cut()
+
+
 def _load_backend(args):
     """Shared backend resolution for krasner/residue: a hyperfield table
     (load_hyperfield), 'kgamma' (--q/--gamma), 'composite' (--p), 'collapsed',
@@ -157,14 +173,7 @@ def _load_backend(args):
     spec = args.backend
     _resolve_flags(args, BACKEND_FLAGS.get(spec.partition(":")[0], {}), f"backend {spec!r}")
     if spec in ("kgamma", "composite", "collapsed"):
-        from . import leading_terms as lt
-        if spec == "kgamma":
-            ctx = lt.LTContext(args.q, args.gamma)
-        elif spec == "composite":
-            ctx = lt.CompositeContext(args.p)
-        else:
-            ctx = lt.CollapsedConstantsContext()
-        return ctx, vn.intrinsic_valuation(ctx), ctx.norm_cut()
+        return _carrier(spec, args)
     trop = _tropical_spec(spec)
     if trop is not None:
         b = getattr(args, "norm_bound", 0)
@@ -257,10 +266,7 @@ def cmd_krasner(args) -> dict:
 def cmd_residue(args) -> dict:
     from . import valuation as vn
     backend, v, _ = _load_backend(args)
-    try:
-        R = vn.residue_hyperfield(backend, v, args.window_bound)
-    except vn.ResidueOutOfReach as e:
-        raise ParseFailure(str(e))
+    R = vn.residue_hyperfield(backend, v, args.window_bound)
     payload = {"residue": R.to_json(), "order": R.size,
                "is_field": is_field(R)}
     return _report("residue", _backend_params(args), payload, True)
@@ -268,10 +274,7 @@ def cmd_residue(args) -> dict:
 
 def cmd_coarsen(args) -> dict:
     from . import valuation as vn
-    from .leading_terms import CompositeContext
-    ctx = CompositeContext(args.p)
-    v = vn.intrinsic_valuation(ctx)
-    rho = ctx.norm_cut()
+    ctx, v, rho = _carrier("composite", args)
     delta = invariance_group(rho)
     verdict = vn.check_coarsening_theorem(ctx, v, rho, args.window_bound)
     payload = {"norm": rho.to_json(), "invariance_group": delta.to_json(),
@@ -299,10 +302,8 @@ def _claim(claims: list, text: str, passed: bool, witness=None) -> None:
 
 def scenario_example_last(args) -> tuple[dict, list]:
     from . import valuation as vn
-    from .leading_terms import CompositeContext
-    ctx = CompositeContext(args.p)
-    w = vn.intrinsic_valuation(ctx)
-    u = vn.coarsening(w, invariance_group(ctx.norm_cut()))
+    ctx, w, rho = _carrier("composite", args)
+    u = vn.coarsening(w, invariance_group(rho))
     B = args.window_bound
     claims = []
     _claim(claims, "the fine map w is a valuation",
@@ -326,10 +327,7 @@ def scenario_example_last(args) -> tuple[dict, list]:
 
 def scenario_kgamma(args) -> tuple[dict, list]:
     from . import valuation as vn
-    from .leading_terms import LTContext
-    ctx = LTContext(args.q, args.gamma)
-    v = vn.intrinsic_valuation(ctx)
-    rho = ctx.norm_cut()
+    ctx, v, rho = _carrier("kgamma", args)
     B = args.window_bound
     claims = []
     _claim(claims, "the leading-term map is a valuation",
@@ -350,9 +348,7 @@ def scenario_kgamma(args) -> tuple[dict, list]:
 
 def scenario_no_kraval(args) -> tuple[dict, list]:
     from . import valuation as vn
-    from .leading_terms import CollapsedConstantsContext
-    ctx = CollapsedConstantsContext()
-    v = vn.intrinsic_valuation(ctx)
+    ctx, v, rho = _carrier("collapsed", args)
     B = args.window_bound
     claims = []
     _claim(claims, "the collapsed-constants map is a valuation",
@@ -363,7 +359,7 @@ def scenario_no_kraval(args) -> tuple[dict, list]:
            iso is not None)
     _claim(claims, "the residue hyperfield is not a field", not is_field(R))
     _claim(claims, "the natural candidate norm fails the Krasner conditions",
-           not vn.check_krasner(ctx, v, ctx.norm_cut(), B).ok)
+           not vn.check_krasner(ctx, v, rho, B).ok)
     all_fail = all(
         not vn.check_krasner(ctx, v, Cut.le(1, (b,)), B).ok
         for b in range(0, B + 1))
@@ -401,10 +397,7 @@ def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
 
 def scenario_coarsening_theorem(args) -> tuple[dict, list]:
     from . import valuation as vn
-    from .leading_terms import CompositeContext
-    ctx = CompositeContext(args.p)
-    v = vn.intrinsic_valuation(ctx)
-    rho = ctx.norm_cut()
+    ctx, v, rho = _carrier("composite", args)
     delta = invariance_group(rho)
     B = args.window_bound
     claims = []

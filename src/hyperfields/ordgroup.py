@@ -260,7 +260,8 @@ WINDOW_LIMIT = 200_000
 
 
 class WindowTooLarge(ValueError):
-    """A window above WINDOW_LIMIT elements, refused before it is built."""
+    """A window above WINDOW_LIMIT elements, refused before it is built; the
+    base of every input asking for more than a window or a table may hold."""
 
 
 def check_window(factor: int, base: int, exp: int) -> None:

@@ -19,7 +19,7 @@ from .finite import _bits
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
                        gadd, gneg, gzero, value_gt_cut, window)
 from .report import ValidationReport
-from .window import _low_bit, _Window
+from .window import _low_bit, _masks_by, _Window
 
 TropElem = Value  # tuple for a group element, None for infinity
 
@@ -151,9 +151,8 @@ def tropical_axiom_suite(rank: int, bound: int = 3, strict: bool = False) -> Val
                and win.index(s.elem) >= n}
     w = None
     for a, (x, row) in enumerate(zip(U, sums)):
-        by_sum: dict = {}  # id of z + (-x) -> mask of those z (here -x = x)
-        for k, zrow in enumerate(sums):
-            by_sum[zrow[a]] = by_sum.get(zrow[a], 0) | 1 << k
+        # id of z + (-x) -> mask of those z (here -x = x)
+        by_sum = _masks_by(zrow[a] for zrow in sums)
         col = [0] * n      # col[b]: the window z with U[b] in z + (-x)
         for h, zs in by_sum.items():
             for b in _bits(mask_of(h)):

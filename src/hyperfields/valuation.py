@@ -15,12 +15,13 @@ from typing import Callable, NamedTuple
 
 from . import hypersets as hs
 from .finite import FiniteHyperfield
-from .ordgroup import (Cut, ConvexSubgroup, Value, gzero, invariance_group,
-                       value_gt_cut, vadd, vcompare, vmin, vneg, window)
+from .ordgroup import (Cut, ConvexSubgroup, Value, WindowTooLarge, gzero,
+                       invariance_group, value_gt_cut, vadd, vcompare, vmin, vneg,
+                       window)
 from .report import ValidationReport
 from .tropical import t_add, t_mul, t_value
-from .window import (FiniteBackend, _is_finite, _j, _low_bit, _mode, _report,
-                     _Window, check_superiorly_canonical)
+from .window import (FiniteBackend, _is_finite, _j, _low_bit, _masks_by, _mode,
+                     _report, _Window, check_superiorly_canonical)
 
 
 class Valuation:
@@ -288,21 +289,10 @@ def compare_rings(backend, r1: RingPredicate, r2: RingPredicate, bound: int) -> 
 
 # -- residue hyperfield --------------------------------------------------------
 
-def _same_residue_class(backend, v: Valuation, x, y, U) -> bool:
-    """x and y land on the same residue class iff x - y meets M_v."""
-    if x == y:
-        return True
-    diff = backend.add(x, backend.neg(y))
-    for z in hs.members(diff, U, backend.value_of):
-        if z == backend.zero or v.gt_zero(z):
-            return True
-    return False
-
-
-class ResidueOutOfReach(ValueError):
+class ResidueOutOfReach(WindowTooLarge):
     """A residue the window cannot build: more classes than the table may
     hold, or a product or sum of representatives in no class the window
-    reaches."""
+    reaches: bad input, as a window too large is."""
 
 
 def residue_hyperfield(backend, v: Valuation, bound: int = 2) -> FiniteHyperfield:
@@ -312,26 +302,34 @@ def residue_hyperfield(backend, v: Valuation, bound: int = 2) -> FiniteHyperfiel
 
 
 def _residue(backend, v: Valuation, bound: int, cap: int):
-    """The residue table and its class representatives (reps[k] stands for
-    class k; 0 and 1 come first)."""
+    """The residue table, its class representatives (reps[k] stands for
+    class k; 0 and 1 come first) and its class map."""
     U = backend.elements(bound)
-    pool = [x for x in U if v.ge_zero(x)]
-    reps = [backend.zero, backend.one]
-    for x in sorted(pool, key=backend.sort_key):
-        if any(_same_residue_class(backend, v, x, r, U) for r in reps):
-            continue
-        reps.append(x)
-        if len(reps) > cap:
-            raise ResidueOutOfReach(f"the residue hyperfield has more than {cap} "
-                                    f"classes, the most a residue table holds")
+    zero, add, neg, value_of = backend.zero, backend.add, backend.neg, backend.value_of
+    reps = [zero, backend.one]
+    classes: dict = {}  # element -> its class, once found
 
-    def class_of(x) -> int:
-        for i, r in enumerate(reps):
-            if _same_residue_class(backend, v, x, r, U):
-                return i
-        raise ResidueOutOfReach(
-            f"the window reaches only {len(reps)} residue classes, and "
-            f"{json.dumps(backend.elem_json(x), sort_keys=True)} lies in none of them")
+    def class_of(x, new: bool = False) -> int:
+        """The first class whose representative r has x - r meeting M_v;
+        when there is none, a new class that x stands for if ``new``."""
+        k = classes.get(x)
+        if k is None:
+            k = classes[x] = next((i for i, r in enumerate(reps) if x == r or any(
+                z == zero or v.gt_zero(z) for z in hs.members(add(x, neg(r)), U, value_of))),
+                len(reps))
+            if k == len(reps):
+                if not new:
+                    raise ResidueOutOfReach(
+                        f"the window reaches only {len(reps)} residue classes, and "
+                        f"{json.dumps(backend.elem_json(x), sort_keys=True)} lies in none of them")
+                reps.append(x)
+                if len(reps) > cap:
+                    raise ResidueOutOfReach(f"the residue hyperfield has more than {cap} "
+                                            f"classes, the most a residue table holds")
+        return k
+
+    for x in sorted((x for x in U if v.ge_zero(x)), key=backend.sort_key):
+        class_of(x, new=True)
 
     n = len(reps)
     names = ["0", "1"]
@@ -362,7 +360,7 @@ def _residue(backend, v: Valuation, bound: int, cap: int):
     vrep = validate(H)
     if not vrep.ok:
         raise RuntimeError(f"residue table failed validation: {vrep.failed()}")
-    return H, reps
+    return H, reps, class_of
 
 
 def residue_embedding_check(ctx, bound: int = 2) -> ValidationReport:
@@ -374,11 +372,9 @@ def residue_embedding_check(ctx, bound: int = 2) -> ValidationReport:
     units = ctx.elements_with_value(0)
     v = intrinsic_valuation(ctx)
     # Every class holds Zero or a unit, so there are never more than this.
-    R, reps = _residue(ctx, v, bound, 1 + len(units))
+    R, reps, class_of = _residue(ctx, v, bound, 1 + len(units))
     rep = _report(f"residue embedding for {ctx.describe()}", ctx, bound)
-    U = ctx.elements(bound)
-    w = next((_j(ctx, u, r) for u in units if u not in reps for r in reps
-              if _same_residue_class(ctx, v, u, r, U)), None)
+    w = next((_j(ctx, u, reps[class_of(u)]) for u in units if u not in reps), None)
     rep.add("RE1", w is None, w, note="distinct unit cosets lie in distinct classes")
     if w is not None:
         rep.skipped.append("RE2: the section is not well defined")
@@ -398,31 +394,21 @@ def residue_embedding_check(ctx, bound: int = 2) -> ValidationReport:
 
 # -- Krasner valuations ----------------------------------------------------------
 
-def _diff_descriptor(backend, s):
-    """Summary of a difference z - t good enough to decide 'every value above
-    a cut': ("vals", least finite value or None when all members are zero)
-    or ("above", cut)."""
-    kind, data = hs.values_of(s, backend.value_of)
-    if kind == "above":
-        return ("above", data)
-    finite_vals = [v for v in data if v is not None]
-    return ("vals", min(finite_vals) if finite_vals else None)
+def _balls(row, inside):
+    """``ball(k, m)``, the mask of the t whose key ``row(k)[t]`` lies
+    ``inside(key, m)``, and the dict {(k, m): mask} of the balls made.  Row
+    k is grouped by key once per centre, and the groups inside radius m are
+    OR-ed once per (k, m)."""
+    groups = functools.cache(lambda k: _masks_by(row(k)).items())
+    made: dict = {}
 
+    def ball(k, m) -> int:
+        mask = made.get((k, m))
+        if mask is None:
+            mask = made[k, m] = sum(g for key, g in groups(k) if inside(key, m))
+        return mask
 
-def _all_above(desc, cut: Cut) -> bool:
-    kind, data = desc
-    if kind == "above":
-        return cut.subseteq(data)
-    if data is None:
-        return True  # every member is the additive zero
-    return value_gt_cut(data, cut)
-
-
-def _all_values_single(backend, s) -> bool:
-    """Whether the finite hyperset s has one value (a ray holds the zero, so
-    KVH1 asks only about finite sums)."""
-    _, values = hs.values_of(s, backend.value_of)
-    return len(values) == 1
+    return ball, made
 
 
 def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> ValidationReport:
@@ -438,8 +424,9 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     The window sums and the differences z - t are the window's
     (``_Window.sums`` and ``minus``).  What KVH1 and KVH2 ask of a sum or a
     difference depends on it only as a hyperset, so each is decided once per
-    interned id: KVH1's verdict, the descriptor of z - t, and KVH2's first
-    miss for a sum and the least value of its summands.
+    interned id: KVH1's verdict, the value summary of z - t
+    (``hypersets.values_of``), and KVH2's first miss for a sum and the least
+    value of its summands.
     """
     if not v.intrinsic or v.rank != backend.value_rank:
         raise ValueError("check_krasner runs against the intrinsic valuation")
@@ -451,11 +438,13 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     win = _Window(backend, bound)
     U, sums, sets = win.window, win.sums, win.sets
     rep = _report(f"Krasner conditions for {v.describe()}", backend, bound)
+    summary = functools.cache(lambda h: hs.values_of(sets[h], backend.value_of))
 
+    # a ray holds the zero, so KVH1 asks for one value only of finite sums
     @functools.cache
     def kvh1_holds(h) -> bool:
         return (hs.contains(sets[h], backend.zero, backend.value_of)
-                or _all_values_single(backend, sets[h]))
+                or len(summary(h)[1]) == 1)
 
     w = next((_j(backend, x, y) for x, row in zip(U, sums) for y, h in zip(U, row)
               if not kvh1_holds(h)), None)
@@ -463,27 +452,21 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
 
     vals = [v(x) for x in U]
     cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
-    descriptor = functools.cache(lambda h: _diff_descriptor(backend, sets[h]))
-    diffs: dict = {}  # z index -> {descriptor of z-t: mask of those t}
-    near: dict = {}   # (z index, m) -> mask of t with z-t above rho+m
-    # does every value a descriptor describes lie above rho+m
-    above = functools.cache(lambda desc, m: _all_above(desc, cut_of[m]))
 
-    def close_to(k, m) -> int:
-        key = (k, m)
-        if key not in near:
-            if k not in diffs:
-                classes = {}
-                for t, h in enumerate(win.minus(k)):
-                    desc = descriptor(h)
-                    classes[desc] = classes.get(desc, 0) | 1 << t
-                diffs[k] = classes
-            if m is None:
-                near[key] = diffs[k].get(("vals", None), 0)
-            else:
-                near[key] = sum(mask for desc, mask in diffs[k].items()
-                                if above(desc, m))
-        return near[key]
+    @functools.cache
+    def above(values, m) -> bool:
+        """Does every member of a difference with this value summary lie
+        above rho+m?  Radius None asks that every member be 0; zero lies
+        above every cut."""
+        kind, data = values
+        if m is None:
+            return kind == "finite" and data == {None}
+        cut = cut_of[m]
+        return (cut.subseteq(data) if kind == "above"
+                else all(value_gt_cut(x, cut) for x in data))
+
+    # close_to(k, m): the mask of t with elems[k] - t above rho+m
+    close_to, _ = _balls(lambda k: map(summary, win.minus(k)), above)
 
     @functools.cache
     def miss(h, m):
@@ -601,23 +584,10 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
 
     vals = [v(x) for x in U]
     cut_of = {m: rho.shift(m) for m in set(vals) if m is not None}
-    spheres: dict = {}  # center index -> {distance: mask of t at it}
-    balls: dict = {}    # (center index, m) -> mask of the ball of radius rho+m
-
-    def ball_mask(k, m) -> int:
-        key = (k, m)
-        if key not in balls:
-            if k not in spheres:
-                row = dist[k] if k < n else distances(k)
-                classes: dict = {}
-                for t, dzt in enumerate(row):
-                    classes[dzt] = classes.get(dzt, 0) | 1 << t
-                spheres[k] = classes
-            # the ball holds the t strictly closer than the cut allows
-            cut = cut_of[m]
-            balls[key] = sum(mask for dzt, mask in spheres[k].items()
-                             if value_gt_cut(dzt, cut))
-        return balls[key]
+    # the ball of radius rho+m around elems[k] holds the t strictly closer
+    # than the cut allows
+    ball_mask, balls = _balls(lambda k: dist[k] if k < n else distances(k),
+                              lambda dzt, m: value_gt_cut(dzt, cut_of[m]))
 
     first = functools.cache(lambda h: win.members(h)[0])
     w = None

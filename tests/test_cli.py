@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import leading_terms as lt
-from hyperfields import tropical
+from hyperfields import cli, tropical
 from hyperfields.cli import SCENARIOS, load_finite, main
 from hyperfields.ordgroup import WINDOW_LIMIT, gzero
 
@@ -30,12 +30,15 @@ def run(capsys, *argv):
 
 # -- axioms / classify ------------------------------------------------------------
 
-def test_axioms_pass_on_builtins(capsys):
+def test_axioms_pass_on_builtins(capsys, monkeypatch):
     for uri in ("builtin:K", "builtin:S", "builtin:W", "builtin:F9"):
         code, rep = run(capsys, "axioms", uri)
         assert code == 0
         assert rep["passed"] and rep["verb"] == "axioms"
         assert rep["report"]["mode"] == "proof by exhaustion"
+    # so the hyperfield gate returns a builtin without validating it
+    monkeypatch.setattr(cli, "validate", lambda F: pytest.fail("validate ran"))
+    assert cli.load_hyperfield("builtin:F7").size == 7
 
 
 def test_axioms_on_tropical_carriers(capsys):
@@ -363,7 +366,7 @@ def test_residue_verb(capsys):
     assert rep["order"] == 2 and rep["is_field"] is False
 
 
-# Both exited 3 before.  The composite window's constants are +-a/b with
+# Each exited 3 once.  The composite window's constants are +-a/b with
 # a, b in {1, 2, 3, 4, p}, the same at every bound; they reach 23 residue
 # classes, so F_p for p above 23 has a class no window element lies in.
 @pytest.mark.parametrize("argv, limit", [
@@ -371,6 +374,8 @@ def test_residue_verb(capsys):
      "more than 64 classes"),
     (("residue", "composite", "--p", "29", "--window-bound", "1"),
      "the window reaches only 23 residue classes"),
+    (("scenario", "kgamma", "--q", "67", "--gamma", "0", "--window-bound", "0"),
+     "more than 64 classes"),
 ])
 def test_residue_beyond_the_window_exits_2(argv, limit, capsys):
     assert main(list(argv)) == 2

@@ -319,7 +319,9 @@ def test_W_differs_from_S_only_on_the_diagonal():
     assert find_isomorphism(S, W) is None
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+# every prime power up to 64: ``hyperval`` trusts the builtin F<q> unvalidated
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                               29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64])
 def test_finite_fields_validate_and_are_fields(q):
     F = build_finite_field(q)
     assert validate(F).ok

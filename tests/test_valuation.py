@@ -235,6 +235,8 @@ def test_residue_embedding_names_the_shared_class():
     assert rep.skipped == ["RE2: the section is not well defined"]
     rep = residue_embedding_check(LTContext(3, 0), 1)
     assert [c.axiom for c in rep.checks] == ["RE1", "RE2"] and rep.ok
+    # the window bound defaults to 2
+    assert residue_embedding_check(LTContext(3, 0)).window == {"bound": 2}
 
 
 def test_a_report_has_no_truth_value():
@@ -253,6 +255,8 @@ def test_leading_terms_are_krasner():
         ctx = LTContext(q, gamma)
         rep = check_krasner(ctx, intrinsic_valuation(ctx), ctx.norm_cut(), bound=1)
         assert rep.ok, (q, gamma, rep.failed())
+    # the window bound defaults to 2
+    assert check_krasner(ctx, intrinsic_valuation(ctx), ctx.norm_cut()).window == {"bound": 2}
 
 
 def test_composite_is_krasner():
@@ -291,6 +295,9 @@ def test_krasner_preconditions():
     ctx = LTContext(2, 0)
     with pytest.raises(ValueError):
         check_krasner(ctx, trivial_valuation(ctx), ctx.norm_cut())
+    # a map of the right rank that is not the carrier's own
+    with pytest.raises(ValueError, match="intrinsic"):
+        check_krasner(ctx, table_valuation(ctx, {}, 1), ctx.norm_cut())
     with pytest.raises(ValueError):
         check_krasner(ctx, intrinsic_valuation(ctx), Cut.le(1, (-1,)))
     with pytest.raises(ValueError):
