@@ -71,6 +71,12 @@ def _mul_mask(row, mask: int) -> int:
     return out
 
 
+def _inverses(mul) -> list:
+    """inv[a]: the first unit b with ab = 1, None for 0 and for a unit without one."""
+    units = range(1, len(mul))
+    return [None] + [next((b for b in units if mul[a][b] == ONE), None) for a in units]
+
+
 class _MaskImages(dict):
     """mask -> its image under a -> row[a], each computed on first use."""
 
@@ -218,13 +224,7 @@ class FiniteHyperfield:
         if x == ZERO:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self._inv is None:
-            inv = [None] * self.size
-            for a in range(1, self.size):
-                for b in range(1, self.size):
-                    if self.mul[a][b] == ONE:
-                        inv[a] = b
-                        break
-            self._inv = inv
+            self._inv = _inverses(self.mul)
         v = self._inv[x]
         if v is None:
             raise MalformedTableError(f"element {x} has no multiplicative inverse")
@@ -483,8 +483,6 @@ def is_homomorphism(m: Morphism) -> bool:
     """s(xy) = s(x)s(y), s(x+y) inside s(x)+s(y), s(1/x) = 1/s(x); the image
     of each distinct add mask is computed once per call."""
     F, G, s = m.source, m.target, m.map
-    if s[ZERO] != ZERO or s[ONE] != ONE:
-        return False
     image = _MaskImages(s)
     for x in range(F.size):
         fmul, gmul, gadd = F.mul[x], G.mul[s[x]], G._add[s[x]]
@@ -744,15 +742,14 @@ def _abelian_groups(order: int) -> list[tuple[int, ...]]:
 
 
 def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
-    """Multiplication on unit indices 1..order for the direct product of
-    cyclic groups; index 1 is the identity."""
-    if order == 1:
-        return [[None, None], [None, 1]]
+    """The (order+1) x (order+1) multiplication table of 0 and the direct
+    product of cyclic groups on unit indices 1..order: index 1 is the
+    identity, and row and column 0 hold 0."""
     tuples = list(itertools.product(*[range(d) for d in divisors]))
     tuples.sort()
     assert tuples[0] == tuple(0 for _ in divisors)
     idx = {t: i + 1 for i, t in enumerate(tuples)}
-    table = [[None] * (order + 1) for _ in range(order + 1)]
+    table = [[0] * (order + 1) for _ in range(order + 1)]
     for a in tuples:
         for b in tuples:
             c = tuple((x + y) % d for x, y, d in zip(a, b, divisors))
@@ -807,14 +804,8 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
     names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
     found: list[FiniteHyperfield] = []
     for divisors in _abelian_groups(m):
-        unit_mul = _group_mul_table(divisors, m)
-        mul = [[0] * order for _ in range(order)]
-        for a in range(1, order):
-            for b in range(1, order):
-                mul[a][b] = unit_mul[a][b]
-        inv = [None] * order
-        for a in range(1, order):
-            inv[a] = next(b for b in range(1, order) if mul[a][b] == ONE)
+        mul = _group_mul_table(divisors, m)
+        inv = _inverses(mul)
         auts = [(s, _mask_images(s)) for s in _unit_group_isos(mul, mul)]
         for iota in range(1, order):
             if mul[iota][iota] != ONE:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import leading_terms as lt
-from hyperfields import cli, tropical
+from hyperfields import cli, tropical, valuation
 from hyperfields.cli import SCENARIOS, load_finite, main
-from hyperfields.ordgroup import WINDOW_LIMIT, gzero
+from hyperfields.ordgroup import WINDOW_LIMIT, Cut, gzero
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -377,7 +378,14 @@ def test_residue_verb(capsys):
     (("scenario", "kgamma", "--q", "67", "--gamma", "0", "--window-bound", "0"),
      "more than 64 classes"),
 ])
-def test_residue_beyond_the_window_exits_2(argv, limit, capsys):
+def test_residue_beyond_the_window_exits_2(argv, limit, capsys, monkeypatch):
+    # the refusal comes before any checker runs on the window
+    def never(*args, **kwargs):
+        raise AssertionError("a checker ran")
+
+    for name in ("is_valuation", "check_krasner", "check_superiorly_canonical",
+                 "ultrametric_report"):
+        monkeypatch.setattr(valuation, name, never)
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == "" and limit in err
@@ -409,6 +417,29 @@ def test_scenario_kgamma_small_window(capsys):
     assert code == 0
     assert rep["scenario"] == "kgamma"
     assert all(c["passed"] for c in rep["claims"])
+
+
+def test_scenario_kgamma_fails_a_residue_of_another_order(monkeypatch, capsys):
+    # a field, but not of order q: the residue claim fails, and it alone
+    monkeypatch.setattr(valuation, "residue_hyperfield",
+                        lambda *args: load_finite("builtin:F2"))
+    code, rep = run(capsys, "scenario", "kgamma", "--q", "3", "--gamma", "0",
+                    "--window-bound", "1")
+    assert code == 1
+    assert [c["claim"] for c in rep["claims"] if not c["passed"]] == [
+        "the residue hyperfield is the field of order 3"]
+
+
+def test_no_kraval_natural_norm_opens_the_sweep(monkeypatch, capsys):
+    # the scenario reads the natural norm's verdict from the sweep's first norm
+    assert lt.CollapsedConstantsContext().norm_cut() == Cut.le(1, (0,))
+    # so when {m <= 1} alone passes, only the "every norm fails" claim fails
+    monkeypatch.setattr(valuation, "check_krasner", lambda backend, v, rho, bound:
+                        types.SimpleNamespace(ok=rho == Cut.le(1, (1,))))
+    code, rep = run(capsys, "scenario", "no-kraval", "--window-bound", "1")
+    assert code == 1
+    assert [c["claim"] for c in rep["claims"] if not c["passed"]] == [
+        "every initial-segment norm with bound in [0, 1] fails"]
 
 
 def _run_cli(*argv) -> bytes:

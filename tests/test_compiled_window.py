@@ -936,6 +936,9 @@ def test_valuation_first_witnesses(case):
 
 _PAIR = hs.FiniteSet(frozenset([_e(0, (1, 0)), _e(1, (1, 0))]))
 _RAY0 = "AboveValue(cut=Cut(rank=1, prefix_len=1, bound=(0,), inclusive=True))"
+# the window members of T'(Z) above -1: every indexed member of the ray
+# (0,) + (0,) plus (0,) below its cut, so the two meet and are not nested
+_ABOVE_MINUS_1 = hs.FiniteSet(frozenset([(0,), (1,), None]))
 
 # First witnesses of the per-tuple loops: (backend, bound, {failing axiom: witness}).
 SCH_WITNESSES = {
@@ -953,6 +956,10 @@ SCH_WITNESSES = {
     "outside-member": (Wrapped(LT21, entry=(None, None),
                                result=hs.Singleton(_e(2, (1, 0)))), 1, {
         "SCH4": (None, _lt(1, (1, 0)), _lt(0, (1, 0)))}),
+    "ray-in-finite-members": (Wrapped(TropicalHyperfield(1, strict=True), entry=((-1,), (-1,)),
+                                      result=_ABOVE_MINUS_1), 1, {
+        "SCH2": (_RAY0, repr(_ABOVE_MINUS_1)),
+        "SCH4": ([0], [-1], [-1])}),
     "zero-ray": (ZERO_RAY, 1, {
         "SCH1": (None, None),
         "SCH4": (None, _lt(0, (1, 0)), None)}),

@@ -109,6 +109,8 @@ def test_axiom_suite_observations_separate_the_variants():
         assert rep.check("stringent").passed
     assert inclusive.check("cchar1").passed
     assert not strict.check("cchar1").passed
+    # the window bound defaults to 3
+    assert tropical_axiom_suite(1).window == {"bound": 3, "rank": 1}
 
 
 def _projection(rank, delta):

@@ -371,6 +371,8 @@ def test_sch1_fails_for_inclusive_tropical_and_sign_structures():
     for F in (build_K(), build_S(), build_W()):
         rep = check_superiorly_canonical(FiniteBackend(F))
         assert not rep.check("SCH1").passed, F.meta
+    # the window bound defaults to 2
+    assert check_superiorly_canonical(TropicalHyperfield(1)).window == {"bound": 2}
 
 
 def test_fields_are_superiorly_canonical():

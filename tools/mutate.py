@@ -1,10 +1,11 @@
 """List the small changes to named functions that a set of tests misses.
 
-    python3 tools/mutate.py MODULE.FUNC [MODULE.FUNC ...] -- TEST_FILE [...]
+    python3 tools/mutate.py MODULE.FUNC [MODULE.CLASS.METHOD ...] -- TEST_FILE [...]
 
-for instance ``python3 tools/mutate.py valuation.check_krasner --
-tests/test_valuation.py``.  Copies the repository to a temporary directory,
-then makes one mutant at a time inside each named top-level function of
+for instance ``python3 tools/mutate.py valuation.check_krasner
+window._Window.members -- tests/test_valuation.py``.  Copies the repository
+to a temporary directory, then makes one mutant at a time inside each named
+top-level function or method of a top-level class of
 ``src/hyperfields/MODULE.py``, its nested functions and lambdas included:
 a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``in``/``not in``, ``is``/``is not``), ``and``/``or`` swapped, or an int
@@ -30,9 +31,14 @@ SWAP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
 
 
 def mutants(tree, name) -> list:
-    """(line, label, apply) of each mutant of top-level function name in tree;
-    apply() makes it in place."""
-    func = next(node for node in tree.body
+    """(line, label, apply) of each mutant of function name in tree, FUNC or
+    CLASS.METHOD; apply() makes it in place."""
+    *classes, name = name.split(".")
+    body = tree.body
+    for cls in classes:
+        body = next(node.body for node in body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+    func = next(node for node in body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
     out = []
     for node in ast.walk(func):
@@ -73,7 +79,7 @@ def main(argv) -> int:
                 return False  # a mutant that hangs is caught
 
         for target in targets:
-            module, name = target.split(".")
+            module, name = target.split(".", 1)
             path = copy / "src" / "hyperfields" / f"{module}.py"
             source = path.read_text()
             if not passes(path, ast.parse(source)):
