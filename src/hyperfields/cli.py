@@ -9,10 +9,14 @@ Exit codes: 0 every requested check passed, 1 a check failed (the report
 holds witnesses), 2 malformed input, 3 internal error.  A table failing its
 axioms fails ``axioms`` and ``classify`` and is malformed input elsewhere.
 
-Only the finite-table layer is imported here.  The verbs on symbolic
-carriers (``krasner``, ``residue``, ``coarsen``, ``scenario`` and
-``axioms tropical...``) import the valuation, leading-term and tropical
-modules when they run, so a finite verb never compiles them.
+Only ``galois`` and ``ordgroup`` are imported here, for the argument
+types, the norm cuts and the window guard.  Each verb imports the layer it
+runs when it runs: the finite verbs the finite-table layer, the verbs on
+symbolic carriers (``krasner``, ``residue``, ``coarsen``, ``scenario`` and
+``axioms tropical...``) the valuation, leading-term and tropical modules.
+So a finite verb never compiles the symbolic layer, and a symbolic verb
+compiles ``finite`` only to build or read a table (a residue,
+``no-kraval``'s K, a table backend).
 """
 
 from __future__ import annotations
@@ -20,15 +24,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .finite import (FiniteHyperfield, MalformedTableError, build_K, build_S,
-                     build_W, build_finite_field, classify,
-                     enumerate_hyperfields, find_isomorphism, is_field,
-                     list_hyperideals, quotient_hyperfield, squares_subgroup,
-                     subgroup_closure, validate)
 from .galois import is_prime, prime_power
 from .ordgroup import Cut, WindowTooLarge, invariance_group
+
+if TYPE_CHECKING:
+    from .finite import FiniteHyperfield
+
+
+def __getattr__(name: str):
+    # ``cli.validate`` still names ``finite.validate`` (the benchmark's
+    # tracer test reads it), looked up on every access and never stored
+    # here (PEP 562), so importing cli compiles no finite.
+    if name == "validate":
+        from .finite import validate
+        return validate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ParseFailure(Exception):
@@ -45,8 +58,11 @@ def _report(verb: str, params: dict, payload: dict, passed: bool) -> dict:
 def _emit(obj: dict, output: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseFailure(f"cannot write {output!r}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -55,6 +71,8 @@ def _emit(obj: dict, output: str | None) -> None:
 
 def load_finite(spec: str) -> FiniteHyperfield:
     """builtin:K | builtin:S | builtin:W | builtin:F<q> | path to a table."""
+    from .finite import (FiniteHyperfield, MalformedTableError, build_K, build_S,
+                         build_W, build_finite_field)
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         if name == "K":
@@ -93,6 +111,7 @@ def load_hyperfield(spec: str) -> FiniteHyperfield:
     iso, hyperideals, krasner and residue.  The builtins are hyperfields by
     construction (the tests validate each), so only tables read from files
     are validated."""
+    from .finite import validate
     F = load_finite(spec)
     if spec.startswith("builtin:"):
         return F
@@ -120,6 +139,7 @@ def _tropical_spec(spec: str):
 
 
 def _subgroup(F: FiniteHyperfield, spec: str) -> frozenset:
+    from .finite import squares_subgroup, subgroup_closure
     if spec == "squares":
         return squares_subgroup(F)
     if spec == "units":
@@ -193,12 +213,14 @@ def cmd_axioms(args) -> dict:
                                    strict=trop.strict)
         params = {"input": args.input, "window_bound": args.window_bound}
     else:
+        from .finite import validate
         rep = validate(load_finite(args.input))
         params = {"input": args.input}
     return _report("axioms", params, {"report": rep.to_json()}, rep.ok)
 
 
 def cmd_classify(args) -> dict:
+    from .finite import classify, validate
     F = load_finite(args.input)
     rep = validate(F)
     # the flags' cross-checks assume a hyperfield: none for a table failing
@@ -208,15 +230,13 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_quotient(args) -> dict:
+    from .finite import build_finite_field, quotient_hyperfield
     try:
         F = build_finite_field(args.field)
     except ValueError as e:
         raise ParseFailure(str(e))
     T = _subgroup(F, args.subgroup)
-    try:
-        H = quotient_hyperfield(F, T)
-    except ValueError as e:
-        raise ParseFailure(str(e))
+    H = quotient_hyperfield(F, T)  # F is a field and T a unit subgroup: no ValueError
     payload = {"table": H.to_json(),
                "subgroup": sorted(T), "order": H.size}
     return _report("quotient", {"field": args.field, "subgroup": args.subgroup},
@@ -224,6 +244,7 @@ def cmd_quotient(args) -> dict:
 
 
 def cmd_iso(args) -> dict:
+    from .finite import find_isomorphism
     m = find_isomorphism(load_hyperfield(args.left), load_hyperfield(args.right))
     payload = {"isomorphic": m is not None,
                "map": None if m is None else list(m.map)}
@@ -232,6 +253,7 @@ def cmd_iso(args) -> dict:
 
 
 def cmd_enumerate(args) -> dict:
+    from .finite import enumerate_hyperfields, is_field
     try:
         found = enumerate_hyperfields(args.order)
     except ValueError as e:
@@ -244,6 +266,7 @@ def cmd_enumerate(args) -> dict:
 
 
 def cmd_hyperideals(args) -> dict:
+    from .finite import list_hyperideals
     F = load_hyperfield(args.input)
     ideals = list_hyperideals(F)
     dichotomy = ideals == [frozenset({0}), frozenset(range(F.size))]  # sorted by size
@@ -265,6 +288,7 @@ def cmd_krasner(args) -> dict:
 
 def cmd_residue(args) -> dict:
     from . import valuation as vn
+    from .finite import is_field
     backend, v, _ = _load_backend(args)
     R = vn.residue_hyperfield(backend, v, args.window_bound)
     payload = {"residue": R.to_json(), "order": R.size,
@@ -327,6 +351,7 @@ def scenario_example_last(args) -> tuple[dict, list]:
 
 def scenario_kgamma(args) -> tuple[dict, list]:
     from . import valuation as vn
+    from .finite import is_field
     ctx, v, rho = _carrier("kgamma", args)
     B = args.window_bound
     R = vn.residue_hyperfield(ctx, v, B)  # refuses too many classes before any checker
@@ -355,6 +380,7 @@ def _krasner_sweep(backend, v, bound: int) -> list:
 
 def scenario_no_kraval(args) -> tuple[dict, list]:
     from . import valuation as vn
+    from .finite import build_K, find_isomorphism, is_field
     ctx, v, _ = _carrier("collapsed", args)
     B = args.window_bound
     claims = []
@@ -560,10 +586,12 @@ def main(argv=None) -> int:
     except (ParseFailure, WindowTooLarge) as e:
         print(f"hyperval: {e}", file=sys.stderr)
         return 2
-    except MalformedTableError as e:
-        print(f"hyperval: malformed table: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # noqa: BLE001  -- contract: internal errors exit 3
+        # only finite's code raises its MalformedTableError, so it is loaded
+        finite = sys.modules.get(f"{__package__}.finite")
+        if finite is not None and isinstance(e, finite.MalformedTableError):
+            print(f"hyperval: malformed table: {e}", file=sys.stderr)
+            return 2
         print(f"hyperval: internal error: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 3

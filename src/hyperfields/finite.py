@@ -23,6 +23,7 @@ import itertools
 from collections import namedtuple
 from typing import NamedTuple
 
+from .bitmask import _bits, _cell_to_mask
 from .galois import GaloisField, prime_power
 from .report import ValidationReport
 
@@ -33,23 +34,8 @@ class MalformedTableError(ValueError):
     """Structural defect in a table (a usage error, not an axiom failure)."""
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask_to_cell(mask: int) -> tuple[int, ...]:
     return tuple(_bits(mask))
-
-
-def _cell_to_mask(cell) -> int:
-    m = 0
-    for i in cell:
-        m |= 1 << i
-    return m
 
 
 def _sumset(add, mask_a: int, mask_b: int) -> int:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 
 from . import hypersets as hs
-from .finite import _bits
+from .bitmask import _bits, _low_bit, _masks_by
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
                        gadd, gneg, gzero, value_gt_cut, window)
 from .report import ValidationReport
-from .window import _low_bit, _masks_by, _Window
+from .window import _Window
 
 TropElem = Value  # tuple for a group element, None for infinity
 

@@ -11,17 +11,20 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import hypersets as hs
-from .finite import FiniteHyperfield
+from .bitmask import _low_bit, _masks_by
 from .ordgroup import (Cut, ConvexSubgroup, Value, WindowTooLarge, gzero,
                        invariance_group, value_gt_cut, vadd, vcompare, vmin, vneg,
                        window)
 from .report import ValidationReport
 from .tropical import t_add, t_mul, t_value
-from .window import (FiniteBackend, _is_finite, _j, _low_bit, _masks_by, _mode,
-                     _report, _Window, check_superiorly_canonical)
+from .window import (FiniteBackend, _is_finite, _j, _mode, _report, _Window,
+                     check_superiorly_canonical)
+
+if TYPE_CHECKING:
+    from .finite import FiniteHyperfield
 
 
 class Valuation:
@@ -353,10 +356,10 @@ def _residue(backend, v: Valuation, bound: int, cap: int):
         return tuple(sorted({class_of(z) for z in hs.members(s, U, backend.value_of)}))
 
     add = [[cell(a, b) for b in reps] for a in reps]
+    from .finite import FiniteHyperfield, validate
     H = FiniteHyperfield(names, mul, add,
                          {"label": f"residue of {v.label}",
                           "backend": backend.describe()})
-    from .finite import validate
     vrep = validate(H)
     if not vrep.ok:
         raise RuntimeError(f"residue table failed validation: {vrep.failed()}")

@@ -9,6 +9,9 @@ leading-term carriers implement it natively.  Checks visit every tuple of a
 finite backend ("proof by exhaustion") or of a window ("bounded
 verification").  Nothing here needs a valuation or a symbolic carrier; on a
 finite table the tests hold ``check_superiorly_canonical`` to ``is_field``.
+Of the package it imports only ``hypersets``, ``bitmask``, ``ordgroup``
+and ``report``: FiniteBackend reads the table it is given and never
+builds one, so a symbolic checker compiles no ``finite``.
 
 ``_Window`` is the one place a checker meets its window.  It owns the
 element indices, the interned hypersets, the table of window sums, the
@@ -24,17 +27,21 @@ shapes compare equal, so one id per key is one id per hyperset.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 from . import hypersets as hs
-from .finite import FiniteHyperfield, ZERO, ONE, _bits, _cell_to_mask
+from .bitmask import _bits, _cell_to_mask, _low_bit, _masks_by
 from .ordgroup import Value, value_gt_cut
 from .report import ValidationReport
+
+if TYPE_CHECKING:
+    from .finite import FiniteHyperfield
 
 
 class FiniteBackend:
     """A FiniteHyperfield with the backend surface; elements are indices."""
 
-    zero, one, value_rank = ZERO, ONE, 0
+    zero, one, value_rank = 0, 1, 0  # a table's 0 and 1 are indices 0 and 1
 
     def __init__(self, F: FiniteHyperfield):
         self.F = F
@@ -56,7 +63,7 @@ class FiniteBackend:
         return self._sums[x][y]
 
     def value_of(self, x) -> Value:
-        return None if x == ZERO else ()
+        return None if x == 0 else ()
 
     def elements(self, bound: int = 0) -> list:
         return list(range(self.F.size))
@@ -175,18 +182,6 @@ class _Window:
         if isinstance(s, hs.AboveValue):
             return list(_bits(self.mask_of(h)))
         return [self.index(x) for x in hs.members(s, (), self.value_of)]
-
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _masks_by(keys) -> dict:
-    """{key: mask of the positions holding it}, in first-seen order."""
-    masks: dict = {}
-    for k, key in enumerate(keys):
-        masks[key] = masks.get(key, 0) | 1 << k
-    return masks
 
 
 # -- superior canonicity -----------------------------------------------------------

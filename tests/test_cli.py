@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import leading_terms as lt
-from hyperfields import cli, tropical, valuation
+from hyperfields import cli, finite, tropical, valuation
 from hyperfields.cli import SCENARIOS, load_finite, main
 from hyperfields.ordgroup import WINDOW_LIMIT, Cut, gzero
 
@@ -38,7 +38,7 @@ def test_axioms_pass_on_builtins(capsys, monkeypatch):
         assert rep["passed"] and rep["verb"] == "axioms"
         assert rep["report"]["mode"] == "proof by exhaustion"
     # so the hyperfield gate returns a builtin without validating it
-    monkeypatch.setattr(cli, "validate", lambda F: pytest.fail("validate ran"))
+    monkeypatch.setattr(finite, "validate", lambda F: pytest.fail("validate ran"))
     assert cli.load_hyperfield("builtin:F7").size == 7
 
 
@@ -87,6 +87,39 @@ def test_parse_errors_exit_2(tmp_path, capsys):
         assert captured.out == "" and captured.err.endswith(f"{message}\n")
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.json")
+    assert main(["classify", "builtin:F4", "--output", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"hyperval: cannot write {path!r}: ")
+
+
+def _raising(exc):
+    def verb(args):
+        raise exc
+    return verb
+
+
+def test_main_maps_a_malformed_table_to_exit_2(monkeypatch, capsys):
+    # No input reaches this branch today: a table file without inverses
+    # stops at validate or load_hyperfield first, so a verb raises it here.
+    monkeypatch.setattr(cli, "cmd_classify",
+                        _raising(finite.MalformedTableError("no inverse of 2")))
+    assert main(["classify", "builtin:K"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hyperval: malformed table: no inverse of 2\n"
+
+
+def test_main_maps_any_other_exception_to_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_krasner", _raising(RuntimeError("boom")))
+    assert main(["krasner", "kgamma"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hyperval: internal error: RuntimeError: boom\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main([])
@@ -115,6 +148,7 @@ def test_usage_errors_exit_2():
     ("scenario", "kgamma", "--q", "6"),
     ("scenario", "kgamma", "--window-bound", "-1"),
     ("scenario", "example-last", "--p", "4"),
+    ("krasner", "kgamma", "--q", "abc"),
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as e:
@@ -269,7 +303,8 @@ def test_quotient_rejects_bad_subgroups(capsys):
     assert main(["quotient", "--field", "7", "--subgroup", "0"]) == 2
     assert main(["quotient", "--field", "6", "--subgroup", "units"]) == 2
     assert main(["quotient", "--field", "7", "--subgroup", "x,y"]) == 2
-    capsys.readouterr()
+    assert main(["quotient", "--field", "7", "--subgroup", ","]) == 2
+    assert capsys.readouterr().err.endswith("hyperval: empty generator list\n")
 
 
 def test_enumerate_counts(capsys):

@@ -1153,8 +1153,18 @@ def _ref_ray_mask(win, cut) -> int:
                if value_gt_cut(win.value_of(x), cut))
 
 
+class ZeroLast(Wrapped):
+    """A backend whose window lists the zero last: a ray's mask must not
+    lean on the zero's place."""
+
+    def elements(self, bound):
+        U = self.base.elements(bound)
+        return U[1:] + U[:1]
+
+
 RAY_WINDOWS = [(f"{name}:{bound}", backend, bound) for bound in (0, 1, 2)
                for name, backend in (("lt:2:1", LTContext(2, 1)),
+                                     ("zero-last-lt:2:1", ZeroLast(LTContext(2, 1))),
                                      ("lt:3:0", LTContext(3, 0)),
                                      ("composite:2", CompositeContext(2)),
                                      ("composite:5", CompositeContext(5)),
@@ -1179,5 +1189,5 @@ def test_ray_masks_match_the_per_element_scan(name, backend, bound):
     bottom = win.intern(hs.AboveValue(Cut.lt(rank, min(vals))))  # below every value
     for h in [h for h, s in enumerate(win.sets) if isinstance(s, hs.AboveValue)]:
         assert win.mask_of(h) == _ref_ray_mask(win, win.sets[h].cut), win.sets[h]
-    assert win.mask_of(top) == 1  # only the zero, which comes first
+    assert win.mask_of(top) == 1 << win.window.index(backend.zero)  # only the zero
     assert win.mask_of(bottom) == (1 << win.n) - 1

@@ -1,5 +1,6 @@
 """What a process imports: the package's public surface resolves lazily,
-and the CLI's finite verbs never load the symbolic layer."""
+the CLI's finite verbs never load the symbolic layer, and its symbolic
+verbs load the finite-table layer only to build a table."""
 
 import json
 import os
@@ -19,6 +20,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # compiled window.
 TRACKED = ("hyperfields.hypersets", "hyperfields.leading_terms",
            "hyperfields.tropical", "hyperfields.valuation", "hyperfields.window")
+# The module the other direction watches: the finite-table layer.
+FINITE = ("hyperfields.finite",)
 
 # The package's exports: 49 names and 8 submodules.
 PUBLIC = [
@@ -50,11 +53,11 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-LAYERS = f"""
+LAYERS = """
 import contextlib, io, json, sys
 
 def loaded():
-    return [m for m in {TRACKED!r} if m in sys.modules]
+    return [m for m in json.loads(sys.argv[2]) if m in sys.modules]
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -64,7 +67,7 @@ def run(*argv):
         except SystemExit as e:  # argparse rejects bad arguments
             return [e.code, loaded()]
 
-STEPS = {{
+STEPS = {
     "classify": ("classify", "builtin:K"),
     "axioms": ("axioms", "builtin:W"),
     "iso": ("iso", "builtin:S", "builtin:W"),
@@ -74,21 +77,30 @@ STEPS = {{
     "bad-q": ("krasner", "kgamma", "--q", "6"),
     "axioms tropical:1": ("axioms", "tropical:1", "--window-bound", "2"),
     "krasner": ("krasner", "kgamma"),
-}}
+    "version": ("--version",),
+    "krasner composite": ("krasner", "composite", "--window-bound", "1"),
+    "krasner collapsed": ("krasner", "collapsed", "--window-bound", "1"),
+    "krasner tropical:1": ("krasner", "tropical:1", "--window-bound", "1"),
+    "coarsen": ("coarsen", "--window-bound", "1"),
+    "scenario tropical-not-krasner": ("scenario", "tropical-not-krasner",
+                                      "--window-bound", "1"),
+    "residue kgamma": ("residue", "kgamma", "--window-bound", "1"),
+    "scenario kgamma": ("scenario", "kgamma", "--window-bound", "1"),
+}
 
 import hyperfields.cli
 from hyperfields.cli import main
-steps = {{"import": [None, loaded()]}}
+steps = {"import": [None, loaded()]}
 for name in json.loads(sys.argv[1]):
     steps[name] = run(*STEPS[name])
 print(json.dumps(steps))
 """
 
 
-def _layers(*names: str) -> dict:
+def _layers(*names: str, watch=TRACKED) -> dict:
     """Run the named steps, in order, in one fresh interpreter: each step's
-    exit code and the tracked modules loaded after it."""
-    return json.loads(_fresh("-c", LAYERS, json.dumps(names)).stdout)
+    exit code and the watched modules loaded after it."""
+    return json.loads(_fresh("-c", LAYERS, json.dumps(names), json.dumps(watch)).stdout)
 
 
 def test_finite_verbs_leave_the_symbolic_layer_unloaded():
@@ -103,6 +115,21 @@ def test_finite_verbs_leave_the_symbolic_layer_unloaded():
     assert steps["axioms tropical:1"] == [
         0, ["hyperfields.hypersets", "hyperfields.tropical", "hyperfields.window"]]
     assert steps["krasner"] == [0, list(TRACKED)]
+
+
+def test_symbolic_verbs_leave_the_finite_layer_unloaded():
+    steps = _layers("version", "axioms tropical:1", "krasner", "krasner composite",
+                    "krasner collapsed", "krasner tropical:1", "coarsen",
+                    "scenario tropical-not-krasner", "residue kgamma", watch=FINITE)
+    # a residue is a finite table: building one loads the layer
+    assert steps.pop("residue kgamma") == [0, list(FINITE)]
+    # neither carrier is Krasner with its norm: exit 1
+    assert steps == {"import": [None, []], "version": [0, []],
+                     "axioms tropical:1": [0, []], "krasner": [0, []],
+                     "krasner composite": [0, []], "krasner collapsed": [1, []],
+                     "krasner tropical:1": [1, []], "coarsen": [0, []],
+                     "scenario tropical-not-krasner": [0, []]}
+    assert _layers("scenario kgamma", watch=FINITE)["scenario kgamma"] == [0, list(FINITE)]
 
 
 def test_public_surface_is_unchanged():
@@ -134,6 +161,17 @@ def test_exports_are_read_through_not_stored(monkeypatch):
     monkeypatch.undo()
     assert hyperfields.validate is original
     assert "validate" not in vars(hyperfields)
+
+
+def test_cli_reads_validate_through(monkeypatch):
+    from hyperfields import cli
+    assert cli.validate is finite.validate
+    assert hyperfields.MalformedTableError is finite.MalformedTableError
+    monkeypatch.setattr(finite, "validate", "wrapped")
+    assert cli.validate == "wrapped"
+    assert "validate" not in vars(cli)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
 
 
 def test_fresh_interpreters_start():

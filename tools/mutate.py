@@ -8,12 +8,13 @@ to a temporary directory, then makes one mutant at a time inside each named
 top-level function or method of a top-level class of
 ``src/hyperfields/MODULE.py``, its nested functions and lambdas included:
 a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
-``in``/``not in``, ``is``/``is not``), ``and``/``or`` swapped, or an int
-constant moved by one.  Each mutant is written over the copy's module
-(through ``ast.unparse``, so first the unmutated module is run the same
-way), and the test files run on it with ``pytest -x``, one mutant after
-another.  A mutant the tests pass survives.  Prints each survivor and each
-function's score; exits 1 if a mutant survives.  Stdlib only.
+``in``/``not in``, ``is``/``is not``), ``and``/``or`` swapped, an
+``isinstance(...)`` call negated, or an int constant moved by one.  Each
+mutant is written over the copy's module (through ``ast.unparse``, so
+first the unmutated module is run the same way), and the test files run
+on it with ``pytest -x``, one mutant after another.  A mutant the tests
+pass survives.  Prints each survivor and each function's score; exits 1 if
+a mutant survives.  Stdlib only.
 """
 
 import ast
@@ -28,6 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SWAP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
         ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
         ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And}
+
+
+def _negate(owner, field, i) -> None:
+    """Put ``not`` before owner.field, or before item i of it."""
+    if i is None:
+        setattr(owner, field, ast.UnaryOp(ast.Not(), getattr(owner, field)))
+    else:
+        items = getattr(owner, field)
+        items[i] = ast.UnaryOp(ast.Not(), items[i])
 
 
 def mutants(tree, name) -> list:
@@ -54,6 +64,13 @@ def mutants(tree, name) -> list:
             new = node.value - 1 if node.value > 0 else node.value + 1
             out.append((node.lineno, f"{node.value} -> {new}",
                         lambda node=node, new=new: setattr(node, "value", new)))
+        for field, value in ast.iter_fields(node):
+            slots = enumerate(value) if isinstance(value, list) else [(None, value)]
+            for i, child in slots:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "isinstance"):
+                    out.append((child.lineno, "isinstance -> not isinstance",
+                                lambda node=node, field=field, i=i: _negate(node, field, i)))
     return out
 
 
