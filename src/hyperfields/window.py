@@ -4,10 +4,11 @@ A backend is anything with the duck-typed surface the checkers use:
 ``zero``, ``one``, ``mul``, ``neg``, ``inv``, ``add`` (returning a hyperset),
 ``value_of`` (the intrinsic valuation fixing the meaning of AboveValue
 results), ``value_rank``, ``elements(bound)``, ``elem_json``, ``sort_key``
-and ``describe``.  FiniteBackend adapts a FiniteHyperfield; the tropical and
-leading-term carriers implement it natively.  Checks visit every tuple of a
-finite backend ("proof by exhaustion") or of a window ("bounded
-verification").  Nothing here needs a valuation or a symbolic carrier; on a
+and ``describe``, and for ``check_axioms`` alone ``sum_sets(a, b)``, the
+sum of two hypersets.  FiniteBackend adapts a FiniteHyperfield; the
+tropical and leading-term carriers implement it natively.  Checks visit
+every tuple of a finite backend ("proof by exhaustion") or of a window
+("bounded verification").  Nothing here needs a valuation or a symbolic carrier; on a
 finite table the tests hold ``check_superiorly_canonical`` to ``is_field``.
 Of the package it imports only ``hypersets``, ``bitmask``, ``ordgroup``
 and ``report``: FiniteBackend reads the table it is given and never
@@ -46,7 +47,7 @@ class FiniteBackend:
     def __init__(self, F: FiniteHyperfield):
         self.F = F
         # one hyperset per cell, shared by the cells with the same members
-        cell = functools.cache(lambda mask: hs.finite(_bits(mask)))
+        self._cell = cell = functools.cache(lambda mask: hs.finite(_bits(mask)))
         self._sums = [[cell(F.add_mask(x, y)) for y in range(F.size)]
                       for x in range(F.size)]
 
@@ -61,6 +62,11 @@ class FiniteBackend:
 
     def add(self, x, y):
         return self._sums[x][y]
+
+    def sum_sets(self, a, b):
+        """The union of the sums of their members, as a cell."""
+        mask = lambda s: _cell_to_mask(hs.members(s, (), None))
+        return self._cell(self.F.sumset(mask(a), mask(b)))
 
     def value_of(self, x) -> Value:
         return None if x == 0 else ()
@@ -260,3 +266,111 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     rep.add("SCH4", w is None, w,
             note="x in z-z and y outside force x-x inside y-y")
     return rep
+
+
+# -- the hyperfield axioms ---------------------------------------------------------
+
+def check_axioms(backend, bound: int) -> ValidationReport:
+    """CH1..CH4 and HR3 over all tuples from the window (every tuple of a
+    finite backend), with char2, cchar1 and stringency as observations.
+
+    CH2 compares sum ids, CH3 and CH4 read masks (CH4 the columns of
+    ``minus``: the z with y in z - x).  A window sum with a finite member z
+    outside the window raises KeyError (z, -x) at CH4, unless a window
+    member fails first: z - x is no window sum.  CH1 and HR3 intern each
+    nested sum (``backend.sum_sets``) and each scaled sum once per
+    (hyperset, element) pair, and (xy)+(xz) once per pair of products, then
+    compare ids.  Each witness is the first failing tuple in x, y, z order.
+    On FiniteBackend it is a second route to ``finite.validate``, except
+    that an element with no additive inverse raises MalformedTableError
+    from ``FiniteBackend.neg`` at CH4, which ``validate`` skips."""
+    win = _Window(backend, bound)
+    U, n, elems, sets, mask_of = win.window, win.n, win.elems, win.sets, win.mask_of
+    val, mul, j = backend.value_of, backend.mul, backend.elem_json
+    rep = _report(backend.describe(), backend, bound)
+    sums, nsums = win.sums, len(sets)  # the ids below nsums are the window sums
+    zero = win.index(backend.zero)
+
+    w = next(((j(x), j(U[b])) for a, (x, row) in enumerate(zip(U, sums))
+              for b, h in enumerate(row) if h != sums[b][a]), None)
+    rep.add("CH2", w is None, w)
+
+    w = next(((j(x), [j(u) for u in inverses]) for x, row in zip(U, sums)
+              for inverses in ([u for u, h in zip(U, row) if mask_of(h) >> zero & 1],)
+              if len(inverses) != 1), None)
+    rep.add("CH3", w is None, w)
+
+    # a finite sum's first member z outside the window, whose z - x is no window sum
+    outside = {h: zs[0] for h, s in enumerate(sets) if not isinstance(s, hs.AboveValue)
+               for zs in ([z for z in hs.members(s, (), val) if win.index(z) >= n],) if zs}
+    diffs = [win.minus(k) for k in range(n)]  # diffs[k][a]: the id of U[k] - U[a]
+    w = None
+    for a, (x, row) in enumerate(zip(U, sums)):
+        col = [0] * n  # col[b]: the window z with U[b] in z - x
+        for h, zs in _masks_by(d[a] for d in diffs).items():
+            for b in _bits(mask_of(h)):
+                col[b] |= zs
+        for b, h in enumerate(row):
+            bad = mask_of(h) & ~col[b]
+            if bad:
+                w = (j(x), j(U[b]), j(U[_low_bit(bad)]))
+                break
+            if h in outside:
+                raise KeyError((outside[h], backend.neg(x)))
+        if w:
+            break
+    rep.add("CH4", w is None, w)
+
+    # (x+y)+z once per (sum id, z), x+(y+z) once per (x, sum id)
+    sum_sets, single = backend.sum_sets, hs.Singleton
+    left = [[win.intern(sum_sets(sets[h], single(z))) for z in U] for h in range(nsums)]
+    w = None
+    for x, row in zip(U, sums):
+        right = [win.intern(sum_sets(single(x), sets[h])) for h in range(nsums)]
+        w = next(((j(x), j(y), j(U[_first_diff(left[h], r)]))
+                  for y, h, yrow in zip(U, row, sums)
+                  for r in ([right[g] for g in yrow],) if left[h] != r), None)
+        if w:
+            break
+    rep.add("CH1", w is None, w)
+
+    def scale(x, s):
+        """x times hyperset s: the products of its members, or its ray shifted by v(x)."""
+        if isinstance(s, hs.Singleton):
+            return single(mul(x, s.elem))
+        if isinstance(s, hs.FiniteSet):
+            return hs.finite(mul(x, e) for e in s.elems)
+        return single(x) if x == backend.zero else hs.AboveValue(s.cut.shift(val(x)))
+
+    @functools.cache
+    def pair_sum(a, b) -> int:
+        """The id of elems[a] + elems[b]."""
+        return win.intern(backend.add(elems[a], elems[b]))
+
+    # x(y+z) once per (x, sum id), (xy)+(xz) once per pair of product indices
+    w = None
+    for x, row in zip(U, sums):
+        prods = [win.index(mul(x, y)) for y in U]
+        scaled = [win.intern(scale(x, sets[h])) for h in range(nsums)]
+        w = next(((j(x), j(y), j(U[_first_diff(lhs, rhs)]))
+                  for y, a, yrow in zip(U, prods, sums)
+                  for lhs, rhs in (([scaled[h] for h in yrow],
+                                    [pair_sum(a, b) for b in prods]),)
+                  if lhs != rhs), None)
+        if w:
+            break
+    rep.add("HR3", w is None, w)
+
+    one_plus_one = backend.add(backend.one, backend.one)
+    rep.observe("char2", hs.contains(one_plus_one, backend.zero, val),
+                note="0 belongs to 1+1")
+    rep.observe("cchar1", hs.contains(one_plus_one, backend.one, val),
+                note="1 belongs to 1+1")
+    rep.observe("stringent", all(isinstance(s, hs.Singleton) or mask_of(h) >> zero & 1
+                                 for h, s in enumerate(sets[:nsums])),
+                note="every cell avoiding 0 is a singleton")
+    return rep
+
+
+def _first_diff(a: list, b: list) -> int:
+    return next(k for k, (p, q) in enumerate(zip(a, b)) if p != q)
