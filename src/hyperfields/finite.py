@@ -6,8 +6,9 @@ exhaustive axiom checks reduce to integer bit algebra.  `validate`, `is_field`
 (the mask of 1 - 1, cross-checked by one count of all set bits), quotients,
 hyperideals and the morphism checks read the masks directly; `add_cell`
 decodes a cell for output, and `_decoded` each distinct mask once for the
-CH4 and CH1 scans.  Index 0 is always the additive zero and index 1 the
-multiplicative unit.
+CH4 and CH1 scans.  The builders hand their masks to `_from_masks`, which
+checks them as `__init__` checks cells.  Index 0 is always the additive
+zero and index 1 the multiplicative unit.
 
 The module ships the three classical small examples (K, the sign hyperfield
 S, the weak sign hyperfield W), finite fields as degenerate hyperfields,
@@ -152,38 +153,37 @@ class FiniteHyperfield:
     """Carrier {0, .., size-1} with multivalued addition and a mul table."""
 
     def __init__(self, names, mul, add_cells, meta: dict | None = None):
+        # a negative entry becomes bit len(names), which the range check refuses
+        self._load(names, mul, [[_cell_to_mask(v if v >= 0 else len(names) for v in map(int, c))
+                                 for c in row] for row in add_cells], meta)
+
+    @classmethod
+    def _from_masks(cls, names, mul, masks, meta: dict | None = None) -> "FiniteHyperfield":
+        """The table whose x+y is the bitmask masks[x][y], with `__init__`'s checks."""
+        F = cls.__new__(cls)
+        F._load(names, mul, masks, meta)
+        return F
+
+    def _load(self, names, mul, masks, meta):
         names = tuple(str(s) for s in names)
         n = len(names)
         if n < 2:
             raise MalformedTableError("need at least the elements 0 and 1")
         if len(mul) != n or any(len(row) != n for row in mul):
             raise MalformedTableError("mul table must be size x size")
-        if len(add_cells) != n or any(len(row) != n for row in add_cells):
+        if len(masks) != n or any(len(row) != n for row in masks):
             raise MalformedTableError("add table must be size x size")
         mul = tuple(tuple(map(int, row)) for row in mul)
         if any(min(row) < 0 or max(row) >= n for row in mul):
             raise MalformedTableError("mul entry out of range")
-        masks = []
-        for row in add_cells:
-            mrow = []
-            for cell in row:
-                m = 0
-                for v in cell:
-                    v = int(v)
-                    if not 0 <= v < n:
-                        raise MalformedTableError("add entry out of range")
-                    m |= 1 << v
-                if not m:
-                    raise MalformedTableError("empty addition cell")
-                mrow.append(m)
-            masks.append(tuple(mrow))
-        self.size = n
-        self.names = names
-        self.mul = mul
-        self._add = tuple(masks)
-        self.meta = dict(meta or {})
-        self._neg = None
-        self._inv = None
+        masks = tuple(map(tuple, masks))
+        for row in masks:
+            if 0 in row:
+                raise MalformedTableError("empty addition cell")
+            if max(row) >> n:
+                raise MalformedTableError("add entry out of range")
+        self.size, self.names, self.mul, self._add = n, names, mul, masks
+        self.meta, self._neg, self._inv = dict(meta or {}), None, None
 
     # -- basic access -----------------------------------------------------
 
@@ -300,12 +300,18 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
     by three lemmas on S, which is {0, 1} plus the greedy unit generators
     (`_greedy_generators`), so every element is a product of members of S.
     - HR2 (Light): the a with (xa)y = x(ay) for all x, y are closed under
-      products, so the middle element a in S suffices.
+      products, so the middle element a in S suffices.  The scan checks
+      that 0 absorbs and that mul commutes for every pair, so 0 passes,
+      (x0)y = 0 = x(0y), and when row 1 is the identity so does 1, as
+      x1 = 1x = x: then the generators suffice.
     - HR3, once HR2 holds: the x with x(y+z) = xy + xz are closed under
-      products, as (ab)(y+z) = a(b(y+z)), so x in S suffices.
+      products, as (ab)(y+z) = a(b(y+z)), so x in S suffices.  Row 1 the
+      identity gives x = 1; at x = 0 the sides are 0(y+z) = {0} (no cell
+      is empty) and 0 + 0, so x = 0 holds iff 0 + 0 = {0}, checked first.
     - CH1, once HR2, HF and HR3 hold: a unit u maps (x+y)+z onto
       (ux+uy)+uz and x+(y+z) onto ux+(uy+uz), injectively, so CH1 at
       (x, y, z) with x != 0 is CH1 at (1, y/x, z/x): x in {0, 1} suffices.
+      When row 0 is neutral, 0 + b = {b}, both sides at x = 0 are y + z.
     When a prerequisite or a reduced scan fails, the full scan runs, so each
     witness is the first failing tuple in x, y, z order."""
     n, mul, add, cells = F.size, F.mul, F._add, _decoded(F._add)
@@ -325,13 +331,15 @@ def validate(F: FiniteHyperfield) -> ValidationReport:
     else:
         rep.skipped.append("CH4 (needs CH3 to define -x)")
 
-    rows = (ZERO, ONE, *_greedy_generators(mul)[0])
+    gens = _greedy_generators(mul)[0]
+    rows = gens if mul[ONE] == tuple(range(n)) else (ZERO, ONE, *gens)
     # a failed reduced scan or prerequisite (a truthy witness) runs the full scan
     hr2 = _hr2_witness(mul, rows) and _hr2_witness(mul)
     hf = next(((x,) for x in F.units if mul[ONE][x] != x
                or ONE not in mul[x][1:] or ZERO in mul[x][1:]), None)
-    hr3 = (hr2 or _hr3_witness(mul, add, rows)) and _hr3_witness(mul, add)
-    ch1 = ((hr2 or hf or hr3 or _ch1_witness(add, cells, (ZERO, ONE)))
+    hr3 = (hr2 or add[ZERO][ZERO] != 1 or _hr3_witness(mul, add, rows)) and _hr3_witness(mul, add)
+    neutral = all(m == 1 << b for b, m in enumerate(add[ZERO]))
+    ch1 = ((hr2 or hf or hr3 or _ch1_witness(add, cells, (ONE,) if neutral else (ZERO, ONE)))
            and _ch1_witness(add, cells))
     rep.add("CH1", ch1 is None, ch1)
     w = next((x for x in range(n) if add[x][ZERO] != 1 << x), None)
@@ -387,11 +395,12 @@ def build_W() -> FiniteHyperfield:
 
 def build_finite_field(q: int, modulus: tuple[int, ...] | None = None) -> FiniteHyperfield:
     gf = GaloisField(q, modulus)
-    add = [[(v,) for v in row] for row in gf.add]
     meta = {"label": f"F{q}"}
     if gf.modulus is not None:
         meta["modulus"] = list(gf.modulus)
-    return FiniteHyperfield(gf.names(), gf.mul, add, meta)
+    bits = [1 << v for v in range(q)]  # one int per bit, shared by every cell holding it
+    return FiniteHyperfield._from_masks(
+        gf.names(), gf.mul, [list(map(bits.__getitem__, row)) for row in gf.add], meta)
 
 
 # -- quotients ---------------------------------------------------------------
@@ -427,19 +436,14 @@ def quotient_hyperfield(K: FiniteHyperfield, generators) -> FiniteHyperfield:
         reps.append(coset[0])
     assert coset_of[ONE] == 1
 
-    n = len(reps) + 1
+    elems = [ZERO] + reps
     names = ["0"] + [f"[{K.names[r]}]" for r in reps]
-    mul = [[0] * n for _ in range(n)]
-    for i, a in enumerate([ZERO] + reps):
-        for j, b in enumerate([ZERO] + reps):
-            mul[i][j] = coset_of[K.mul[a][b]]
-    # every cell of K is one bit (is_field), so a + u is row[u].bit_length() - 1
-    cosets = [[K.mul[b][t] for t in T] for b in [ZERO] + reps]
-    add = []
-    for a in [ZERO] + reps:
-        row = K._add[a]
-        add.append([{coset_of[row[u].bit_length() - 1] for u in bT} for bT in cosets])
-    H = FiniteHyperfield(
+    mul = [[coset_of[K.mul[a][b]] for b in elems] for a in elems]
+    # every cell of K is one bit (is_field): bit[a + u] is the bit of its coset
+    bit = {1 << v: 1 << c for v, c in coset_of.items()}
+    cosets = [[K.mul[b][t] for t in T] for b in elems]
+    add = [[sum({bit[row[u]] for u in bT}) for bT in cosets] for row in (K._add[a] for a in elems)]
+    H = FiniteHyperfield._from_masks(
         names, mul, add,
         {"label": f"{K.meta.get('label', 'F')}/T",
          "subgroup": sorted(T),
@@ -717,14 +721,10 @@ def _abelian_groups(order: int) -> list[tuple[int, ...]]:
                 if not rest or first >= rest[0]:
                     yield (first,) + rest
 
-    per_prime = []
-    for p, e in sorted(factors.items()):
-        per_prime.append([tuple(p ** a for a in part) for part in partitions(e)])
-    out = []
-    for combo in itertools.product(*per_prime):
-        divisors = tuple(sorted(d for group in combo for d in group))
-        out.append(divisors)
-    return sorted(set(out))
+    per_prime = [[tuple(p ** a for a in part) for part in partitions(e)]
+                 for p, e in sorted(factors.items())]
+    return sorted({tuple(sorted(d for group in combo for d in group))
+                   for combo in itertools.product(*per_prime)})
 
 
 def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
@@ -778,9 +778,10 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
     So a candidate is kept only when it is the least of its orbit in the
     order the loops meet candidates (by iota, then by h), which keeps the
     first table of each class.  Commutativity, the unique-inverse axiom,
-    the multiplicative axioms and distributivity hold by construction, so
-    associativity is decided on the rows x = 0, 1 (`validate`'s CH1 lemma),
-    then the full validation runs on every kept table.
+    the multiplicative axioms and distributivity hold by construction, and
+    row 0 is neutral, so associativity is decided on the row x = 1
+    (`validate`'s CH1 lemma), then the full validation runs on every kept
+    table.
     """
     if order < 2:
         raise ValueError("need at least 0 and 1")
@@ -800,14 +801,13 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
                 # row 1 of the table is h itself
                 if not _least_in_orbit(iota, tuple(cand[ONE]), auts):
                     continue
-                add = _decoded(cand)
-                if _ch1_witness(cand, add, (ZERO, ONE)) is not None:
+                if _ch1_witness(cand, _decoded(cand), (ONE,)) is not None:
                     continue
-                H = FiniteHyperfield(names, mul, add,
-                                     {"label": f"order{order}"})
+                H = FiniteHyperfield._from_masks(names, mul, cand,
+                                                 {"label": f"order{order}"})
                 if validate(H).ok:
                     found.append(H)
-    found.sort(key=lambda H: (H.mul, tuple(tuple(row) for row in H._add)))
+    found.sort(key=lambda H: (H.mul, H._add))
     for i, H in enumerate(found):
         H.meta["label"] = f"order{order}_{i}"
     return found

@@ -344,7 +344,9 @@ def check_axioms(backend, bound: int) -> ValidationReport:
 
     @functools.cache
     def pair_sum(a, b) -> int:
-        """The id of elems[a] + elems[b]."""
+        """The id of elems[a] + elems[b], read from ``sums`` inside the window."""
+        if a < n and b < n:
+            return sums[a][b]
         return win.intern(backend.add(elems[a], elems[b]))
 
     # x(y+z) once per (x, sum id), (xy)+(xz) once per pair of product indices

@@ -538,6 +538,141 @@ def test_lights_lemma_on_the_generating_rows(F):
         (finite._hr2_witness(mul) is None)
 
 
+# validate's reduced scans need three prerequisites: row 1 of mul the
+# identity (HR2's middles and HR3's rows are then the generators), 0 + 0 =
+# {0} (HR3 at x = 0) and row 0 of add neutral (CH1 on the row x = 1 alone).
+
+def _scans(F, monkeypatch):
+    """The (kernel, rows) of each HR2, HR3 and CH1 scan validate(F) runs, in
+    order, rows None for a full scan."""
+    calls = []
+    for name, k in (("_hr2_witness", 1), ("_hr3_witness", 2), ("_ch1_witness", 2)):
+        def recorded(*args, name=name, k=k, original=getattr(finite, name)):
+            calls.append((name, tuple(args[k]) if len(args) > k else None))
+            return original(*args)
+        monkeypatch.setattr(finite, name, recorded)
+    validate(F)
+    monkeypatch.undo()
+    return calls
+
+
+def test_validate_takes_the_reduced_scans_on_hyperfields(monkeypatch):
+    tables = SMALL_HYPERFIELDS + [build_finite_field(q) for q in (9, 16, 27, 32)] + \
+        [F for order in (4, 5, 6) for F in enumerate_hyperfields(order)]
+    for F in tables:
+        gens = tuple(finite._greedy_generators(F.mul)[0])
+        assert _scans(F, monkeypatch) == [("_hr2_witness", gens), ("_hr3_witness", gens),
+                                          ("_ch1_witness", (ONE,))], F
+
+
+@st.composite
+def fallback_tables(draw):
+    """A table of SMALL_HYPERFIELDS with one prerequisite of validate's
+    reduced scans broken: half the time a cell or entry anywhere redrawn,
+    then an entry of row 1 of mul, a cell of row 0 of add (each with its
+    mirror half the time) or the cell 0 + 0 redrawn."""
+    base = draw(st.sampled_from(SMALL_HYPERFIELDS))
+    n = base.size
+    mul = [list(row) for row in base.mul]
+    add = [list(row) for row in base._add]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            mul[x][y] = draw(st.integers(0, n - 1))
+        else:
+            add[x][y] = draw(st.integers(1, (1 << n) - 1))
+    kind = draw(st.sampled_from(("mul1", "row0", "zero")))
+    b = draw(st.integers(0, n - 1))
+    if kind == "mul1":
+        mul[ONE][b] = draw(st.integers(0, n - 1).filter(lambda v: v != b))
+        if draw(st.booleans()):
+            mul[b][ONE] = mul[ONE][b]
+    elif kind == "row0":
+        add[ZERO][b] = draw(st.integers(1, (1 << n) - 1).filter(lambda m: m != 1 << b))
+        if draw(st.booleans()):
+            add[b][ZERO] = add[ZERO][b]
+    else:
+        add[ZERO][ZERO] = draw(st.integers(2, (1 << n) - 1))
+    return kind, FiniteHyperfield._from_masks(base.names, mul, add)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fallback_tables())
+def test_validate_falls_back_when_a_prerequisite_fails(kind_and_table):
+    kind, F = kind_and_table
+    n, mul, add = F.size, F.mul, F._add
+    broken = {"mul1": mul[ONE] != tuple(range(n)),
+              "row0": any(add[ZERO][b] != 1 << b for b in range(n)),
+              "zero": add[ZERO][ZERO] != 1}
+    assert broken[kind]
+    ref = _ref_witnesses(F)
+    got = {c.axiom: (c.passed, c.witness) for c in validate(F).checks
+           if c.axiom in ref}
+    assert got == ref
+
+
+def test_validate_pins_witnesses_only_the_full_scans_find():
+    # 1 * 1 = 0 and 1 * 2 = 2 * 2 = 2: the generator 2 passes Light's test
+    # and 1, no product of it, fails it at (1, 1, 2)
+    S = build_S()
+    rep = validate(FiniteHyperfield._from_masks(S.names, [[0, 0, 0], [0, 0, 2], [0, 2, 2]],
+                                                S._add))
+    assert rep.check("HR2").witness == (1, 1, 2)
+    # S with 0 + 0 = {0, 1, -1}, a cell each unit maps onto itself: HR3 fails
+    # at x = 0 alone
+    add = [list(row) for row in S._add]
+    add[ZERO][ZERO] = 0b111
+    rep = validate(FiniteHyperfield._from_masks(S.names, S.mul, add))
+    assert rep.check("HR2").passed and rep.check("HR3").witness == (0, 0, 0)
+
+
+def test_hf_looks_for_an_inverse_among_the_units_only():
+    # 2 * 0 = 1 but 2 * 1 = 2 * 2 = 2: the product 1 in row 2 is no inverse
+    S = build_S()
+    rep = validate(FiniteHyperfield._from_masks(S.names, [[0, 0, 0], [0, 1, 2], [1, 2, 2]],
+                                                S._add))
+    assert rep.check("HF").witness == (2,)
+
+
+def test_mask_constructor_refuses_malformed_masks():
+    names, mul = ["0", "1", "2"], [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
+    good = [[1, 2, 4], [2, 5, 1], [4, 1, 2]]
+    assert FiniteHyperfield._from_masks(names, mul, good) == \
+        FiniteHyperfield(names, mul, [[_ref_mask_to_cell(m, 3) for m in row] for row in good])
+    for row, message in (([2, 0, 1], "empty addition cell"),
+                         ([2, 5, 8], "add entry out of range"),
+                         ([9, 5, 1], "add entry out of range"),
+                         ([2, 5, 1 << 70], "add entry out of range"),
+                         ([2, 5], "add table must be size x size"),
+                         ([2, 5, 1, 1], "add table must be size x size")):
+        with pytest.raises(MalformedTableError, match=message):
+            FiniteHyperfield._from_masks(names, mul, [good[0], row, good[2]])
+    for masks in (good[:2], good + [good[0]]):
+        with pytest.raises(MalformedTableError, match="add table must be size x size"):
+            FiniteHyperfield._from_masks(names, mul, masks)
+    for bad, message in (([[0, 0, 0], [0, 1, 3], [0, 2, 1]], "mul entry out of range"),
+                         ([[0, 0, 0], [0, 1], [0, 2, 1]], "mul table must be size x size")):
+        with pytest.raises(MalformedTableError, match=message):
+            FiniteHyperfield._from_masks(names, bad, good)
+    with pytest.raises(MalformedTableError, match="need at least the elements 0 and 1"):
+        FiniteHyperfield._from_masks(["0"], [[0]], [[1]])
+
+
+def test_tables_built_from_masks_equal_tables_built_from_cells():
+    # the fields as they were built from singleton cells, then every
+    # quotient of q <= 64 and every enumerated class through the decoded cells
+    for q in (q for q in range(2, 65) if prime_power(q)):
+        F, gf = build_finite_field(q), finite.GaloisField(q)
+        meta = {"label": f"F{q}", **({"modulus": list(gf.modulus)} if gf.modulus else {})}
+        ref = FiniteHyperfield(gf.names(), gf.mul, [[(v,) for v in row] for row in gf.add], meta)
+        assert F == ref and F.to_json() == ref.to_json()
+    for F in _theorem_tables():
+        cells = [[_ref_mask_to_cell(m, F.size) for m in row] for row in F._add]
+        ref = FiniteHyperfield(F.names, F.mul, cells, F.meta)
+        masks = FiniteHyperfield._from_masks(F.names, F.mul, F._add, F.meta)
+        assert masks == ref and masks.to_json() == ref.to_json() == F.to_json()
+
+
 def test_validate_skips_ch4_when_inverses_are_missing():
     # 1 has no additive inverse at all
     add = [[(0,), (1,)], [(1,), (1,)]]

@@ -14,7 +14,8 @@ mutant is written over the copy's module (through ``ast.unparse``, so
 first the unmutated module is run the same way), and the test files run
 on it with ``pytest -x``, one mutant after another.  A mutant the tests
 pass survives.  Prints each survivor and each function's score; exits 1 if
-a mutant survives.  Stdlib only.
+a mutant survives, and 2, before any copy or test run, if a target is not
+found or has no mutation site.  Stdlib only.
 """
 
 import ast
@@ -74,11 +75,26 @@ def mutants(tree, name) -> list:
     return out
 
 
+def _site_count(target) -> int:
+    """How many mutants target has in the repository; 0 when it is not found."""
+    module, _, name = target.partition(".")
+    try:
+        source = (ROOT / "src" / "hyperfields" / f"{module}.py").read_text()
+        return len(mutants(ast.parse(source), name))
+    except (OSError, StopIteration):
+        return 0
+
+
 def main(argv) -> int:
     if "--" not in argv:
         print(__doc__)
         return 2
     targets, tests = argv[:argv.index("--")], argv[argv.index("--") + 1:]
+    empty = [target for target in targets if not _site_count(target)]
+    for target in empty:
+        print(f"{target}: no mutation sites")
+    if empty:
+        return 2
     survived = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
