@@ -153,9 +153,7 @@ class FiniteHyperfield:
     """Carrier {0, .., size-1} with multivalued addition and a mul table."""
 
     def __init__(self, names, mul, add_cells, meta: dict | None = None):
-        # a negative entry becomes bit len(names), which the range check refuses
-        self._load(names, mul, [[_cell_to_mask(v if v >= 0 else len(names) for v in map(int, c))
-                                 for c in row] for row in add_cells], meta)
+        self._load(names, mul, add_cells, meta, cells=True)
 
     @classmethod
     def _from_masks(cls, names, mul, masks, meta: dict | None = None) -> "FiniteHyperfield":
@@ -164,7 +162,7 @@ class FiniteHyperfield:
         F._load(names, mul, masks, meta)
         return F
 
-    def _load(self, names, mul, masks, meta):
+    def _load(self, names, mul, masks, meta, cells=False):
         names = tuple(str(s) for s in names)
         n = len(names)
         if n < 2:
@@ -176,12 +174,14 @@ class FiniteHyperfield:
         mul = tuple(tuple(map(int, row)) for row in mul)
         if any(min(row) < 0 or max(row) >= n for row in mul):
             raise MalformedTableError("mul entry out of range")
+        if cells:  # an entry outside 0..n-1 becomes bit n before any shift
+            masks = [[_cell_to_mask(v if 0 <= v < n else n for v in map(int, c)) for c in row]
+                     for row in masks]
         masks = tuple(map(tuple, masks))
         for row in masks:
-            if 0 in row:
-                raise MalformedTableError("empty addition cell")
-            if max(row) >> n:
-                raise MalformedTableError("add entry out of range")
+            if 0 in row or max(row) >> n:  # the row's first bad cell names the fault
+                raise MalformedTableError("add entry out of range" if next(
+                    m for m in row if not m or m >> n) else "empty addition cell")
         self.size, self.names, self.mul, self._add = n, names, mul, masks
         self.meta, self._neg, self._inv = dict(meta or {}), None, None
 
@@ -721,10 +721,14 @@ def _abelian_groups(order: int) -> list[tuple[int, ...]]:
                 if not rest or first >= rest[0]:
                     yield (first,) + rest
 
-    per_prime = [[tuple(p ** a for a in part) for part in partitions(e)]
-                 for p, e in sorted(factors.items())]
-    return sorted({tuple(sorted(d for group in combo for d in group))
-                   for combo in itertools.product(*per_prime)})
+    per_prime = []
+    for p, e in sorted(factors.items()):
+        per_prime.append([tuple(p ** a for a in part) for part in partitions(e)])
+    out = []
+    for combo in itertools.product(*per_prime):
+        divisors = tuple(sorted(d for group in combo for d in group))
+        out.append(divisors)
+    return sorted(set(out))
 
 
 def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:

@@ -80,7 +80,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
             ({"names": ["0", "1"], "mul": [[0, 0], [0, 1]], "add": [[[0], [1]], [[1]]]},
              "add table must be size x size"),
             ({"size": 3, "names": ["0", "1"], "mul": [[0, 0], [0, 1]],
-              "add": [[[0], [1]], [[1], [0]]]}, "declared size disagrees with names")):
+              "add": [[[0], [1]], [[1], [0]]]}, "declared size disagrees with names"),
+            ({"names": ["0", "1"], "mul": [[0, 0], [0, 1]],
+              "add": [[[0], [1]], [[1], [0, 10 ** 12]]]}, "add entry out of range"),
+            ({"names": ["0", "1"], "mul": [[0, 0], [0, 1]],
+              "add": [[[0], [1]], [[1], [1e300]]]}, "add entry out of range")):
         misshapen.write_text(json.dumps(table))
         assert main(["axioms", str(misshapen)]) == 2
         captured = capsys.readouterr()

@@ -365,6 +365,29 @@ def test_malformed_tables_are_rejected():
     assert FiniteHyperfield.from_json(data) == build_finite_field(2)
 
 
+def test_huge_add_entries_are_refused_before_any_shift():
+    # 10**12 or 1e300 as a bit would allocate or overflow; both read out of range
+    for entry in (10 ** 12, 1e300, -10 ** 12):
+        data = build_finite_field(2).to_json()
+        data["add"][1][1] = [0, entry]
+        with pytest.raises(MalformedTableError, match="add entry out of range"):
+            FiniteHyperfield.from_json(json.loads(json.dumps(data)))
+
+
+def test_table_faults_are_reported_in_table_order():
+    # shapes and mul before any add cell is read; then cell by cell, row by row
+    names, mul, rows = ["0", "1"], [[0, 0], [0, 1]], [[(0,), (1,)], [(1,), (0,)]]
+    for bad_mul, add, message in (
+            (mul, [rows[0], [("x",)]], "add table must be size x size"),
+            ([[0, 0], [0, 2]], [rows[0], [(1,), ("x",)]], "mul entry out of range"),
+            ([[0, 0], [0]], [rows[0], [(1,), ("x",)]], "mul table must be size x size"),
+            (mul, [rows[0], [(5,), ()]], "add entry out of range"),
+            (mul, [rows[0], [(), (5,)]], "empty addition cell"),
+            (mul, [[(0,), ()], [(5,), (0,)]], "empty addition cell")):
+        with pytest.raises(MalformedTableError, match=message):
+            FiniteHyperfield(names, bad_mul, add)
+
+
 def test_tables_differing_in_one_part_are_unequal():
     F = build_finite_field(2)
     cells = [[F.add_cell(x, y) for y in range(2)] for x in range(2)]
@@ -643,6 +666,8 @@ def test_mask_constructor_refuses_malformed_masks():
                          ([2, 5, 8], "add entry out of range"),
                          ([9, 5, 1], "add entry out of range"),
                          ([2, 5, 1 << 70], "add entry out of range"),
+                         ([8, 0, 1], "add entry out of range"),
+                         ([2, 0, 8], "empty addition cell"),
                          ([2, 5], "add table must be size x size"),
                          ([2, 5, 1, 1], "add table must be size x size")):
         with pytest.raises(MalformedTableError, match=message):
