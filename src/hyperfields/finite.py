@@ -775,37 +775,43 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
 
     Distributivity forces x+y = x(1 + x^(-1) y), so a structure on a unit
     group is pinned down by -1 = iota and the row h(a) = 1+a, which
-    `_candidate_tables` enumerates with reversibility decided on the rows.
+    `_candidate_rows` enumerates with reversibility decided on the rows.
     Two candidates on one unit group are isomorphic exactly when an
     automorphism s of the group maps one to the other, s(iota) = iota' and
     s(h(a)) = h'(s(a)); unit groups of different shapes are not isomorphic.
     So a candidate is kept only when it is the least of its orbit in the
     order the loops meet candidates (by iota, then by h), which keeps the
-    first table of each class.  Commutativity, the unique-inverse axiom,
-    the multiplicative axioms and distributivity hold by construction, and
-    row 0 is neutral, so associativity is decided on the row x = 1
-    (`validate`'s CH1 lemma), then the full validation runs on every kept
-    table.
+    first table of each class, and reads h alone, before any mask table.
+    Commutativity, the unique-inverse axiom, the multiplicative axioms and
+    distributivity hold by construction, and row 0 is neutral, so
+    associativity is decided on the row x = 1 (`validate`'s CH1 lemma),
+    then the full validation runs on every kept table.
     """
     if order < 2:
         raise ValueError("need at least 0 and 1")
-    if order > 6:  # order 7 has 3,778,488 choices of the rows h(a)
+    # Row-level CH4 leaves 1,840 candidates at order 7 and 3,926 at order 8;
+    # the cap waits on ROADMAP item 8's independent checks of their classes.
+    if order > 6:
         raise ValueError(f"order {order} above the enumeration cap 6")
-    m = order - 1
+    m, units = order - 1, range(1, order)
     names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
+    bits = [tuple(_bits(mask)) for mask in range(1 << order)]
     found: list[FiniteHyperfield] = []
     for divisors in _abelian_groups(m):
         mul = _group_mul_table(divisors, m)
         inv = _inverses(mul)
+        img = [_mask_images(row) for row in mul]  # img[x][mask]: x times mask
         auts = [(s, _mask_images(s)) for s in _unit_group_isos(mul, mul)]
         for iota in range(1, order):
             if mul[iota][iota] != ONE:
                 continue  # -1 must square to 1
-            for cand in _candidate_tables(order, mul, inv, iota):
-                # row 1 of the table is h itself
-                if not _least_in_orbit(iota, tuple(cand[ONE]), auts):
+            for h in _candidate_rows(mul, inv, img, iota):
+                if not _least_in_orbit(iota, h, auts):
                     continue
-                if _ch1_witness(cand, _decoded(cand), (ONE,)) is not None:
+                cand = [[1 << y for y in range(order)]] + [  # x+y = x h(x^-1 y)
+                    [1 << x] + [img[x][h[mul[inv[x]][y]]] for y in units] for x in units]
+                if _ch1_witness(cand, [[bits[c] for c in row] for row in cand],
+                                (ONE,)) is not None:
                     continue
                 H = FiniteHyperfield._from_masks(names, mul, cand,
                                                  {"label": f"order{order}"})
@@ -817,58 +823,70 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
     return found
 
 
-def _candidate_tables(order, mul, inv, iota):
-    """Yield the addition tables (as mask matrices) of the admissible
-    choices of the rows h(a) = 1+a that are reversible (CH4), in the
-    lexicographic order of the choices.
+def _candidate_rows(mul, inv, img, iota):
+    """Yield the admissible choices of the rows h(a) = 1+a that are
+    reversible (CH4), as tuples h indexed by a with h(0) = {1}, in the
+    lexicographic order of the choices; img[x][mask] is x times mask.
 
     For x != 0 the table sets x+y = x h(x^-1 y).  With a = x^-1 y and
     z = xc, 'y in z - x' reads c^-1 a in h(-c^-1), so CH4 is decided on h:
     for every unit a and unit c in h(a).  The rows with x = 0 or y = 0 hold
     by construction, because h(0) = {1} and 0 lies in h(a) iff a = -1.
 
-    The rows are chosen one slot at a time, depth first; a slot a fixes
-    h(a) and h(a^-1) = a^-1 h(a).  A partial choice is dropped as soon as
-    a CH4 instance (a, c) fails whose rows h(a) and h(-c^-1) are both
-    chosen, and a table is built only for a full choice."""
-    full = (1 << order) - 1
-    img = [_mask_images(row) for row in mul]  # img[x][mask]: x times mask
-
+    Slot k chooses h(a), a = slots[k], and so h(a^-1) = a^-1 h(a): v lies
+    in h(a^-1) iff av lies in h(a).  An instance (a, c) is decided at the
+    slot that fixes the later of h(a) and h(t), t = -c^-1.  If h(a) was
+    fixed earlier and holds c, the new row must hold c^-1 a (`need`, ORed
+    into `must` per node); if h(t) was fixed earlier and misses c^-1 a, the
+    new row must miss c (`avoid`, ORed into `ban`); if both are new, the
+    instance reads the new row alone and filters the slot's options once
+    (`both`).  So an option passes a node exactly when it passes every
+    instance decided there, one by one, and the options keep their order."""
+    order = len(mul)
     units = range(1, order)
     slots = [a for a in units if a <= inv[a]]  # h(a) also fixes h(a^-1)
     depth = {}
     for k, a in enumerate(slots):
         depth[a] = depth[inv[a]] = k
-    # checks[k]: the CH4 instances (a, c) first decidable at slot k, as
-    # (a, bit of c, -c^-1, bit of c^-1 a): c in h(a) needs c^-1 a in h(-c^-1)
-    checks = [[] for _ in slots]
+
+    def at(k, y, v):  # v in h(y), y fixed at slot k, as an index in h(slots[k])
+        return v if y == slots[k] else mul[slots[k]][v]
+
+    need, avoid, both = ([[] for _ in slots] for _ in range(3))
     for a in units:
         for c in units:
-            t = mul[iota][inv[c]]
-            checks[max(depth[a], depth[t])].append(
-                (a, 1 << c, t, 1 << mul[inv[c]][a]))
-
-    def choices(a):
-        # h(a) = a h(a^-1) = a h(a) when a is its own inverse
-        return [mask for mask in range(1, full + 1)
+            t, w = mul[iota][inv[c]], mul[inv[c]][a]
+            k = max(depth[a], depth[t])
+            if depth[a] < k:
+                need[k].append((a, 1 << c, 1 << at(k, t, w)))
+            elif depth[t] < k:
+                avoid[k].append((t, 1 << w, 1 << at(k, a, c)))
+            else:
+                both[k].append((at(k, a, c), at(k, t, w)))
+    # h(a) = a h(a^-1) = a h(a) when a is its own inverse
+    options = [[mask for mask in range(1, 1 << order)
                 if bool(mask & 1) == (a == iota)
-                and (a != inv[a] or img[a][mask] == mask)]
-
-    options = [choices(a) for a in slots]
-    h = [0] * order
-    h[0] = 1 << ONE
+                and (a != inv[a] or img[a][mask] == mask)
+                and all(mask >> w & 1 or not mask >> c & 1 for c, w in both[k])]
+               for k, a in enumerate(slots)]
+    h = [1 << ONE] * order  # h(0) = {1}; each slot sets its rows before use
 
     def extend(k):
         if k == len(slots):
-            yield [[1 << y for y in range(order)]] + [
-                [1 << x] + [img[x][h[mul[inv[x]][y]]] for y in units]
-                for x in units]
+            yield tuple(h)
             return
         a, b = slots[k], inv[slots[k]]
+        must = ban = 0
+        for x, c, v in need[k]:
+            if h[x] & c:
+                must |= v
+        for t, w, v in avoid[k]:
+            if not h[t] & w:
+                ban |= v
         for mask in options[k]:
-            h[a] = mask
-            h[b] = img[b][mask]
-            if all(h[t] & want for x, c, t, want in checks[k] if h[x] & c):
+            if mask & must == must and not mask & ban:
+                h[a] = mask
+                h[b] = img[b][mask]
                 yield from extend(k + 1)
 
     yield from extend(0)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from hyperfields.finite import (ONE, ZERO, FiniteHyperfield,
                                 non_quotient_certificate, quotient_hyperfield,
                                 quotient_search, squares_subgroup,
                                 subgroup_closure, validate)
+from hyperfields.finite import _mask_images  # for the verbatim row search below
 from hyperfields.window import FiniteBackend, check_superiorly_canonical
 
 
@@ -1375,14 +1377,168 @@ def _ref_enumerate(order):
     return found
 
 
+def _images(mul):
+    return [finite._mask_images(row) for row in mul]
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-def test_row_level_ch4_keeps_exactly_the_reversible_tables(order):
+def test_row_level_ch4_keeps_exactly_the_reversible_tables(order, monkeypatch):
+    ref = [cand for mul, inv, iota in _unit_groups(order)
+           for cand in _ref_reversible_tables(order, mul, inv, iota)]
+    rows = [h for mul, inv, iota in _unit_groups(order)
+            for h in finite._candidate_rows(mul, inv, _images(mul), iota)]
+    assert rows == [tuple(cand[ONE]) for cand in ref]
+    # Let every candidate past the orbit rule: the enumerator must turn each
+    # one into its reversible table, and decode that table's cells.
+    tables = []
+
+    def rejecting_ch1(add, cells, rows=None):
+        assert cells == finite._decoded(add) and rows == (ONE,)
+        tables.append(add)
+        return (0, 0, 0)
+
+    monkeypatch.setattr(finite, "_least_in_orbit", lambda *args: True)
+    monkeypatch.setattr(finite, "_ch1_witness", rejecting_ch1)
+    assert enumerate_hyperfields(order) == []
+    assert tables == ref
+    assert len(ref) == {2: 2, 3: 5, 4: 14, 5: 124, 6: 114}[order]
+
+
+# The row search before CH4 was decided once per search node, verbatim: each
+# option of a slot re-tested every CH4 instance of the slot.
+
+def _node_by_option_tables(order, mul, inv, iota):
+    """Yield the addition tables (as mask matrices) of the admissible
+    choices of the rows h(a) = 1+a that are reversible (CH4), in the
+    lexicographic order of the choices.
+
+    For x != 0 the table sets x+y = x h(x^-1 y).  With a = x^-1 y and
+    z = xc, 'y in z - x' reads c^-1 a in h(-c^-1), so CH4 is decided on h:
+    for every unit a and unit c in h(a).  The rows with x = 0 or y = 0 hold
+    by construction, because h(0) = {1} and 0 lies in h(a) iff a = -1.
+
+    The rows are chosen one slot at a time, depth first; a slot a fixes
+    h(a) and h(a^-1) = a^-1 h(a).  A partial choice is dropped as soon as
+    a CH4 instance (a, c) fails whose rows h(a) and h(-c^-1) are both
+    chosen, and a table is built only for a full choice."""
+    full = (1 << order) - 1
+    img = [_mask_images(row) for row in mul]  # img[x][mask]: x times mask
+
+    units = range(1, order)
+    slots = [a for a in units if a <= inv[a]]  # h(a) also fixes h(a^-1)
+    depth = {}
+    for k, a in enumerate(slots):
+        depth[a] = depth[inv[a]] = k
+    # checks[k]: the CH4 instances (a, c) first decidable at slot k, as
+    # (a, bit of c, -c^-1, bit of c^-1 a): c in h(a) needs c^-1 a in h(-c^-1)
+    checks = [[] for _ in slots]
+    for a in units:
+        for c in units:
+            t = mul[iota][inv[c]]
+            checks[max(depth[a], depth[t])].append(
+                (a, 1 << c, t, 1 << mul[inv[c]][a]))
+
+    def choices(a):
+        # h(a) = a h(a^-1) = a h(a) when a is its own inverse
+        return [mask for mask in range(1, full + 1)
+                if bool(mask & 1) == (a == iota)
+                and (a != inv[a] or img[a][mask] == mask)]
+
+    options = [choices(a) for a in slots]
+    h = [0] * order
+    h[0] = 1 << ONE
+
+    def extend(k):
+        if k == len(slots):
+            yield [[1 << y for y in range(order)]] + [
+                [1 << x] + [img[x][h[mul[inv[x]][y]]] for y in units]
+                for x in units]
+            return
+        a, b = slots[k], inv[slots[k]]
+        for mask in options[k]:
+            h[a] = mask
+            h[b] = img[b][mask]
+            if all(h[t] & want for x, c, t, want in checks[k] if h[x] & c):
+                yield from extend(k + 1)
+
+    yield from extend(0)
+
+
+def _run_counting_nodes(search):
+    """The list of what the generator search yields, and how many distinct
+    frames of functions named `extend` (one per search node) ran for it."""
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "extend":
+            frames.append(frame)  # kept alive, so their ids stay distinct
+
+    sys.setprofile(profile)
+    try:
+        out = list(search)
+    finally:
+        sys.setprofile(None)
+    return out, len(set(map(id, frames)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
+def test_node_level_ch4_keeps_the_per_option_search(order):
+    # above the enumerator's cap too: the search itself has none
     kept = 0
     for mul, inv, iota in _unit_groups(order):
-        got = list(finite._candidate_tables(order, mul, inv, iota))
-        assert got == _ref_reversible_tables(order, mul, inv, iota), (mul, iota)
+        got = finite._candidate_rows(mul, inv, _images(mul), iota)
+        ref = _node_by_option_tables(order, mul, inv, iota)
+        if order <= 7:
+            # It enters the same nodes: a partial choice is dropped as soon
+            # as a CH4 instance on its rows fails, also one on the rows of a
+            # single slot, which later slots would catch only deeper down.
+            (got, nodes), (ref, ref_nodes) = map(_run_counting_nodes, (got, ref))
+            assert nodes == ref_nodes, (mul, iota)
+        got = list(got)
+        assert got == [tuple(t[ONE]) for t in ref], (mul, iota)
         kept += len(got)
-    assert kept == {2: 2, 3: 5, 4: 14, 5: 124, 6: 114}[order]
+    assert kept == {2: 2, 3: 5, 4: 14, 5: 124, 6: 114, 7: 1840, 8: 3926}[order]
+
+
+def _moved(s, iota, h):
+    """The candidate (iota, h) under the unit automorphism s: (s(iota), s.h)
+    with (s.h)(s(a)) = s(h(a)), the images computed bit by bit."""
+    image = [0] * len(h)
+    for a, mask in enumerate(h):
+        image[s[a]] = sum(1 << s[v] for v in range(len(h)) if mask >> v & 1)
+    return s[iota], tuple(image)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7])
+def test_burnside_counts_the_classes_on_each_unit_group(order):
+    # Burnside's lemma, with no orbit rule, no isomorphism search and
+    # brute-force automorphisms: the classes on a unit group number
+    # (1/|Aut|) sum_s |Fix(s)| over the valid candidates (iota, h).  Order 7
+    # is above the enumerator's cap; its 277 classes are the count a raised
+    # cap gives (ROADMAP item 8).
+    found = enumerate_hyperfields(order) if order <= 6 else []
+    total = 0
+    for _, mul, inv in _unit_tables(order):
+        valid = []
+        for iota in range(1, order):
+            if mul[iota][iota] != ONE:
+                continue
+            for h in finite._candidate_rows(mul, inv, _images(mul), iota):
+                # x+y = x h(x^-1 y) on units, built cell by cell
+                add = [[[mul[x][v] for v in range(order) if h[mul[inv[x]][y]] >> v & 1]
+                        if x and y else [x + y] for y in range(order)]
+                       for x in range(order)]
+                if validate(FiniteHyperfield(range(order), mul, add)).ok:
+                    valid.append((iota, h))
+        auts = ref_unit_automorphisms(mul)
+        fixed = sum(_moved(s, iota, h) == (iota, h)
+                    for s in auts for iota, h in valid)
+        assert fixed % len(auts) == 0
+        classes = fixed // len(auts)
+        if order <= 6:
+            assert classes == sum(H.mul == tuple(map(tuple, mul)) for H in found)
+        total += classes
+    assert total == {2: 2, 3: 5, 4: 7, 5: 27, 6: 16, 7: 277}[order]
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
