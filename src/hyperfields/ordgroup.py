@@ -15,6 +15,12 @@ Z^k under lex is a discrete order (the immediate successor of b bumps the
 last coordinate), so strict cuts are normalized away at construction:
 {m : m < b} = {m : m <= pred(b)}.  After normalization, equality and
 inclusion of cuts are cheap structural tests.
+
+The windowed checkers rest on one lemma: cuts are initial segments of a
+chain, so two cuts of one rank are nested, rho + m grows with m, and
+``value_gt_cut(v, c)`` is monotone in v, antitone in c.  So the values above
+a cut are a suffix of the sorted values, and the radii m with v above rho + m
+a prefix of the sorted radii, each found by bisection (if the ranks agree).
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from bisect import bisect_left
+from operator import or_
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import hypersets as hs
@@ -397,18 +399,36 @@ def residue_embedding_check(ctx, bound: int = 2) -> ValidationReport:
 
 # -- Krasner valuations ----------------------------------------------------------
 
-def _balls(row, inside):
+def _balls(row, inside, radii, ranked):
     """``ball(k, m)``, the mask of the t whose key ``row(k)[t]`` lies
-    ``inside(key, m)``, and the dict {(k, m): mask} of the balls made.  Row
-    k is grouped by key once per centre, and the groups inside radius m are
-    OR-ed once per (k, m)."""
-    groups = functools.cache(lambda k: _masks_by(row(k)).items())
+    ``inside(key, m)``, and the dict {(k, m): mask} of the balls asked for.
+    ``radii``, every radius but None in order, have growing cuts (``ordgroup``):
+    a key lies inside a prefix of them, found once by bisection, and a centre
+    keeps its key groups' OR per prefix.  Radius None, or a key not ``ranked``, scans."""
+    groups = functools.cache(lambda k: _masks_by(row(k)))
+    at = {m: i for i, m in enumerate(radii, 1)}
+    # how many radii a key lies inside; None if its rank is off
+    reach = functools.cache(lambda key: bisect_left(
+        radii, True, key=lambda m: not inside(key, m)) if ranked(key) else None)
+
+    @functools.cache
+    def within(k):
+        """within(k)[i]: the t of row k inside radii[i - 1]; None off the lemma."""
+        by_reach = [0] * (len(radii) + 1)
+        for key, g in groups(k).items():
+            if reach(key) is None:
+                return None
+            by_reach[reach(key)] |= g
+        return [*itertools.accumulate(reversed(by_reach), or_)][::-1]
+
     made: dict = {}
 
     def ball(k, m) -> int:
         mask = made.get((k, m))
         if mask is None:
-            mask = made[k, m] = sum(g for key, g in groups(k) if inside(key, m))
+            fast = m is not None and within(k)
+            mask = made[k, m] = fast[at[m]] if fast else sum(
+                g for key, g in groups(k).items() if inside(key, m))
         return mask
 
     return ball, made
@@ -429,7 +449,7 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     difference depends on it only as a hyperset, so each is decided once per
     interned id: KVH1's verdict, the value summary of z - t
     (``hypersets.values_of``), and KVH2's first miss for a sum and the least
-    value of its summands.
+    value of its summands.  KVH2's balls are read off the sorted radii.
     """
     if not v.intrinsic or v.rank != backend.value_rank:
         raise ValueError("check_krasner runs against the intrinsic valuation")
@@ -469,7 +489,9 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
                 else all(value_gt_cut(x, cut) for x in data))
 
     # close_to(k, m): the mask of t with elems[k] - t above rho+m
-    close_to, _ = _balls(lambda k: map(summary, win.minus(k)), above)
+    close_to, _ = _balls(lambda k: map(summary, win.minus(k)), above, sorted(cut_of),
+                         lambda values: values[1].rank == rho.rank if values[0] == "above"
+                         else all(x is None or len(x) == rho.rank for x in values[1]))
 
     @functools.cache
     def miss(h, m):
@@ -526,7 +548,8 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     per interned sum.
     d is read for every window pair, row by row, plus one row for each
     ball centre outside the window; U3 compares the distances' order ranks
-    as bitmasks, and every ball is a window mask."""
+    as bitmasks, and every ball is a window mask, read as KVH2's are off
+    the sorted radii (``_balls``)."""
     if not v.intrinsic:
         raise ValueError("the ultrametric is built from the intrinsic valuation")
     win = _Window(backend, bound)
@@ -590,20 +613,14 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
     # the ball of radius rho+m around elems[k] holds the t strictly closer
     # than the cut allows
     ball_mask, balls = _balls(lambda k: dist[k] if k < n else distances(k),
-                              lambda dzt, m: value_gt_cut(dzt, cut_of[m]))
+                              lambda dzt, m: value_gt_cut(dzt, cut_of[m]), sorted(cut_of),
+                              lambda dzt: dzt is None or len(dzt) == rho.rank)
 
-    first = functools.cache(lambda h: win.members(h)[0])
-    w = None
-    for x, vx, row in zip(U, vals, win.sums):
-        for y, vy, h in zip(U, vals, row):
-            m = vmin(vx, vy)
-            if m is None:
-                continue
-            if win.mask_of(h) != ball_mask(first(h), m):
-                w = _j(backend, x, y) + (cut_of[m].to_json(),)
-                break
-        if w:
-            break
+    # is sum h not the ball of radius rho+m around its first member?
+    off = functools.cache(lambda h, m: win.mask_of(h) != ball_mask(win.members(h)[0], m))
+    w = next((_j(backend, x, y) + (cut_of[m].to_json(),)
+              for x, vx, row in zip(U, vals, win.sums) for y, vy, h in zip(U, vals, row)
+              for m in (vmin(vx, vy),) if m is not None and off(h, m)), None)
     rep.add("BALL", w is None, w,
             note="x+y equals the ball around each member with radius rho+min")
 

@@ -28,6 +28,9 @@ shapes compare equal, so one id per key is one id per hyperset.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
+from itertools import accumulate
+from operator import or_
 from typing import TYPE_CHECKING
 
 from . import hypersets as hs
@@ -112,9 +115,9 @@ class _Window:
     hypersets are equal named tuples, and two shapes never collide (see
     ``hypersets``), so equal ids mean equal hypersets.  ``sums[a][b]`` is
     the id of U[a] + U[b], ``minus(k)`` the ids of elems[k] - U[t], and
-    ``mask_of(h)`` the window members of h, made on first read; a ray's
-    is the union of the window's value levels above its cut.  Each
-    checker call builds its own."""
+    ``mask_of(h)`` the window members of h, made on first read; a ray's is
+    a suffix of the window's value levels, sorted once (``ordgroup``), found
+    by bisection.  Each checker call builds its own."""
 
     def __init__(self, backend, bound: int):
         self.value_of, self._add, self._neg = backend.value_of, backend.add, backend.neg
@@ -125,7 +128,7 @@ class _Window:
         self.sets: list = []
         self._ids: dict = {}    # hyperset -> id
         self._masks: dict = {}  # id -> mask, for the ids read so far
-        self._levels = None     # (value, mask of the window at it), on the first ray
+        self._levels = None     # (value, mask) by value, suffix ORs, ranks; on the first ray
         self._negs = None       # indices of -U[t], made on the first minus
         add, intern = backend.add, self.intern
         self.sums = [[intern(add(x, y)) for y in U] for x in U]
@@ -165,11 +168,14 @@ class _Window:
             s = self.sets[h]
             if isinstance(s, hs.AboveValue):
                 if self._levels is None:
-                    self._levels = list(_masks_by(map(self.value_of, self.window)).items())
-                m = 0
-                for v, level in self._levels:
-                    if value_gt_cut(v, s.cut):
-                        m |= level
+                    by = _masks_by(map(self.value_of, self.window))
+                    levels = sorted(by.items(), key=lambda vg: (vg[0] is None, vg[0]))
+                    above = accumulate((g for _, g in reversed(levels)), or_, initial=0)
+                    self._levels = levels, [*above][::-1], {len(v) for v in by if v is not None}
+                (levels, above, ranks), cut = self._levels, s.cut
+                if not ranks <= {cut.rank}:  # the scan raised at a level of another rank
+                    raise ValueError("rank mismatch")
+                m = above[bisect_left(levels, True, key=lambda vg: value_gt_cut(vg[0], cut))]
             elif isinstance(s, (hs.Singleton, hs.FiniteSet)):
                 m = 0
                 for x in (s.elem,) if isinstance(s, hs.Singleton) else s.elems:
@@ -205,8 +211,8 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
 
     The window sums, the differences and the self-differences z - z are
     interned once, so equal hypersets share an id.  Window membership is
-    read from masks.  SCH2 reads member bits; SCH4 asks
-    ``hypersets.subset``, once per pair of distinct sets z - z."""
+    read from masks.  SCH2 reads member bits but of pairs of rays; SCH4 sorts
+    the rays z - z by cut and asks ``hypersets.subset`` of the rest per pair."""
     win = _Window(backend, bound)
     U, n, sets, mask_of = win.window, win.n, win.sets, win.mask_of
     val = backend.value_of
@@ -225,11 +231,12 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     # fail.  Their shapes: a finite sum's bits, or a ray's window mask and
     # the indexed elements above its cut, plus a bit no finite sum has.  Two
     # sums meet iff their shapes share a bit, and are nested iff one shape
-    # holds the other; two rays always are, as their cuts are.  The ids so
-    # far are those of the window sums.
+    # holds the other; two rays always are, as their cuts are, so pairs of
+    # rays (the first r items) are skipped.  The ids are the window sums'.
     items = sorted((_hs_key(s), h) for h, s in enumerate(sets)
                    if not isinstance(s, hs.Singleton))
     shape = {h: bits(h) for _, h in items if not isinstance(sets[h], hs.AboveValue)}
+    r = len(items) - len(shape)
     ray = 1 << len(win.elems)
     for _, h in items:
         if h not in shape:
@@ -237,7 +244,7 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
                                               if value_gt_cut(val(x), sets[h].cut))
     shapes = [(shape[h], h) for _, h in items]
     w = next(((repr(sets[g]), repr(sets[h])) for i, (a, g) in enumerate(shapes)
-              for b, h in shapes[i + 1:] if a & b and a & ~b and b & ~a), None)
+              for b, h in shapes[max(i + 1, r):] if a & b and a & ~b and b & ~a), None)
     rep.add("SCH2", w is None, w, note="meeting hypersums are nested")
 
     @functools.cache
@@ -257,9 +264,17 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     rep.add("SCH3", w is None, w, note="members of x-y share their z-z set")
 
     by_sd = _masks_by(map(sd, range(n)))  # id of z - z -> mask of the window z with it
-    # bad[a]: the window y with x - x = a not inside y - y (SCH4's y, if outside z - z)
+    # bad[a]: the window y with x - x = a not inside y - y (SCH4's y, if outside
+    # z - z).  A ray lies in no finite set, and in the rays with cuts inside
+    # its own (a chain, ``ordgroup``); cuts of two ranks leave all to the scan.
+    rays = [b for b in by_sd if isinstance(sets[b], hs.AboveValue)]
+    cuts = {b: sets[b].cut for b in rays} if len({sets[b].cut.rank for b in rays}) == 1 else {}
     bad = {a: sum(m for b, m in by_sd.items() if not hs.subset(sets[a], sets[b], val))
-           for a in by_sd}
+           for a in by_sd if a not in cuts}
+    held = sum(m for b, m in by_sd.items() if b not in cuts)  # the y with y - y finite
+    for a in sorted(cuts, key=functools.cmp_to_key(  # the largest cut first
+            lambda a, b: cuts[a].subseteq(cuts[b]) - cuts[b].subseteq(cuts[a]))):
+        bad[a], held = held, held | by_sd[a]
     w = next((_j(backend, U[i], U[_low_bit(hit)], z) for k, z in enumerate(U)
               for i in _bits(mask_of(sd(k)))
               for hit in (bad[sd(i)] & ~mask_of(sd(k)),) if hit), None)

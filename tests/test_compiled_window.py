@@ -17,6 +17,8 @@ the suite and ``_sum_sets``.  Every case must give the same report JSON, or
 the same exception type and message.
 """
 
+import collections
+import functools
 import json
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import hypersets as hs
-from hyperfields import tropical
+from hyperfields import tropical, valuation
+from hyperfields.bitmask import _masks_by
 from hyperfields.finite import (_mult_order, build_K, build_S, build_W,
                                 build_finite_field, enumerate_hyperfields,
                                 quotient_hyperfield)
@@ -974,6 +977,22 @@ def test_superior_canonicity_first_witnesses(case):
         assert {c.axiom: c.witness for c in rep.failed()} == witnesses, checker.__name__
 
 
+@pytest.mark.parametrize("backend,bound,rays", [(TropicalHyperfield(2), 2, 25),
+                                                (LTContext(2, 1), 1, 3)])
+def test_sch4_asks_subset_of_finite_self_differences_only(backend, bound, rays, monkeypatch):
+    """The rays z - z are sorted by cut, so ``hypersets.subset`` is asked
+    once per pair whose first set is finite, never of a ray."""
+    win = _Window(backend, bound)
+    sds = {win.intern(backend.add(z, backend.neg(z))) for z in win.window}
+    assert sum(isinstance(win.sets[h], hs.AboveValue) for h in sds) == rays
+    calls = []
+    subset = hs.subset
+    monkeypatch.setattr(hs, "subset", lambda a, b, val: calls.append(a) or subset(a, b, val))
+    check_superiorly_canonical(backend, bound)
+    assert len(calls) == (len(sds) - rays) * len(sds)
+    assert not any(isinstance(a, hs.AboveValue) for a in calls)
+
+
 # -- the tropical axiom suite --------------------------------------------------------
 
 # Every window of the grid: bounds up to 10 at rank 1, 3 at rank 2, 1 at rank 3.
@@ -1153,25 +1172,67 @@ def _ref_ray_mask(win, cut) -> int:
                if value_gt_cut(win.value_of(x), cut))
 
 
-class ZeroLast(Wrapped):
-    """A backend whose window lists the zero last: a ray's mask must not
-    lean on the zero's place."""
+def _ref_balls(row, inside):
+    """``valuation._balls`` as it was before it read the radii in order:
+    one scan of a centre's key groups per radius asked for."""
+    groups = functools.cache(lambda k: _masks_by(row(k)).items())
+    made: dict = {}
+
+    def ball(k, m) -> int:
+        mask = made.get((k, m))
+        if mask is None:
+            mask = made[k, m] = sum(g for key, g in groups(k) if inside(key, m))
+        return mask
+
+    return ball, made
+
+
+def _either(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class Reversed(Wrapped):
+    """A backend whose window lists its elements in reverse, so the zero
+    comes last and values fall along it: a ray's mask must lean neither on
+    the zero's place nor on the window order."""
 
     def elements(self, bound):
-        U = self.base.elements(bound)
-        return U[1:] + U[:1]
+        return self.base.elements(bound)[::-1]
+
+
+class WrongRank(Wrapped):
+    """A backend whose valuation gives one element, ``odd``, a value one
+    coordinate too long: the value order the checkers bisect is broken."""
+
+    def __init__(self, base, odd):
+        super().__init__(base)
+        self.odd = odd
+
+    def value_of(self, x):
+        v = self.base.value_of(x)
+        return v + (0,) if x == self.odd and v is not None else v
 
 
 RAY_WINDOWS = [(f"{name}:{bound}", backend, bound) for bound in (0, 1, 2)
                for name, backend in (("lt:2:1", LTContext(2, 1)),
-                                     ("zero-last-lt:2:1", ZeroLast(LTContext(2, 1))),
+                                     ("reversed-lt:2:1", Reversed(LTContext(2, 1))),
                                      ("lt:3:0", LTContext(3, 0)),
                                      ("composite:2", CompositeContext(2)),
                                      ("composite:5", CompositeContext(5)),
                                      ("collapsed", CollapsedConstantsContext()),
                                      ("tropical:1", TropicalHyperfield(1)),
                                      ("tropical:2", TropicalHyperfield(2)),
-                                     ("tropical-strict:2", TropicalHyperfield(2, True)))]
+                                     ("tropical-strict:2", TropicalHyperfield(2, True)),
+                                     # an element at value 2: outside the window
+                                     # below bound 2, so met only in differences
+                                     ("wrong-rank-lt:2:1", WrongRank(LT21, LT21.elem(2, (1, 0)))),
+                                     ("wrong-rank-ray-lt:2:1", Wrapped(
+                                         LT21, entry=(LT21.one, LT21.one),
+                                         result=hs.AboveValue(Cut.whole(2)))))]
 
 
 @pytest.mark.parametrize("name,backend,bound", RAY_WINDOWS, ids=[c[0] for c in RAY_WINDOWS])
@@ -1185,9 +1246,100 @@ def test_ray_masks_match_the_per_element_scan(name, backend, bound):
     assert any(isinstance(s, hs.AboveValue) for s in win.sets)
     vals = [win.value_of(x) for x in win.window if x != backend.zero]
     rank = backend.value_rank
-    top = win.intern(hs.AboveValue(Cut.le(rank, max(vals))))    # above every value
-    bottom = win.intern(hs.AboveValue(Cut.lt(rank, min(vals))))  # below every value
-    for h in [h for h, s in enumerate(win.sets) if isinstance(s, hs.AboveValue)]:
-        assert win.mask_of(h) == _ref_ray_mask(win, win.sets[h].cut), win.sets[h]
-    assert win.mask_of(top) == 1 << win.window.index(backend.zero)  # only the zero
-    assert win.mask_of(bottom) == (1 << win.n) - 1
+    ranked = [v for v in vals if len(v) == rank]
+    top = win.intern(hs.AboveValue(Cut.le(rank, max(ranked))))    # above every value
+    bottom = win.intern(hs.AboveValue(Cut.lt(rank, min(ranked))))  # below every value
+    # a value or a cut of another rank raises as the scan does, on every ray
+    outcomes = [(_either(win.mask_of, h), _either(_ref_ray_mask, win, s.cut))
+                for h, s in enumerate(win.sets) if isinstance(s, hs.AboveValue)]
+    assert all(got == want for got, want in outcomes), win.sets
+    odd = len(ranked) < len(vals) or any(s.cut.rank != rank for s in win.sets
+                                         if isinstance(s, hs.AboveValue))
+    assert odd == any(isinstance(got, tuple) for got, _ in outcomes)
+    if len(ranked) == len(vals):
+        assert win.mask_of(top) == 1 << win.window.index(backend.zero)  # only the zero
+        assert win.mask_of(bottom) == (1 << win.n) - 1
+
+
+@pytest.mark.parametrize("name,backend,bound", RAY_WINDOWS, ids=[c[0] for c in RAY_WINDOWS])
+def test_balls_match_the_scan(name, backend, bound, monkeypatch):
+    """Every ball KVH2 and BALL ask for is the reference scan's, raising
+    as it raises, and so is the record of them that BALL-CHAIN samples.
+    Where every value has the carrier's rank, no key is tried at more radii
+    than one bisection of them tries."""
+    made, tries = [], []
+    balls = valuation._balls
+
+    def both(row, inside, radii, ranked):
+        tried = collections.Counter()
+
+        def counted(key, m):
+            tried[key] += m is not None
+            return inside(key, m)
+
+        ball, got = balls(row, counted, radii, ranked)
+        ref, want = _ref_balls(row, inside)
+        made.append((got, want))
+        tries.append((tried, len(radii).bit_length()))
+
+        def checked(k, m):
+            mask = _either(ball, k, m)
+            assert mask == _either(ref, k, m), (k, m)
+            if isinstance(mask, tuple):
+                raise mask[0](mask[1])
+            return mask
+
+        return checked, got
+
+    monkeypatch.setattr(valuation, "_balls", both)
+    v = intrinsic_valuation(backend)
+    reports = [_either(checker, backend, v, rho, bound) for rho in _norms(backend.value_rank)
+               for checker in (check_krasner, ultrametric_report)]
+    # a window value of another rank is refused before any ball
+    assert made or all(isinstance(rep, tuple) for rep in reports)
+    assert all(list(got.items()) == list(want.items()) for got, want in made)
+    if not name.startswith("wrong-rank"):
+        assert all(max(tried.values(), default=0) <= most for tried, most in tries)
+
+
+def test_ball_chain_samples_the_first_forty_balls(monkeypatch):
+    """BALL-CHAIN compares the first 40 balls made, ordered by the centre's
+    sort key (not its window place) and then by cut: a pair meeting
+    unnested at places 1 and 40 fails it."""
+    backend = Reversed(LTContext(2, 0))
+    U, v, rho = backend.elements(13), intrinsic_valuation(backend), backend.norm_cut()
+    radii = sorted({v(x) for x in U} - {None})
+    centres = sorted(range(len(U)), key=lambda k: backend.sort_key(U[k]))[:2]
+    order = [(k, m) for k in centres for m in radii]
+    made = dict.fromkeys(order, 1)
+    made[order[0]], made[order[39]] = 0b11, 0b110
+    assert ultrametric_report(backend, v, rho).window == {"bound": 2}  # the default
+    balls = valuation._balls
+    monkeypatch.setattr(valuation, "_balls", lambda *args: (balls(*args)[0], made))
+    rep = ultrametric_report(backend, v, rho, 13)
+    (k1, m1), (k2, m2) = order[0], order[39]
+    assert [(c.axiom, c.witness) for c in rep.failed()] == [
+        ("BALL-CHAIN", (backend.elem_json(U[k1]), rho.shift(m1).to_json(),
+                        backend.elem_json(U[k2]), rho.shift(m2).to_json()))]
+
+
+def test_self_differences_of_two_ranks_raise_as_the_scan_does():
+    """A z - z ray whose cut has another rank, with -z outside the thinned
+    window, is first met by SCH4, which then scans every pair and raises."""
+    U = Wrapped(LTContext(3, 1), 2).elements(1)
+    z = next(z for z in U if LTContext(3, 1).neg(z) not in U)
+    backend = Wrapped(LTContext(3, 1), 2, entry=(z, LTContext(3, 1).neg(z)),
+                      result=hs.AboveValue(Cut.whole(2)))
+    assert _outcome(check_superiorly_canonical, backend, 1) == \
+        _outcome(ref_check_superiorly_canonical, backend, 1) == (ValueError, "rank mismatch")
+
+
+def test_a_sum_that_is_no_hyperset_is_refused():
+    """``_Window.mask_of`` refuses a sum of no hyperset shape, as
+    ``hypersets`` does in the reference."""
+    backend = Wrapped(LT21, entry=(LT21.one, LT21.one), result="junk")
+    win = _Window(backend, 1)
+    with pytest.raises(TypeError, match="not a hyperset: 'junk'"):
+        win.mask_of(win.intern("junk"))
+    assert _outcome(check_superiorly_canonical, backend, 1) == \
+        _outcome(ref_check_superiorly_canonical, backend, 1)

@@ -261,3 +261,58 @@ def test_check_window_stops_at_the_limit():
     with pytest.raises(WindowTooLarge):
         check_window(1, 7, 10 ** 12)  # refused without forming 7^(10^12)
     assert issubclass(WindowTooLarge, ValueError)
+
+
+# -- the lemma the windowed checkers bisect by ------------------------------------
+
+def cuts(rank):
+    """Cuts of one rank: the whole and the empty one, and any prefix bound
+    from either constructor."""
+    prefix = st.integers(1, rank).flatmap(lambda k: st.tuples(*[st.integers(-2, 2)] * k))
+    return st.one_of(st.sampled_from([Cut.whole(rank), Cut.empty(rank)]),
+                     st.builds(Cut.le, st.just(rank), prefix),
+                     st.builds(Cut.lt, st.just(rank), prefix))
+
+
+def elems(rank):
+    return st.tuples(*[st.integers(-3, 3)] * rank)
+
+
+def values(rank):
+    return st.one_of(st.none(), elems(rank))
+
+
+ranks = st.integers(1, 3)
+
+
+@settings(max_examples=300)
+@given(ranks.flatmap(lambda r: st.tuples(cuts(r), cuts(r))))
+def test_cuts_of_one_rank_are_nested(pair):
+    a, b = pair
+    assert a.subseteq(b) or b.subseteq(a)
+    if b.subseteq(a):
+        a, b = b, a
+    # membership agrees on a window around the bounds
+    assert all(b.contains(g) for g in window(a.rank, 3) if a.contains(g))
+
+
+@settings(max_examples=300)
+@given(ranks.flatmap(lambda r: st.tuples(cuts(r), elems(r), elems(r))))
+def test_shifts_grow_with_the_shift(case):
+    rho, m, m2 = case
+    m, m2 = sorted((m, m2))
+    assert rho.shift(m).subseteq(rho.shift(m2))
+
+
+@settings(max_examples=300)
+@given(ranks.flatmap(lambda r: st.tuples(cuts(r), cuts(r), values(r), values(r))))
+def test_value_gt_cut_is_monotone_in_the_value_and_antitone_in_the_cut(case):
+    c, d, v, w = case
+    if vcompare(v, w) > 0:
+        v, w = w, v
+    # v <= w, so w lies above every cut v lies above
+    assert value_gt_cut(w, c) or not value_gt_cut(v, c)
+    if d.subseteq(c):
+        c, d = d, c
+    # c lies inside d, so v lies above c if it lies above d
+    assert value_gt_cut(v, c) or not value_gt_cut(v, d)
