@@ -22,7 +22,7 @@ _EXPORTS = {
     "finite": ("FiniteHyperfield", "MalformedTableError", "Morphism", "build_K",
                "build_S", "build_W", "build_finite_field", "classify",
                "enumerate_hyperfields", "find_isomorphism", "is_field",
-               "is_homomorphism", "is_hyperideal", "is_isomorphism",
+               "is_homomorphism", "is_isomorphism",
                "list_hyperideals", "non_quotient_certificate",
                "quotient_hyperfield", "quotient_search", "squares_subgroup",
                "validate"),

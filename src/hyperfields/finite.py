@@ -81,7 +81,7 @@ def _hr2_witness(mul, rows=None):
     n = len(mul)
     for x in range(n):
         row = mul[x]
-        if row[ZERO] != ZERO or mul[ZERO][x] != ZERO:
+        if row[ZERO] != ZERO:  # 0x != 0 fails commutativity at (x, 0) below
             return (x, 0)
         for y in range(n):
             if row[y] != mul[y][x]:

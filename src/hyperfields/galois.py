@@ -39,8 +39,7 @@ def prime_power(q: int):
         while m % p == 0:
             m //= p
             k += 1
-        return (p, k) if m == 1 else None
-    return None
+        return (p, k) if m == 1 else None  # q's least prime factor decides
 
 
 def _poly_trim(f: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 """Lexicographically ordered integer lattices and their cut machinery.
 
 Rank-n group elements are bare ``tuple[int, ...]``.  Python compares int
-tuples lexicographically, which is exactly the order meant here, so the
-helpers below mostly add rank guards, the infinity convention used by
-valuations (``None`` is the top element), and the two structured notions
+tuples lexicographically, which is exactly the order meant here, so the value
+order is that tuple order plus a rank guard and the infinity convention of
+valuations (``None`` is the top element).  ``vmin``, ``vadd`` (also T(Z^n)'s
+product) and ``vneg`` state it for values, ``gneg`` and ``gzero`` for the
+group, ``value_gt_cut`` for a value and a cut.  Two structured notions are
 built on top of the order:
 
 * `Cut`: an initial segment of Z^n carved out by a bound on the first k
@@ -13,8 +15,8 @@ built on top of the order:
 
 Z^k under lex is a discrete order (the immediate successor of b bumps the
 last coordinate), so strict cuts are normalized away at construction:
-{m : m < b} = {m : m <= pred(b)}.  After normalization, equality and
-inclusion of cuts are cheap structural tests.
+``Cut(n, k, b, False)`` is ``Cut.lt(n, b)``, b's lower neighbour inclusive.
+After normalization, equality and inclusion of cuts are structural tests.
 
 The windowed checkers rest on one lemma: cuts are initial segments of a
 chain, so two cuts of one rank are nested, rho + m grows with m, and
@@ -28,29 +30,10 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from operator import add
-from typing import Iterable, Optional
+from typing import Optional
 
 GroupElem = tuple[int, ...]
 Value = Optional[GroupElem]  # None encodes infinity
-
-LT, EQ, GT = -1, 0, 1
-
-
-def lex_compare(a: GroupElem, b: GroupElem) -> int:
-    """Compare two same-rank vectors; the first differing coordinate decides."""
-    if len(a) != len(b):
-        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
-    if a < b:
-        return LT
-    if a > b:
-        return GT
-    return EQ
-
-
-def gadd(a: GroupElem, b: GroupElem) -> GroupElem:
-    if len(a) != len(b):
-        raise ValueError("rank mismatch")
-    return tuple(map(add, a, b))
 
 
 def gneg(a: GroupElem) -> GroupElem:
@@ -61,23 +44,7 @@ def gzero(rank: int) -> GroupElem:
     return (0,) * rank
 
 
-def pred(a: GroupElem) -> GroupElem:
-    if not a:
-        raise ValueError("rank-0 group has a single element")
-    return a[:-1] + (a[-1] - 1,)
-
-
 # Value helpers: None plays infinity, greater than everything.
-
-def vcompare(a: Value, b: Value) -> int:
-    if a is None and b is None:
-        return EQ
-    if a is None:
-        return GT
-    if b is None:
-        return LT
-    return lex_compare(a, b)
-
 
 def vmin(a: Value, b: Value) -> Value:
     if a is None:
@@ -145,8 +112,8 @@ class Cut(namedtuple("Cut", "rank prefix_len bound inclusive")):
             raise ValueError("prefix_len must lie in [0, rank]")
         if len(bound) != prefix_len:
             raise ValueError("bound length must equal prefix_len")
-        if prefix_len >= 1 and not inclusive:
-            bound, inclusive = pred(bound), True
+        if not inclusive:  # the empty cut too, at prefix_len 0
+            return cls.lt(rank, bound)
         return super().__new__(cls, rank, prefix_len, bound, inclusive)
 
     @classmethod

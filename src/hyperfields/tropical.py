@@ -15,17 +15,14 @@ from __future__ import annotations
 
 from . import hypersets as hs
 from .ordgroup import (WINDOW_LIMIT, Cut, Value, WindowTooLarge, check_window,
-                       gadd, gneg, gzero, value_gt_cut, window)
+                       gneg, gzero, vadd, value_gt_cut, window)
 from .report import ValidationReport
 from .window import check_axioms
 
 TropElem = Value  # tuple for a group element, None for infinity
 
 
-def t_mul(x: TropElem, y: TropElem) -> TropElem:
-    if x is None or y is None:
-        return None
-    return gadd(x, y)
+t_mul = vadd  # the product is the group sum, infinity absorbing
 
 
 def t_neg(x: TropElem) -> TropElem:

@@ -18,11 +18,11 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import hypersets as hs
 from .bitmask import _low_bit, _masks_by
 from .ordgroup import (Cut, ConvexSubgroup, Value, WindowTooLarge, gzero,
-                       invariance_group, value_gt_cut, vadd, vcompare, vmin, vneg,
+                       invariance_group, value_gt_cut, vadd, vmin, vneg,
                        window)
 from .report import ValidationReport
 from .tropical import t_add, t_mul, t_value
-from .window import (FiniteBackend, _is_finite, _j, _mode, _report, _Window,
+from .window import (FiniteBackend, _j, _mode, _report, _Window,
                      check_superiorly_canonical)
 
 if TYPE_CHECKING:
@@ -61,9 +61,9 @@ class Valuation:
 
 
 def trivial_valuation(backend) -> Valuation:
-    """On finite and rank-0 carriers this is the intrinsic valuation."""
+    """On rank-0 carriers (finite tables too) this is the intrinsic valuation."""
     zero = backend.zero
-    func = (backend.value_of if _is_finite(backend) or backend.value_rank == 0
+    func = (backend.value_of if backend.value_rank == 0
             else lambda x: None if x == zero else ())
     return Valuation(backend, 0, func, label="trivial valuation")
 
@@ -139,7 +139,7 @@ def is_valuation(backend, v: Valuation, bound: int = 3) -> ValidationReport:
         s, m = win.sets[h], values[least]
         return (s.cut.all_below_in(m)
                 if v.intrinsic and m is not None and isinstance(s, hs.AboveValue)
-                else all(vcompare(vz, m) >= 0 for vz, _ in spread(h)))
+                else all(vmin(vz, m) == m for vz, _ in spread(h)))
 
     @functools.cache
     def outside_target(h, t):
@@ -402,9 +402,9 @@ def residue_embedding_check(ctx, bound: int = 2) -> ValidationReport:
 def _balls(row, inside, radii, ranked):
     """``ball(k, m)``, the mask of the t whose key ``row(k)[t]`` lies
     ``inside(key, m)``, and the dict {(k, m): mask} of the balls asked for.
-    ``radii``, every radius but None in order, have growing cuts (``ordgroup``):
-    a key lies inside a prefix of them, found once by bisection, and a centre
-    keeps its key groups' OR per prefix.  Radius None, or a key not ``ranked``, scans."""
+    ``radii``, in order (None, the top radius, last), have growing cuts
+    (``ordgroup``): a key lies inside a prefix of them, found once by bisection,
+    and a centre keeps its key groups' OR per prefix; a key not ``ranked`` scans."""
     groups = functools.cache(lambda k: _masks_by(row(k)))
     at = {m: i for i, m in enumerate(radii, 1)}
     # how many radii a key lies inside; None if its rank is off
@@ -426,7 +426,7 @@ def _balls(row, inside, radii, ranked):
     def ball(k, m) -> int:
         mask = made.get((k, m))
         if mask is None:
-            fast = m is not None and within(k)
+            fast = within(k)
             mask = made[k, m] = fast[at[m]] if fast else sum(
                 g for key, g in groups(k).items() if inside(key, m))
         return mask
@@ -479,8 +479,8 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
     @functools.cache
     def above(values, m) -> bool:
         """Does every member of a difference with this value summary lie
-        above rho+m?  Radius None asks that every member be 0; zero lies
-        above every cut."""
+        above rho+m?  Radius None, the top radius, asks that every member be
+        0, which lies above every cut."""
         kind, data = values
         if m is None:
             return kind == "finite" and data == {None}
@@ -489,7 +489,8 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
                 else all(value_gt_cut(x, cut) for x in data))
 
     # close_to(k, m): the mask of t with elems[k] - t above rho+m
-    close_to, _ = _balls(lambda k: map(summary, win.minus(k)), above, sorted(cut_of),
+    radii = sorted(cut_of) + [None]
+    close_to, _ = _balls(lambda k: map(summary, win.minus(k)), above, radii,
                          lambda values: values[1].rank == rho.rank if values[0] == "above"
                          else all(x is None or len(x) == rho.rank for x in values[1]))
 

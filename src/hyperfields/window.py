@@ -265,10 +265,9 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
 
     by_sd = _masks_by(map(sd, range(n)))  # id of z - z -> mask of the window z with it
     # bad[a]: the window y with x - x = a not inside y - y (SCH4's y, if outside
-    # z - z).  A ray lies in no finite set, and in the rays with cuts inside
-    # its own (a chain, ``ordgroup``); cuts of two ranks leave all to the scan.
-    rays = [b for b in by_sd if isinstance(sets[b], hs.AboveValue)]
-    cuts = {b: sets[b].cut for b in rays} if len({sets[b].cut.rank for b in rays}) == 1 else {}
+    # z - z).  A ray lies in no finite set, and in the rays with cuts inside its
+    # own (a chain, ``ordgroup``); ``Cut.subseteq`` refuses cuts of two ranks.
+    cuts = {b: sets[b].cut for b in by_sd if isinstance(sets[b], hs.AboveValue)}
     bad = {a: sum(m for b, m in by_sd.items() if not hs.subset(sets[a], sets[b], val))
            for a in by_sd if a not in cuts}
     held = sum(m for b, m in by_sd.items() if b not in cuts)  # the y with y - y finite

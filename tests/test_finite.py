@@ -1034,6 +1034,33 @@ def test_find_isomorphism_refuses_tables_that_are_not_hyperfields():
         find_isomorphism(T3, build_K())
 
 
+def test_find_isomorphism_refuses_units_that_are_no_group():
+    # 2 * 2 = 2 in G: no power of 2 is 1, so it has no multiplicative order
+    F = build_finite_field(3)
+    add = [[F.add_cell(x, y) for y in range(3)] for x in range(3)]
+    G = FiniteHyperfield(["0", "1", "2"], [[0, 0, 0], [0, 1, 2], [0, 2, 2]], add)
+    with pytest.raises(MalformedTableError,
+                       match="no power of element 2 is 1: the units are no group"):
+        find_isomorphism(F, G)
+
+
+def test_zero_has_no_multiplicative_inverse():
+    with pytest.raises(ZeroDivisionError, match="0 has no multiplicative inverse"):
+        build_finite_field(5).inv(ZERO)
+
+
+def test_homomorphism_compares_inverses_on_a_target_that_is_no_group():
+    # F3 -> G sends 2 to 3; 3 * 3 = 1 keeps every product, and every sum of
+    # G is the whole carrier.  With 3 * 2 = 1 too, G's first inverse of 3 is
+    # 2, not s(1/2) = 3: only the inverse check fails.
+    F = build_finite_field(3)
+    whole = [[(0, 1, 2, 3)] * 4 for _ in range(4)]
+    for row3, want in (([0, 3, 1, 1], False), ([0, 3, 3, 1], True)):
+        mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 2], row3]
+        G = FiniteHyperfield(["0", "1", "2", "3"], mul, whole)
+        assert is_homomorphism(Morphism(F, G, (0, 1, 3))) is want
+
+
 def test_isomorphism_of_f64_with_itself_fast():
     F = build_finite_field(64)
     m = Morphism(F, F, tuple(range(64)))

@@ -182,3 +182,14 @@ def test_a_supplied_modulus_is_still_checked():
         gf = GaloisField(q)
         assert gf.modulus == default_modulus(gf.p, gf.k)
         assert is_irreducible(gf.modulus, gf.p)
+
+
+def test_a_prime_field_takes_no_modulus():
+    with pytest.raises(ValueError, match="modulus only applies to proper prime powers"):
+        GaloisField(7, (1, 1))
+    assert GaloisField(7).modulus is None
+
+
+def test_constants_are_not_irreducible():
+    assert not is_irreducible((1,), 2)
+    assert not is_irreducible((), 3)

@@ -23,7 +23,7 @@ TRACKED = ("hyperfields.hypersets", "hyperfields.leading_terms",
 # The module the other direction watches: the finite-table layer.
 FINITE = ("hyperfields.finite",)
 
-# The package's exports: 49 names and 8 submodules.
+# The package's exports: 48 names and 8 submodules.
 PUBLIC = [
     "AxiomCheck", "CollapsedConstantsContext", "CompositeContext",
     "ConvexSubgroup", "Cut", "FiniteBackend", "FiniteHyperfield", "LTContext",
@@ -33,7 +33,7 @@ PUBLIC = [
     "check_superiorly_canonical", "classify", "coarsening", "compare_rings",
     "enumerate_hyperfields", "find_isomorphism", "finite", "galois",
     "hypersets", "induced_ring", "intrinsic_valuation", "invariance_group",
-    "is_field", "is_homomorphism", "is_hyperideal", "is_isomorphism",
+    "is_field", "is_homomorphism", "is_isomorphism",
     "is_valuation", "is_valuation_hyperring", "leading_terms",
     "list_hyperideals", "maximal_ideal", "non_quotient_certificate",
     "ordgroup", "quotient_hyperfield", "quotient_search", "report",

@@ -7,26 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields.ordgroup import (WINDOW_LIMIT, Cut, ConvexSubgroup,
-                                  WindowTooLarge, check_window, gadd, gneg,
-                                  gzero, invariance_group, lex_compare, pred,
-                                  value_gt_cut, vadd, vcompare, vmin, window)
+                                  WindowTooLarge, check_window, gneg, gzero,
+                                  invariance_group, value_gt_cut, vadd, vmin,
+                                  window)
 
 pairs2 = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 
 
-def test_lex_compare_matches_tuple_order():
-    for a in window(2, 2):
-        for b in window(2, 2):
-            want = (a > b) - (a < b)
-            assert lex_compare(a, b) == want
+def _order(v):
+    """Sort key of a value: tuple order, infinity (None) on top."""
+    return (v is None, v or ())
 
 
-def test_pred_is_the_lower_neighbour():
+def test_a_strict_bound_becomes_the_lower_neighbour():
     for g in window(2, 2):
-        assert pred(g) < g
-        # nothing sits strictly between pred(g) and g
+        c = Cut.lt(2, g)
+        assert c == Cut(2, 2, g, False) and c.inclusive
+        assert c.bound < g
+        # nothing sits strictly between the bound and g
         for h in window(2, 3):
-            assert not (pred(g) < h < g)
+            assert not (c.bound < h < g)
 
 
 def test_value_arithmetic_with_infinity():
@@ -34,8 +34,6 @@ def test_value_arithmetic_with_infinity():
     assert vadd((1, 0), (2, 2)) == (3, 2)
     assert vmin(None, (5, 0)) == (5, 0)
     assert vmin(None, None) is None
-    assert vcompare(None, (9, 9)) == 1
-    assert vcompare(None, None) == 0
 
 
 def test_strict_cut_normalizes_to_inclusive():
@@ -68,7 +66,7 @@ def test_shifted_cut_membershipwise(bound, g):
     c = Cut.le(2, bound)
     s = c.shift(g)
     for h in itertools.islice(window(2, 3), 49):
-        assert s.contains(gadd(h, g)) == c.contains(h)
+        assert s.contains(vadd(h, g)) == c.contains(h)
 
 
 @st.composite
@@ -89,7 +87,7 @@ def test_shift_equals_the_checked_constructor(case):
     # shift skips __new__, so its translate must be the one __new__ builds
     c, g = case
     s = c.shift(g)
-    want = Cut(c.rank, c.prefix_len, gadd(c.bound, g[:c.prefix_len]), c.inclusive)
+    want = Cut(c.rank, c.prefix_len, vadd(c.bound, g[:c.prefix_len]), c.inclusive)
     assert type(s) is Cut
     assert tuple(s) == tuple(want)
     assert (s.rank, s.prefix_len, s.bound, s.inclusive) == \
@@ -101,9 +99,9 @@ def test_shift_equals_the_checked_constructor(case):
         with pytest.raises(ValueError, match="rank mismatch"):
             c.shift(g[1:])
         with pytest.raises(ValueError, match="rank mismatch"):
-            gadd(g, g[1:])
+            vadd(g, g[1:])
     with pytest.raises(ValueError, match="rank mismatch"):
-        gadd(g, g + (0,))
+        vadd(g, g + (0,))
 
 
 def _cuts_rank2():
@@ -199,12 +197,16 @@ def test_le_equals_the_checked_constructor(rank):
 
 @pytest.mark.parametrize("rank", [0, 1, 2, 3])
 def test_lt_equals_the_checked_constructor(rank):
-    # lt skips __new__ and builds the normalised form (pred(bound), inclusive)
+    # lt builds the normalised form, the bound's lower neighbour inclusive,
+    # and is what the checked constructor gives a strict bound
     for k in range(rank + 1):
         for bound in itertools.product(range(-1, 2), repeat=k):
-            got, want = Cut.lt(rank, list(bound)), Cut(rank, k, bound, False)
+            got = Cut.lt(rank, list(bound))
+            want = (Cut(rank, k, bound[:-1] + (bound[-1] - 1,), True) if k
+                    else Cut.empty(rank))
             assert type(got) is Cut and type(got.bound) is tuple
-            assert got == want and hash(got) == hash(want)
+            assert got == want == Cut(rank, k, bound, False)
+            assert hash(got) == hash(want)
     assert Cut.lt(rank, ()) == Cut.empty(rank)
     with pytest.raises(ValueError):
         Cut.lt(rank, (0,) * (rank + 1))
@@ -224,18 +226,19 @@ def test_value_gt_cut_is_the_unnormalised_rule(rank):
                 assert value_gt_cut(None, c)
 
 
-def test_value_helpers_decide_as_vcompare_does():
+def test_value_helpers_follow_tuple_order_with_infinity_on_top():
     vals = [None] + window(2, 1)
     for a in vals:
         for b in vals:
-            assert vmin(a, b) is (a if vcompare(a, b) <= 0 else b)
-            assert vadd(a, b) == (None if a is None or b is None else gadd(a, b))
+            assert vmin(a, b) is (a if _order(a) <= _order(b) else b)
+            assert vadd(a, b) == (None if a is None or b is None
+                                  else (a[0] + b[0], a[1] + b[1]))
 
 
 def test_value_helpers_refuse_a_rank_mismatch():
     c = Cut.le(2, (0,))
     for call in (lambda: vmin((1,), (1, 2)), lambda: vmin((1, 2), (1,)),
-                 lambda: vadd((1,), (1, 2)), lambda: gadd((1,), (1, 2)),
+                 lambda: vadd((1,), (1, 2)), lambda: vadd((1, 2), (1,)),
                  lambda: value_gt_cut((1,), c), lambda: c.contains((1, 2, 3))):
         with pytest.raises(ValueError, match="rank mismatch"):
             call()
@@ -308,11 +311,18 @@ def test_shifts_grow_with_the_shift(case):
 @given(ranks.flatmap(lambda r: st.tuples(cuts(r), cuts(r), values(r), values(r))))
 def test_value_gt_cut_is_monotone_in_the_value_and_antitone_in_the_cut(case):
     c, d, v, w = case
-    if vcompare(v, w) > 0:
-        v, w = w, v
+    v, w = sorted((v, w), key=_order)
     # v <= w, so w lies above every cut v lies above
     assert value_gt_cut(w, c) or not value_gt_cut(v, c)
     if d.subseteq(c):
         c, d = d, c
     # c lies inside d, so v lies above c if it lies above d
     assert value_gt_cut(v, c) or not value_gt_cut(v, d)
+
+
+def test_subgroups_and_cuts_refuse_an_element_of_another_rank():
+    delta, c = ConvexSubgroup(2, 1), Cut.le(2, (0,))
+    for call in (lambda: delta.contains((0,)), lambda: delta.project((0, 0, 0)),
+                 lambda: c.all_below_in((0,)), lambda: c.all_below_in((0, 0, 0))):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            call()

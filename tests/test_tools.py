@@ -30,3 +30,28 @@ def test_mutate_refuses_a_target_without_mutation_sites(target, monkeypatch, cap
     assert capsys.readouterr().out == f"{target}: no mutation sites\n"
     # a target with sites is counted from the same source the mutants come from
     assert mutate._site_count("window.check_axioms") > 0
+
+
+def test_linecov_leaves_out_blocks_that_never_run_by_design():
+    linecov = _load("linecov")
+    source = "\n".join([
+        "import typing",                      # 1
+        "from typing import TYPE_CHECKING",   # 2
+        "if TYPE_CHECKING:",                  # 3
+        "    import os",                      # 4
+        "if typing.TYPE_CHECKING:",           # 5
+        "    import sys",                     # 6
+        "def f(x):",                          # 7
+        "    if x:",                          # 8
+        "        raise ValueError(x)",        # 9
+        "    return x",                       # 10
+        'if __name__ == "__main__":',         # 11
+        "    f(",                             # 12
+        "        0)",                         # 13
+        "if __name__ == 'other':",            # 14
+        "    f(1)",                           # 15
+    ]) + "\n"
+    ran = {1, 2, 3, 5, 7, 8, 10, 11, 14}
+    assert linecov.missed(source, "m.py", ran) == [9, 15]
+    # only those blocks: every other unrun line is listed
+    assert linecov.missed(source, "m.py", set()) == [1, 2, 3, 5, 7, 8, 9, 10, 11, 14, 15]

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from hyperfields import hypersets as hs
-from hyperfields.ordgroup import ConvexSubgroup, Cut, WindowTooLarge, window
+from hyperfields.ordgroup import ConvexSubgroup, Cut, WindowTooLarge, vadd, window
 from hyperfields.tropical import (TropicalHyperfield, t_add, t_inv, t_mul,
                                   t_neg, t_value, tropical_axiom_suite)
 from hyperfields.valuation import (coarsening, intrinsic_valuation,
@@ -13,6 +13,7 @@ from hyperfields.valuation import (coarsening, intrinsic_valuation,
 
 
 def test_multiplication_adds_values_with_absorbing_infinity():
+    assert t_mul is vadd  # the product is the value sum
     assert t_mul((3,), (5,)) == (8,)
     assert t_mul((1, -2), (0, 5)) == (1, 3)
     assert t_mul(None, (7,)) is None
@@ -151,3 +152,8 @@ def test_oversize_window_is_refused_before_it_is_built():
     with pytest.raises(WindowTooLarge):
         TropicalHyperfield(12).elements(3)  # 7^12 vectors
     assert len(TropicalHyperfield(12).elements(0)) == 2
+
+
+def test_a_negative_rank_is_refused():
+    with pytest.raises(ValueError, match="rank must be >= 0"):
+        TropicalHyperfield(-1)

@@ -41,6 +41,9 @@ def test_intrinsic_valuations_pass_everywhere():
     for backend in backends:
         rep = is_valuation(backend, intrinsic_valuation(backend), bound=2)
         assert rep.ok, (backend.describe(), rep.failed())
+    # the window bound defaults to 3
+    T = TropicalHyperfield(1)
+    assert is_valuation(T, intrinsic_valuation(T)).window == {"bound": 3}
 
 
 def test_broken_table_fails_both_routes_consistently():
@@ -510,3 +513,13 @@ def test_valuation_ring_cross_checks_each_value_once(monkeypatch):
     U = ctx.elements(3)
     assert [O.contains(x) for x in U] == [v.ge_zero(x) for x in U]
     assert calls[0] == len({v(x) for x in U})
+
+
+def test_residue_cells_that_are_rays_need_the_intrinsic_valuation():
+    # the identity map, but not the backend's own value_of: 1 + 1 is a ray
+    T = TropicalHyperfield(1)
+    v = Valuation(T, 1, lambda x: x, "identity")
+    assert not v.intrinsic
+    with pytest.raises(NotImplementedError,
+                       match="symbolic residue cells need the intrinsic valuation"):
+        residue_hyperfield(T, v, 1)

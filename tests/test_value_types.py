@@ -118,3 +118,30 @@ def test_intern_ids_agree_with_hyperset_equality(backend, bound):
         assert win.intern(a) == i
         for j, b in enumerate(win.sets):
             assert hs.equal(a, b) == (i == j) == (a == b)
+
+
+def test_hypersets_refuse_an_empty_sum_and_a_non_hyperset():
+    with pytest.raises(ValueError, match="hypersums are never empty"):
+        hs.finite([])
+    value_of = TropicalHyperfield(1).value_of
+    for call in (lambda: hs.subset("junk", hs.Singleton(None), value_of),
+                 lambda: hs.values_of("junk", value_of)):
+        with pytest.raises(TypeError, match="not a hyperset: 'junk'"):
+            call()
+
+
+def test_a_report_names_its_missing_axiom_and_renders_every_part():
+    rep = ValidationReport("T", "bounded verification", window={"bound": 1})
+    rep.add("X", False, (1, 2), note="why")
+    rep.add("Y", True, (3,))
+    rep.observe("flag", False)
+    rep.skipped.append("Z: not reached")
+    assert rep.check("flag") == AxiomCheck("flag", False)
+    with pytest.raises(KeyError, match="W"):
+        rep.check("W")
+    assert rep.render_table().splitlines() == [
+        "T  [bounded verification]",
+        "  FAIL  X           witness=(1, 2)  (why)",
+        "  PASS  Y         ",
+        "  obs   flag      = no",
+        "  skip  Z: not reached"]

@@ -5,11 +5,14 @@
 Runs pytest in this process under ``sys.settrace``, tracing only the frames
 of ``src/hyperfields``, then prints each module's executable lines (those of
 its compiled code's ``co_lines()``) that never ran in this process (the
-suite's ``hyperval`` subprocesses are not traced).  Stdlib only.  Tracing
+suite's ``hyperval`` subprocesses are not traced).  The bodies of a
+module's ``if TYPE_CHECKING:`` and ``if __name__ == "__main__":`` blocks
+never run under pytest by design, and are not listed.  Stdlib only.  Tracing
 slows every call, so the suite's timing budgets fail under it; the listing
 is printed whatever the outcome, and the exit code is pytest's.
 """
 
+import ast
 import os
 import sys
 from pathlib import Path
@@ -37,6 +40,19 @@ def executable(code) -> set:
     return lines
 
 
+# The tests of the top-level blocks whose bodies never run under pytest.
+NEVER_RUN = {"TYPE_CHECKING", "typing.TYPE_CHECKING", "__name__ == '__main__'"}
+
+
+def missed(source: str, filename: str, ran: set) -> list:
+    """The executable lines of source not in ran, less the bodies of its
+    top-level blocks that never run by design."""
+    skip = {line for node in ast.parse(source).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) in NEVER_RUN
+            for line in range(node.body[0].lineno, node.body[-1].end_lineno + 1)}
+    return sorted(executable(compile(source, filename, "exec")) - ran - skip)
+
+
 def main(args) -> int:
     import pytest
     sys.path.insert(0, str(ROOT / "src"))  # and for the suite's subprocesses:
@@ -49,10 +65,9 @@ def main(args) -> int:
         sys.settrace(None)
     print("(timing budgets fail under tracing; the listing holds either way)")
     for path in sorted(SRC.glob("*.py")):
-        missed = sorted(executable(compile(path.read_text(), str(path), "exec"))
-                        - {line for name, line in ran if name == str(path)})
-        print(f"{path.relative_to(ROOT)}: {len(missed)} lines never ran",
-              *missed)
+        lines = missed(path.read_text(), str(path),
+                       {line for name, line in ran if name == str(path)})
+        print(f"{path.relative_to(ROOT)}: {len(lines)} lines never ran", *lines)
     return int(code)
 
 
