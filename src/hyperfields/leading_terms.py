@@ -23,14 +23,27 @@ Hypersums are returned as hypersets: Singleton, FiniteSet (exactly q^k
 members when cancellation stops at depth k), or AboveValue (full
 cancellation, everything of value above the shifted norm).
 
-The arithmetic builds every element, hyperset and cut it returns with
-``tuple.__new__``, skipping the named tuples' Python-level ``__new__`` (a
-frame per tuple); -x is x itself in characteristic 2, and a level-0
-product is one table lookup.  Per call over all pairs of a bound-2 window
-(2-vCPU Xeon, Python 3.11.7, best of 5 alternating rounds), against the
-checked constructors: LT(3, 2) ``add`` 1.66 -> 1.30 us and ``mul``
-1.55 -> 1.48 us, LT(4, 1) ``neg`` 0.75 -> 0.06 us, LT(3, 0) ``mul``
-0.97 -> 0.38 us, composite ``add`` 0.54 -> 0.40 us.
+The arithmetic and the windows build every element, hyperset and cut they
+return with ``tuple.__new__``, skipping the named tuples' Python-level
+``__new__`` (a frame per tuple); -x is x itself in characteristic 2, and a
+level-0 product is one table lookup.
+
+Each carrier builds its constants once, on first use, never in
+``__init__`` (``LTContext(2, 16)`` is a valid context with 65,536 tails
+of full depth):
+
+* `LTContext` keeps F_q^k, in ``itertools.product`` order, for each depth
+  k it has met: the freed slots of a sum that cancels to depth k, and at
+  k = level the tails of the unit windows.  A window builds its
+  (q-1) q^level unit windows once and stamps each value with them.
+* `CompositeContext` keeps its window's coefficient pairs, which depend
+  on p alone (a few dozen ``Fraction`` reductions, a set and a sort).
+
+They depend on (q, k) or on p alone, never on a hypersum or a window
+bound, so keeping them for the carrier's life carries no verdict from one
+check to the next.  A cold call gains too: a window builds its unit
+windows once rather than once per value, and a cancelling sum enumerates
+its depth's tails no more often than it must to list its members.
 """
 
 from __future__ import annotations
@@ -74,6 +87,7 @@ class LTContext:
         self.one = LTElement(0, (1,) + (0,) * level)
         self.value_rank = 1
         self._norm = Cut.le(1, (level,))
+        self._tails: dict = {}  # k -> the q^k tails of depth k, built on first use
 
     def elem(self, value: int, coeffs) -> LTElement:
         coeffs = tuple(int(c) for c in coeffs)
@@ -153,7 +167,21 @@ class LTContext:
         v, forced = x.value + k, s[k:]
         return new(hs.FiniteSet, (frozenset(
             new(LTElement, (v, forced + tail))
-            for tail in itertools.product(range(self.q), repeat=k)),))
+            for tail in self._tails_of(k)),))
+
+    def _tails_of(self, k: int) -> tuple:
+        """F_q^k in ``itertools.product`` order: the freed slots of a sum
+        that cancels to depth k, and (at k = level) the tails of the units."""
+        tails = self._tails.get(k)
+        if tails is None:
+            tails = self._tails[k] = tuple(itertools.product(range(self.q), repeat=k))
+        return tails
+
+    def _units(self) -> list:
+        """The (q-1) q^level coefficient windows of one value: by c_0, then
+        the tail in product order."""
+        tails = self._tails_of(self.level)
+        return [(c0,) + t for c0 in range(1, self.q) for t in tails]
 
     def value_of(self, x) -> Value:
         return None if x is None else (x.value,)
@@ -163,17 +191,15 @@ class LTContext:
 
     def elements(self, bound: int) -> list:
         check_window((2 * bound + 1) * (self.q - 1), self.q, self.level)
+        units, new = self._units(), tuple.__new__
         out = [None]
         for v in range(-bound, bound + 1):
-            out.extend(self.elements_with_value(v))
+            out.extend([new(LTElement, (v, c)) for c in units])
         return out
 
     def elements_with_value(self, v: int) -> list[LTElement]:
-        out = []
-        for c0 in range(1, self.q):
-            for rest in itertools.product(range(self.q), repeat=self.level):
-                out.append(tuple.__new__(LTElement, (v, (c0,) + rest)))
-        return out
+        new = tuple.__new__
+        return [new(LTElement, (v, c)) for c in self._units()]
 
     def elem_json(self, x):
         return None if x is None else {"value": x.value, "coeffs": list(x.coeffs)}
@@ -217,6 +243,7 @@ class CompositeContext:
         self.value_rank = 2
         # first coordinate at most 0; invariant under the second coordinate
         self._norm = Cut.le(2, (0,))
+        self._coeffs: Optional[tuple] = None  # the window's c, built on first use
 
     def elem(self, n: int, c) -> CompositeElement:
         c = Fraction(c)
@@ -268,17 +295,18 @@ class CompositeContext:
         return self._norm
 
     def elements(self, bound: int) -> list:
-        # p among the numerators and denominators puts elements of p-adic
-        # order +-1 in the window for every p, not only for 2 and 3
-        parts = sorted({1, 2, 3, 4, self.p})
-        fracs = sorted({Fraction(s * a, b) for s in (1, -1)
-                        for a in parts for b in parts})
-        check_window(len(fracs), 2 * bound + 1, 1)
-        coeffs = [f.as_integer_ratio() for f in fracs]
+        coeffs = self._coeffs
+        if coeffs is None:
+            # p among the numerators and denominators puts elements of p-adic
+            # order +-1 in the window for every p, not only for 2 and 3
+            parts = sorted({1, 2, 3, 4, self.p})
+            coeffs = self._coeffs = tuple(f.as_integer_ratio() for f in sorted(
+                {Fraction(s * a, b) for s in (1, -1) for a in parts for b in parts}))
+        check_window(len(coeffs), 2 * bound + 1, 1)
+        new = tuple.__new__
         out = [None]
         for n in range(-bound, bound + 1):
-            for c in coeffs:
-                out.append(CompositeElement(n, c))
+            out.extend([new(CompositeElement, (n, c)) for c in coeffs])
         return out
 
     def elem_json(self, x):

@@ -1,5 +1,6 @@
 """Leading-term carriers checked against polynomial-lift oracles."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,87 @@ def test_oversize_context_is_refused_before_it_is_built():
     ctx = LTContext(3, 10)  # 2 * 3^10 = 118,098 fits at bound 0 ...
     with pytest.raises(WindowTooLarge):
         ctx.elements(1)  # ... but not three values of it
+
+
+def test_window_budgets_are_exact_at_the_limit():
+    # 2^15 units of one value: seven values make 229,376 elements, over the
+    # 200,000-element limit, where six or four would fit
+    with pytest.raises(WindowTooLarge):
+        LTContext(2, 15).elements(3)
+    # 100,001 values of one unit each fit; twice as many would not
+    assert len(LTContext(2, 0).elements(50_000)) == 1 + 100_001
+    # 22 coefficients at p = 2: 9,091 values make 200,002 elements
+    with pytest.raises(WindowTooLarge):
+        CompositeContext(2).elements(4_545)
+
+
+def _reference_lt_window(q, level, bound):
+    """The window as the nested loops built it before the units were
+    shared: by value, then c_0, then the tail in product order."""
+    return [None] + [LTElement(v, (c0,) + rest) for v in range(-bound, bound + 1)
+                     for c0 in range(1, q)
+                     for rest in itertools.product(range(q), repeat=level)]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_window_order_is_value_then_leading_coefficient_then_tail(q, level):
+    ctx = LTContext(q, level)
+    per_value = (q - 1) * q ** level
+    for bound in (0, 1, 2):
+        want = _reference_lt_window(q, level, bound)
+        got = ctx.elements(bound)
+        assert got == want
+        assert all(type(x) is LTElement and type(x.coeffs) is tuple for x in got[1:])
+        for i, v in enumerate(range(-bound, bound + 1)):
+            assert ctx.elements_with_value(v) == want[1 + i * per_value:1 + (i + 1) * per_value]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_each_cancellation_depth_frees_product_many_tails(q):
+    ctx = LTContext(q, 3)
+    minus_one = ctx.gf.neg[1]
+    for k in (1, 2, 3):
+        x = ctx.elem(2, (1, 1, 1, 1))
+        y = ctx.elem(2, (minus_one,) * k + (0,) * (4 - k))
+        got = ctx.add(x, y)
+        want = {LTElement(2 + k, (1,) * (4 - k) + tail)
+                for tail in itertools.product(range(q), repeat=k)}
+        assert isinstance(got, hs.FiniteSet) and set(got.elems) == want
+        assert_built_as_checked(got)
+
+
+@pytest.mark.parametrize("q,level", [(2, 2), (3, 1), (4, 2), (5, 1)])
+def test_a_used_context_answers_as_a_fresh_one(q, level):
+    used = LTContext(q, level)
+    U = used.elements(1)
+    sums = {(x, y): used.add(x, y) for x in U for y in U}
+    assert used.elements(1) == LTContext(q, level).elements(1) == U
+    assert used.elements_with_value(3) == LTContext(q, level).elements_with_value(3)
+    for (x, y), s in sums.items():
+        assert used.add(x, y) == s == LTContext(q, level).add(x, y), (x, y)
+
+
+def test_tails_are_built_on_first_use_and_once_per_depth():
+    ctx = LTContext(2, 16)  # 65,536 tails of depth 16: none built yet
+    assert ctx._tails == {}
+    x, y = ctx.elem(0, (1, 1) + (0,) * 15), ctx.elem(0, (1, 0) + (0,) * 15)
+    first = ctx.add(x, y)
+    assert set(ctx._tails) == {1}
+    tails = ctx._tails[1]
+    assert ctx.add(x, y) == first and ctx._tails[1] is tails
+
+
+def test_returned_windows_are_the_callers_to_change():
+    lt, comp = LTContext(3, 1), CompositeContext(5)
+    for call in (lambda: lt.elements(1), lambda: lt.elements_with_value(0),
+                 lambda: comp.elements(1)):
+        want = list(call())
+        got = call()
+        got.append("junk")
+        got[1] = "junk"
+        del got[2:4]
+        assert call() == want
 
 
 @pytest.mark.parametrize("q,gamma", [(2, 0), (3, 1), (4, 2)])
@@ -390,6 +472,27 @@ def test_composite_window_order_is_the_fraction_order(p):
     U = CompositeContext(p).elements(1)
     assert sorted(U, key=frac_sort_key) == U
     assert sorted(U, key=CompositeContext(p).sort_key) == U
+
+
+def _reference_composite_window(p, bound):
+    """The window as built from Fractions on every call."""
+    parts = sorted({1, 2, 3, 4, p})
+    fracs = sorted({Fraction(s * a, b) for s in (1, -1) for a in parts for b in parts})
+    return [None] + [CompositeElement(n, f.as_integer_ratio())
+                     for n in range(-bound, bound + 1) for f in fracs]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_composite_window_equals_the_fraction_reference_on_every_call(p):
+    ctx = CompositeContext(p)
+    for bound in (0, 1, 2, 1, 0):  # the first call builds the coefficients
+        got = ctx.elements(bound)
+        assert got == _reference_composite_window(p, bound)
+        assert all(type(x) is CompositeElement and type(x.c) is tuple for x in got[1:])
+    with pytest.raises(WindowTooLarge):
+        CompositeContext(p).elements(10 ** 6)
+    with pytest.raises(WindowTooLarge):
+        ctx.elements(10 ** 6)
 
 
 # -- collapsed constants ---------------------------------------------------------------

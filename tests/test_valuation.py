@@ -426,6 +426,39 @@ def test_coarsening_projects_the_value():
         coarsening(v, ConvexSubgroup(1, 1))
 
 
+def test_signs_of_values_follow_the_value_order_at_every_rank():
+    for backend in (FiniteBackend(build_S()), TropicalHyperfield(1), CompositeContext(2),
+                    TropicalHyperfield(3)):
+        v = intrinsic_valuation(backend)
+        zero = (0,) * v.rank
+        for x in backend.elements(1):
+            vx = v(x)
+            assert v.ge_zero(x) == (vx is None or vx >= zero), x
+            assert v.gt_zero(x) == (vx is None or vx > zero), x
+
+
+def test_signs_of_a_value_of_another_rank_raise():
+    # (0, -1) > (0,) as tuples, but read at rank 1 it is no value at all
+    ctx = LTContext(2, 1)
+    one = ctx.one
+    for table in ({one: (0, -1), None: None}, {one: (), None: None}):
+        v = table_valuation(ctx, table, rank=1)
+        for sign in (v.ge_zero, v.gt_zero, valuation_ring(ctx, v).contains,
+                     maximal_ideal(ctx, v).contains):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                sign(one)
+        assert v.ge_zero(None) and v.gt_zero(None)
+
+
+def test_hh2_reports_the_v2_witness():
+    backend = FiniteBackend(build_finite_field(5))
+    for table in ({0: None, 1: (0,), 2: (1,), 3: (0,), 4: (0,)},
+                  {0: None, 1: (0,), 2: (0,), 3: (0,), 4: (2,)}):
+        rep = is_valuation(backend, table_valuation(backend, table, rank=1))
+        assert not rep.check("V2").passed
+        assert rep.check("HH2").witness == rep.check("V2").witness
+
+
 def test_composite_coarsening_theorem():
     ctx = CompositeContext(2)
     v = intrinsic_valuation(ctx)
