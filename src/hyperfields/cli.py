@@ -9,14 +9,15 @@ Exit codes: 0 every requested check passed, 1 a check failed (the report
 holds witnesses), 2 malformed input, 3 internal error.  A table failing its
 axioms fails ``axioms`` and ``classify`` and is malformed input elsewhere.
 
-Only ``galois`` and ``ordgroup`` are imported here, for the argument
-types, the norm cuts and the window guard.  Each verb imports the layer it
-runs when it runs: the finite verbs the finite-table layer, the verbs on
-symbolic carriers (``krasner``, ``residue``, ``coarsen``, ``scenario`` and
-``axioms tropical...``) the valuation, leading-term and tropical modules.
-So a finite verb never compiles the symbolic layer, and a symbolic verb
-compiles ``finite`` only to build or read a table (a residue,
-``no-kraval``'s K, a table backend).
+No module of the package is imported here but ``__version__``.  Each verb
+imports the layer it runs when it runs: the finite verbs the finite-table
+layer, the verbs on symbolic carriers (``krasner``, ``residue``, ``coarsen``,
+``scenario`` and ``axioms tropical...``) the valuation, leading-term and
+tropical modules, ``--q`` and ``--p`` the prime tests of ``galois``, and a
+verb building a norm cut ``ordgroup``.  So ``--version`` compiles no other
+module, a finite verb never compiles the symbolic layer (nor ``galois``
+unless it builds a field), and a symbolic verb compiles ``finite`` only to
+build or read a table (a residue, ``no-kraval``'s K, a table backend).
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .galois import is_prime, prime_power
-from .ordgroup import Cut, WindowTooLarge, invariance_group
 
 if TYPE_CHECKING:
     from .finite import FiniteHyperfield
@@ -190,6 +189,7 @@ def _load_backend(args):
     (load_hyperfield), 'kgamma' (--q/--gamma), 'composite' (--p), 'collapsed',
     or tropical:<rank> / tropical-strict:<rank> (krasner reads --norm-bound)."""
     from . import valuation as vn
+    from .ordgroup import Cut
     spec = args.backend
     _resolve_flags(args, BACKEND_FLAGS.get(spec.partition(":")[0], {}), f"backend {spec!r}")
     if spec in ("kgamma", "composite", "collapsed"):
@@ -298,6 +298,7 @@ def cmd_residue(args) -> dict:
 
 def cmd_coarsen(args) -> dict:
     from . import valuation as vn
+    from .ordgroup import invariance_group
     ctx, v, rho = _carrier("composite", args)
     delta = invariance_group(rho)
     verdict = vn.check_coarsening_theorem(ctx, v, rho, args.window_bound)
@@ -326,6 +327,7 @@ def _claim(claims: list, text: str, passed: bool, witness=None) -> None:
 
 def scenario_example_last(args) -> tuple[dict, list]:
     from . import valuation as vn
+    from .ordgroup import invariance_group
     ctx, w, rho = _carrier("composite", args)
     u = vn.coarsening(w, invariance_group(rho))
     B = args.window_bound
@@ -374,6 +376,7 @@ def scenario_kgamma(args) -> tuple[dict, list]:
 def _krasner_sweep(backend, v, bound: int) -> list:
     """Is v Krasner with norm {m <= b} on the window, for b = 0..bound?"""
     from . import valuation as vn
+    from .ordgroup import Cut
     return [vn.check_krasner(backend, v, Cut.le(1, (b,)), bound).ok
             for b in range(bound + 1)]
 
@@ -399,6 +402,7 @@ def scenario_no_kraval(args) -> tuple[dict, list]:
 
 def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
     from . import valuation as vn
+    from .ordgroup import Cut
     from .tropical import TropicalHyperfield
     B = args.window_bound
     incl = TropicalHyperfield(1, strict=False)
@@ -422,6 +426,7 @@ def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
 
 def scenario_coarsening_theorem(args) -> tuple[dict, list]:
     from . import valuation as vn
+    from .ordgroup import invariance_group
     ctx, v, rho = _carrier("composite", args)
     delta = invariance_group(rho)
     B = args.window_bound
@@ -477,9 +482,19 @@ def _int_arg(ok, what: str):
     return parse
 
 
+def _is_prime(n: int) -> bool:
+    from .galois import is_prime
+    return is_prime(n)
+
+
+def _is_prime_power(n: int) -> bool:
+    from .galois import prime_power
+    return prime_power(n) is not None
+
+
 NONNEGATIVE = _int_arg(lambda n: n >= 0, "non-negative")
-PRIME = _int_arg(is_prime, "a prime")
-PRIME_POWER = _int_arg(lambda n: prime_power(n) is not None, "a prime power")
+PRIME = _int_arg(_is_prime, "a prime")
+PRIME_POWER = _int_arg(_is_prime_power, "a prime power")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -576,6 +591,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The layers' own bad-input errors, and the stderr prefix of each.  Only a
+# layer's code raises its error, so the layer is loaded when one is caught:
+# looked up, never imported here.  ResidueOutOfReach is a WindowTooLarge.
+_BAD_INPUT = (("ordgroup", "WindowTooLarge", ""),
+              ("finite", "MalformedTableError", "malformed table: "))
+
+
+def _bad_input(e: Exception) -> str | None:
+    """The stderr prefix of a bad-input error, or None for any other."""
+    for module, name, prefix in _BAD_INPUT:
+        layer = sys.modules.get(f"{__package__}.{module}")
+        if layer is not None and isinstance(e, getattr(layer, name)):
+            return prefix
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -583,14 +614,13 @@ def main(argv=None) -> int:
         report = args.func(args)
         _emit(report, args.output)
         return 0 if report["passed"] else 1
-    except (ParseFailure, WindowTooLarge) as e:
+    except ParseFailure as e:
         print(f"hyperval: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001  -- contract: internal errors exit 3
-        # only finite's code raises its MalformedTableError, so it is loaded
-        finite = sys.modules.get(f"{__package__}.finite")
-        if finite is not None and isinstance(e, finite.MalformedTableError):
-            print(f"hyperval: malformed table: {e}", file=sys.stderr)
+        prefix = _bad_input(e)
+        if prefix is not None:
+            print(f"hyperval: {prefix}{e}", file=sys.stderr)
             return 2
         print(f"hyperval: internal error: {type(e).__name__}: {e}",
               file=sys.stderr)

@@ -25,7 +25,6 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .bitmask import _bits, _cell_to_mask
-from .galois import GaloisField, prime_power
 from .report import ValidationReport
 
 ZERO, ONE = 0, 1
@@ -394,6 +393,7 @@ def build_W() -> FiniteHyperfield:
 
 
 def build_finite_field(q: int, modulus: tuple[int, ...] | None = None) -> FiniteHyperfield:
+    from .galois import GaloisField  # only a field's builders compile galois
     gf = GaloisField(q, modulus)
     meta = {"label": f"F{q}"}
     if gf.modulus is not None:
@@ -661,6 +661,7 @@ def quotient_search(F: FiniteHyperfield, q_max: int):
     F_q / T isomorphic to F, scanning prime powers in increasing order.
     The units of F_q are cyclic, so for each q at most one subgroup has the
     right index."""
+    from .galois import prime_power
     target_units = F.size - 1
     for q in range(2, q_max + 1):
         if prime_power(q) is None:

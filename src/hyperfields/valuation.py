@@ -232,13 +232,13 @@ def valuation_ring(backend, v: Valuation) -> RingPredicate:
     zero = gzero(v.rank)
     target = t_add(zero, zero)
     known: dict = {}  # v(x) -> whether x lies in O_v
-    func = v.func
+    func, below_zero = v.func, v._zero_cuts[0]
 
     def pred(x):
         val = func(x)
         primary = known.get(val)
         if primary is None:
-            primary = val is None or val >= zero
+            primary = value_gt_cut(val, below_zero)
             if primary != hs.contains(target, val, t_value):
                 raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
             known[val] = primary
@@ -252,9 +252,15 @@ def maximal_ideal(backend, v: Valuation) -> RingPredicate:
 
 
 def unit_group(backend, v: Valuation) -> RingPredicate:
-    return RingPredicate(
-        backend, lambda x: v(x) is not None and v(x) == gzero(v.rank),
-        f"units of the valuation ring of {v.label}")
+    """O_v^x = {x : v(x) >= 0 and not v(x) > 0}, read through the cuts of
+    ``Valuation.ge_zero``/``gt_zero``: a value of another rank raises."""
+    func, (below_zero, up_to_zero) = v.func, v._zero_cuts
+
+    def pred(x):
+        val = func(x)
+        return value_gt_cut(val, below_zero) and not value_gt_cut(val, up_to_zero)
+
+    return RingPredicate(backend, pred, f"units of the valuation ring of {v.label}")
 
 
 def is_valuation_hyperring(backend, ring: RingPredicate, bound: int = 3) -> ValidationReport:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfields import finite
+from hyperfields import finite, galois
 from hyperfields.galois import prime_power
 from hyperfields.finite import (ONE, ZERO, FiniteHyperfield,
                                 MalformedTableError, Morphism, build_K,
@@ -683,7 +683,7 @@ def test_tables_built_from_masks_equal_tables_built_from_cells():
     # the fields as they were built from singleton cells, then every
     # quotient of q <= 64 and every enumerated class through the decoded cells
     for q in (q for q in range(2, 65) if prime_power(q)):
-        F, gf = build_finite_field(q), finite.GaloisField(q)
+        F, gf = build_finite_field(q), galois.GaloisField(q)
         meta = {"label": f"F{q}", **({"modulus": list(gf.modulus)} if gf.modulus else {})}
         ref = FiniteHyperfield(gf.names(), gf.mul, [[(v,) for v in row] for row in gf.add], meta)
         assert F == ref and F.to_json() == ref.to_json()
@@ -968,7 +968,7 @@ def _iso_grid():
     for index in range(5, 13):
         quotients = []
         for q in range(index + 1, 50):
-            if finite.prime_power(q) is not None and (q - 1) % index == 0:
+            if galois.prime_power(q) is not None and (q - 1) % index == 0:
                 K = build_finite_field(q)
                 gen = next(u for u in K.units if finite._mult_order(K.mul, u) == q - 1)
                 quotients.append(quotient_hyperfield(K, [finite._pow(K, gen, index)]))

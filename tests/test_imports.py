@@ -1,6 +1,7 @@
 """What a process imports: the package's public surface resolves lazily,
-the CLI's finite verbs never load the symbolic layer, and its symbolic
-verbs load the finite-table layer only to build a table."""
+a bare CLI import loads no other module of the package, the CLI's finite
+verbs never load the symbolic layer, and its symbolic verbs load the
+finite-table layer only to build a table."""
 
 import json
 import os
@@ -69,6 +70,7 @@ def run(*argv):
 
 STEPS = {
     "classify": ("classify", "builtin:K"),
+    "classify F7": ("classify", "builtin:F7"),
     "axioms": ("axioms", "builtin:W"),
     "iso": ("iso", "builtin:S", "builtin:W"),
     "quotient": ("quotient", "--field", "7", "--subgroup", "squares"),
@@ -130,6 +132,35 @@ def test_symbolic_verbs_leave_the_finite_layer_unloaded():
                      "krasner tropical:1": [1, []], "coarsen": [0, []],
                      "scenario tropical-not-krasner": [0, []]}
     assert _layers("scenario kgamma", watch=FINITE)["scenario kgamma"] == [0, list(FINITE)]
+
+
+def _modules(*names: str) -> list:
+    return sorted(f"hyperfields.{name}" for name in names)
+
+
+def test_each_verb_compiles_galois_and_ordgroup_only_when_it_runs_them():
+    watch = _modules(*SUBMODULES)
+    bare = _modules("cli")
+    assert _layers("version", "bad-q", watch=watch) == {
+        "import": [None, bare], "version": [0, bare],
+        "bad-q": [2, _modules("cli", "galois")]}  # refused by the --q type
+    tables = _modules("cli", "bitmask", "finite", "report")
+    assert _layers("axioms", "iso", "classify", "classify F7", watch=watch) == {
+        "import": [None, bare], "axioms": [0, tables], "iso": [1, tables],
+        "classify": [0, tables], "classify F7": [0, sorted(tables + ["hyperfields.galois"])]}
+    assert _layers("quotient", watch=watch)["quotient"] == [
+        0, sorted(tables + ["hyperfields.galois"])]
+    tropical = _modules("cli", "bitmask", "hypersets", "ordgroup", "report", "tropical",
+                        "window")
+    valued = sorted(tropical + ["hyperfields.valuation"])
+    assert _layers("axioms tropical:1", "krasner tropical:1",
+                   "scenario tropical-not-krasner", watch=watch) == {
+        "import": [None, bare], "axioms tropical:1": [0, tropical],
+        "krasner tropical:1": [1, valued], "scenario tropical-not-krasner": [0, valued]}
+    # leading_terms imports galois (for kgamma) whatever its carrier
+    carriers = [m for m in watch if m != "hyperfields.finite"]
+    for step, code in (("krasner", 0), ("krasner composite", 0), ("krasner collapsed", 1)):
+        assert _layers(step, watch=watch)[step] == [code, carriers], step
 
 
 def test_public_surface_is_unchanged():

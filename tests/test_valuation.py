@@ -438,16 +438,33 @@ def test_signs_of_values_follow_the_value_order_at_every_rank():
 
 
 def test_signs_of_a_value_of_another_rank_raise():
-    # (0, -1) > (0,) as tuples, but read at rank 1 it is no value at all
+    # (0, -1) > (0,) and (0, 0) != (0,) as tuples, but read at rank 1 neither
+    # is a value at all
     ctx = LTContext(2, 1)
     one = ctx.one
-    for table in ({one: (0, -1), None: None}, {one: (), None: None}):
+    for table in ({one: (0, -1), None: None}, {one: (), None: None},
+                  {one: (0, 0), None: None}):
         v = table_valuation(ctx, table, rank=1)
         for sign in (v.ge_zero, v.gt_zero, valuation_ring(ctx, v).contains,
-                     maximal_ideal(ctx, v).contains):
+                     maximal_ideal(ctx, v).contains, unit_group(ctx, v).contains):
             with pytest.raises(ValueError, match="rank mismatch"):
                 sign(one)
         assert v.ge_zero(None) and v.gt_zero(None)
+        assert not unit_group(ctx, v).contains(None)
+
+
+def test_units_are_the_elements_of_value_zero_asked_once_each():
+    for backend in (FiniteBackend(build_S()), TropicalHyperfield(1), CompositeContext(2),
+                    TropicalHyperfield(3)):
+        v = intrinsic_valuation(backend)
+        calls = []
+        units = unit_group(backend, Valuation(backend, v.rank,
+                                              lambda x: calls.append(x) or v(x)))
+        zero = (0,) * v.rank
+        for x in backend.elements(1):
+            calls.clear()
+            assert units.contains(x) == (v(x) == zero), x
+            assert calls == [x]
 
 
 def test_hh2_reports_the_v2_witness():
