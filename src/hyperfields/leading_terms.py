@@ -36,14 +36,22 @@ of full depth):
   k it has met: the freed slots of a sum that cancels to depth k, and at
   k = level the tails of the unit windows.  A window builds its
   (q-1) q^level unit windows once and stamps each value with them.
+* `LTContext` keeps the negation of each coefficient window it has
+  negated, one entry per window on first use (never the whole
+  (q-1) q^level table at once; none in characteristic 2, where -x is x).
+  ``neg`` is one lookup, and an equal-value ``add`` spots full
+  cancellation, y = -x, by one lookup and one tuple compare.
 * `CompositeContext` keeps its window's coefficient pairs, which depend
   on p alone (a few dozen ``Fraction`` reductions, a set and a sort).
 
-They depend on (q, k) or on p alone, never on a hypersum or a window
-bound, so keeping them for the carrier's life carries no verdict from one
-check to the next.  A cold call gains too: a window builds its unit
-windows once rather than once per value, and a cancelling sum enumerates
-its depth's tails no more often than it must to list its members.
+They depend on (q, k), on one coefficient window or on p alone, never on
+a hypersum or a window bound, so keeping them for the carrier's life
+carries no verdict from one check to the next: -w is a fact of F_q, read
+the same whichever check asked first.  A cold call gains too: a window
+builds its unit windows once rather than once per value, a window's
+negation is computed at most once however often x - x is asked, and a
+cancelling sum enumerates its depth's tails no more often than it must to
+list its members.
 """
 
 from __future__ import annotations
@@ -72,6 +80,17 @@ class CompositeElement(NamedTuple):
     c: tuple[int, int]
 
 
+class _Negations(dict):
+    """coefficient window -> its negation, each computed on first use."""
+
+    def __init__(self, neg):
+        self.neg = neg  # F_q's negation table
+
+    def __missing__(self, coeffs):
+        negated = self[coeffs] = tuple(map(self.neg.__getitem__, coeffs))
+        return negated
+
+
 class LTContext:
     """Truncated leading-term arithmetic for F_q((t)) at unit level [0, level]."""
 
@@ -88,6 +107,8 @@ class LTContext:
         self.value_rank = 1
         self._norm = Cut.le(1, (level,))
         self._tails: dict = {}  # k -> the q^k tails of depth k, built on first use
+        self._char2 = self.gf.p == 2
+        self._negs = _Negations(self.gf.neg)  # window -> -window, filled on first use
 
     def elem(self, value: int, coeffs) -> LTElement:
         coeffs = tuple(int(c) for c in coeffs)
@@ -115,10 +136,9 @@ class LTContext:
         return tuple.__new__(LTElement, (x.value + y.value, tuple(out)))
 
     def neg(self, x):
-        if x is None or self.gf.p == 2:
+        if x is None or self._char2:
             return x  # -c = c in characteristic 2
-        return tuple.__new__(LTElement, (x.value, tuple(map(self.gf.neg.__getitem__,
-                                                            x.coeffs))))
+        return tuple.__new__(LTElement, (x.value, self._negs[x.coeffs]))
 
     def inv(self, x):
         if x is None:
@@ -130,16 +150,17 @@ class LTContext:
             for i in range(1, k + 1):
                 acc = g.add[acc][g.mul[x.coeffs[i]][d[k - i]]]
             d[k] = g.neg[g.mul[d[0]][acc]]
-        return LTElement(-x.value, tuple(d))
+        return tuple.__new__(LTElement, (-x.value, tuple(d)))
 
     def add(self, x, y):
         """Hypersum of two cosets.
 
         Distinct values: the smaller-value operand absorbs the other's
         window (a singleton); a gap wider than the level leaves it unseen.
-        Equal values: coefficientwise sum; cancellation to depth k frees the
-        k trailing window slots of the result (q^k members), and full
-        cancellation yields everything of value above level+value.
+        Equal values: full cancellation, y = -x, read off the negated
+        window, yields everything of value above level+value; otherwise the
+        coefficientwise sum, where cancellation to depth k frees the k
+        trailing window slots of the result (q^k members).
         """
         new = tuple.__new__
         if x is None:
@@ -157,13 +178,13 @@ class LTContext:
             for i in range(d, self.width):
                 merged[i] = g.add[merged[i]][y.coeffs[i - d]]
             return new(hs.Singleton, (new(LTElement, (x.value, tuple(merged))),))
+        if y.coeffs == (x.coeffs if self._char2 else self._negs[x.coeffs]):
+            # the norm {m <= level} shifted by the value, built normalised
+            return new(hs.AboveValue, (new(Cut, (1, 1, (x.value + self.level,), True)),))
         s = tuple(map(list.__getitem__, map(g.add.__getitem__, x.coeffs), y.coeffs))
         if s[0]:
             return new(hs.Singleton, (new(LTElement, (x.value, s)),))
-        if not any(s):
-            # the norm {m <= level} shifted by the value, built normalised
-            return new(hs.AboveValue, (new(Cut, (1, 1, (x.value + self.level,), True)),))
-        k = next(i for i, c in enumerate(s) if c)
+        k = next(i for i, c in enumerate(s) if c)  # s has a nonzero slot: y != -x
         v, forced = x.value + k, s[k:]
         return new(hs.FiniteSet, (frozenset(
             new(LTElement, (v, forced + tail))
@@ -269,7 +290,7 @@ class CompositeContext:
         if x is None:
             raise ZeroDivisionError("zero has no inverse")
         a, b = x.c
-        return CompositeElement(-x.n, (b, a) if a > 0 else (-b, -a))
+        return tuple.__new__(CompositeElement, (-x.n, (b, a) if a > 0 else (-b, -a)))
 
     def add(self, x, y):
         new = tuple.__new__

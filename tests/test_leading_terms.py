@@ -175,15 +175,18 @@ def test_each_cancellation_depth_frees_product_many_tails(q):
         assert_built_as_checked(got)
 
 
-@pytest.mark.parametrize("q,level", [(2, 2), (3, 1), (4, 2), (5, 1)])
+@pytest.mark.parametrize("q,level", [(2, 2), (3, 1), (4, 2), (5, 1), (9, 1)])
 def test_a_used_context_answers_as_a_fresh_one(q, level):
     used = LTContext(q, level)
     U = used.elements(1)
     sums = {(x, y): used.add(x, y) for x in U for y in U}
+    negs = {x: used.neg(x) for x in U}
     assert used.elements(1) == LTContext(q, level).elements(1) == U
     assert used.elements_with_value(3) == LTContext(q, level).elements_with_value(3)
     for (x, y), s in sums.items():
         assert used.add(x, y) == s == LTContext(q, level).add(x, y), (x, y)
+    for x, n in negs.items():
+        assert used.neg(x) == n == LTContext(q, level).neg(x), x
 
 
 def test_tails_are_built_on_first_use_and_once_per_depth():
@@ -219,6 +222,45 @@ def test_full_cancellation_is_the_shifted_norm(q, gamma):
         assert hash(got) == hash(hs.AboveValue(want))
 
 
+def test_negations_are_kept_one_window_at_a_time():
+    assert LTContext(3, 2)._negs == {}
+    ctx = LTContext(3, 10)  # 118,098 unit windows, none negated yet
+    assert ctx._negs == {}
+    x = ctx.elem(0, (1, 2) + (0,) * 9)
+    assert ctx.neg(x) == LTElement(0, (2, 1) + (0,) * 9)
+    assert ctx._negs == {x.coeffs: (2, 1) + (0,) * 9}
+    assert isinstance(ctx.add(x, ctx.neg(x)), hs.AboveValue)
+    assert len(ctx._negs) == 1  # an equal-value sum reads the same entry
+    ctx = LTContext(5, 1)
+    U = ctx.elements(1)[1:]
+    for x in U + U:
+        ctx.neg(x)
+    # one entry per distinct window, however many values share it
+    assert ctx._negs == {c: tuple(ctx.gf.neg[a] for a in c) for c in {x.coeffs for x in U}}
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_characteristic_2_never_fills_the_negations(q):
+    ctx = LTContext(q, 2)
+    U = ctx.elements(0)
+    for x in U:
+        assert ctx.neg(x) is x
+        for y in U:
+            ctx.add(x, y)
+    assert ctx._negs == {}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_equal_values_sum_to_a_ray_exactly_at_the_negation(q, level):
+    ctx = LTContext(q, level)
+    U = ctx.elements_with_value(2)
+    for x in U:
+        n = ctx.neg(x)
+        for y in U:
+            assert isinstance(ctx.add(x, y), hs.AboveValue) == (y == n), (x, y)
+
+
 def test_neg_is_an_additive_inverse_window():
     ctx = LTContext(2, 1)
     x = ctx.elem(-2, (1, 1))
@@ -252,12 +294,19 @@ def assert_built_as_checked(s):
         assert all(e is None or type(e) in (LTElement, CompositeElement) for e in elems)
 
 
+# F_9 = F_3[x]/(x^2 + 1) is an odd prime power whose negation table,
+# [0, 2, 1, 6, 8, 7, 3, 5, 4], is not c -> q - c; at level 1 the lift
+# oracle's three free slots make 9^3 tails
+_LT_SHAPES = [(q, level) for q in (2, 3, 4, 5) for level in range(4)] + [(9, 0), (9, 1)]
+
+
 @st.composite
 def _lt_draws(draw):
-    """LT(q, level) with q in {2, 3, 4, 5} and level 0-3, and two of its
-    elements.  y is drawn at x's value, within the level of it, or as
-    ctx.neg(x) on purpose: those are where the sums merge and cancel."""
-    ctx = LTContext(draw(st.sampled_from((2, 3, 4, 5))), draw(st.integers(0, 3)))
+    """LT(q, level) with q in {2, 3, 4, 5} and level 0-3, or q = 9 and
+    level 0-1, and two of its elements.  y is drawn at x's value, within
+    the level of it, or as ctx.neg(x) on purpose: those are where the sums
+    merge and cancel."""
+    ctx = LTContext(*draw(st.sampled_from(_LT_SHAPES)))
 
     def of_value(v):
         return st.builds(lambda c0, rest: ctx.elem(v, (c0, *rest)),
@@ -277,6 +326,7 @@ def _lt_draws(draw):
 @given(_lt_draws())
 @example((LTContext(4, 1), LTElement(1, (3, 2)), LTElement(1, (3, 2))))  # char-2 neg
 @example((LTContext(3, 0), LTElement(-1, (2,)), LTElement(2, (2,))))    # level-0 mul
+@example((LTContext(9, 1), LTElement(0, (3, 5)), LTElement(0, (6, 7))))  # F_9's -c
 def test_lt_carrier_matches_the_polynomial_lifts(case):
     ctx, x, y = case
     assert_add_matches_oracle(ctx, x, y)
@@ -297,6 +347,7 @@ def test_lt_carrier_matches_the_polynomial_lifts(case):
             assert n is z
         # an inverse in a group is unique, so the product pins it
         assert lift_product_coset(ctx, z, ctx.inv(z)) == ctx.one
+        assert_built_as_checked(hs.Singleton(ctx.inv(z)))
 
 
 @pytest.mark.parametrize("ctx", [LTContext(2, 0), LTContext(3, 1), LTContext(4, 2),
@@ -458,6 +509,7 @@ def test_int_composite_carrier_matches_the_fraction_oracle(case):
         assert ctx.elem_json(z) == frac_json(z)
         if z is not None:
             assert ctx.inv(z) == frac_inv(z)
+            assert_built_as_checked(hs.Singleton(ctx.inv(z)))
             assert z.c[1] > 0 and ctx.inv(z).c[1] > 0
             c = frac(z)
             assert ctx.elem(z.n, c) == ctx.elem(z.n, f"{c.numerator}/{c.denominator}") == z
