@@ -5,8 +5,10 @@ bitmask per addition cell (bit i set means element i belongs to x+y), so the
 exhaustive axiom checks reduce to integer bit algebra.  `validate`, `is_field`
 (the mask of 1 - 1, cross-checked by one count of all set bits), quotients,
 hyperideals and the morphism checks read the masks directly; `add_cell`
-decodes a cell for output, and `_decoded` each distinct mask once for the
-CH4 and CH1 scans.  The builders hand their masks to `_from_masks`, which
+decodes a cell for output.  `validate` decides every axiom on the rows of
+0, 1 and the unit generators, one when the units are cyclic, by lemmas its
+docstring proves, and falls back to the full scan when a lemma's
+prerequisite fails.  The builders hand their masks to `_from_masks`, which
 checks them as `__init__` checks cells.  Index 0 is always the additive
 zero and index 1 the multiplicative unit.
 
@@ -74,9 +76,9 @@ class _MaskImages(dict):
         return img
 
 
-def _hr2_witness(mul, rows=None):
-    """0 absorbing, commutativity, and (xy)z = x(yz) for y in rows (every y
-    when None): the first failure in x, y, z order, or None."""
+def _hr2_witness(mul):
+    """0 absorbing, commutativity and associativity (xy)z = x(yz): the first
+    failure in x, y, z order, or None."""
     n = len(mul)
     for x in range(n):
         row = mul[x]
@@ -85,11 +87,35 @@ def _hr2_witness(mul, rows=None):
         for y in range(n):
             if row[y] != mul[y][x]:
                 return (x, y)
-            if rows is None or y in rows:
-                left, right = mul[row[y]], mul[y]
-                for z in range(n):
-                    if left[z] != row[right[z]]:
-                        return (x, y, z)
+            left, right = mul[row[y]], mul[y]
+            for z in range(n):
+                if left[z] != row[right[z]]:
+                    return (x, y, z)
+    return None
+
+
+def _hr2_lemma_witness(mul, gens):
+    """`validate`'s HR2 lemma scan, on a table whose row 1 is the identity:
+    row and column 0 are 0, column 1 is the identity, the generators gens
+    commute pairwise, and (xg)z = x(gz) for each generator g.  Its first
+    failure, or None."""
+    n, zeros = len(mul), mul[ZERO]
+    for x in range(n):
+        row = mul[x]
+        if row[ZERO] != ZERO or zeros[x] != ZERO or row[ONE] != x:
+            return (x,)
+    for g in gens:
+        row = mul[g]
+        for h in gens:
+            if row[h] != mul[h][g]:
+                return (g, h)
+    for x in range(n):
+        row = mul[x]
+        for g in gens:
+            left, right = mul[row[g]], mul[g]
+            for z in range(n):
+                if left[z] != row[right[z]]:
+                    return (x, g, z)
     return None
 
 
@@ -109,41 +135,75 @@ def _hr3_witness(mul, add, rows=None):
     return None
 
 
-def _decoded(add):
-    """Each cell of a mask table as a tuple, every distinct mask decoded once."""
-    memo = {m: tuple(_bits(m)) for m in set().union(*add)}
-    return [[memo[m] for m in row] for row in add]
+class _RowSums(dict):
+    """mask -> x + mask, the union of row[b] over b in mask for the add row
+    of x, each computed on first use."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __missing__(self, mask):
+        out = 0
+        for b in _bits(mask):
+            out |= self.row[b]
+        self[mask] = out
+        return out
 
 
-def _ch4_witness(add, cells, neg):
-    """Reversibility on raw mask rows and their `_decoded` cells: the first
-    (x, y, z) in x, y, z order with z in x+y but y not in z+(-x), or None."""
+def _ch2_witness(add, rows):
+    """Commutativity x + y = y + x for x in rows: the first failing (x, y) in
+    x, y order, or None."""
     n = len(add)
-    for x in range(n):
-        nx = neg[x]
-        for y, cell in enumerate(cells[x]):
-            for z in cell:
+    for x in rows:
+        row = add[x]
+        for y in range(n):
+            if row[y] != add[y][x]:
+                return (x, y)
+    return None
+
+
+def _zeros(add, rows) -> list:
+    """For each x in rows, the y with 0 in x + y, as a tuple."""
+    n = len(add)
+    return [tuple(y for y in range(n) if add[x][y] & 1) for x in rows]
+
+
+def _ch4_witness(add, neg):
+    """Reversibility on raw mask rows, for the rows x < len(neg), neg[x] =
+    -x: the first (x, y, z) in x, y, z order with z in x+y but y not in
+    z+(-x), or None."""
+    for x, nx in enumerate(neg):
+        for y, cell in enumerate(add[x]):
+            for z in _bits(cell):
                 if not (add[z][nx] >> y & 1):
                     return (x, y, z)
     return None
 
 
-def _ch1_witness(add, cells, rows=None):
-    """Associativity on mask rows and `_decoded` cells, for x in rows (all x
-    when None): the first (x, y, z) in x, y, z order with (x+y)+z != x+(y+z)."""
+def _sum_row(add, mask):
+    """The row z -> A + z of the set A = mask, as masks."""
+    first, *rest = (add[a] for a in _bits(mask))
+    if not rest:
+        return first
+    out = list(first)
+    for row in rest:
+        for z, m in enumerate(row):
+            out[z] |= m
+    return out
+
+
+def _ch1_witness(add, rows=None):
+    """Associativity on mask rows, for x in rows (all x when None): the
+    first (x, y, z) in x, y, z order with (x+y)+z != x+(y+z).  Row y of
+    (x+y)+z is built once, and x + C once per distinct cell mask C."""
     n = len(add)
     for x in range(n) if rows is None else rows:
         row_x = add[x]
+        right = _RowSums(row_x)
         for y in range(n):
-            left, cells_y = cells[x][y], cells[y]
+            left, cells_y = _sum_row(add, row_x[y]), add[y]
             for z in range(n):
-                lhs = 0
-                for a in left:
-                    lhs |= add[a][z]
-                rhs = 0
-                for b in cells_y[z]:
-                    rhs |= row_x[b]
-                if lhs != rhs:
+                if left[z] != right[cells_y[z]]:
                     return (x, y, z)
     return None
 
@@ -282,7 +342,10 @@ def _products(mul, gens) -> dict:
 def _greedy_generators(mul):
     """The units g1 < g2 < .. with each g_k the least unit outside the
     products of the earlier ones, and `_products` of all of them, which
-    reaches every unit: so every element is a product of 0, 1 and these."""
+    reaches every unit: so every element is a product of 0, 1 and these.
+    `_unit_group_isos` needs this set, not `_generators`: its order argument
+    reads "every index below g_k is a product of g1 .. g_(k-1)", which a
+    least cyclic generator does not give (in F_q index 2 need not be one)."""
     gens, tree = [], {ONE: None}
     for u in range(1, len(mul)):
         if u not in tree:
@@ -291,55 +354,91 @@ def _greedy_generators(mul):
     return gens, tree
 
 
+def _generators(mul) -> list:
+    """The unit generators `validate`'s lemmas read: [g] for the least unit
+    g whose `_products` reach every unit, when there is one (the units form
+    a cyclic group, as in every F_q and each of its quotients), else the
+    `_greedy_generators`.  Reaching is tested unit by unit: on a table that
+    is no hyperfield the products of g can hold 0."""
+    units = range(1, len(mul))
+    for g in range(2, len(mul)):
+        tree = _products(mul, (g,))
+        if all(u in tree for u in units):
+            return [g]
+    return _greedy_generators(mul)[0]
+
+
 def validate(F: FiniteHyperfield) -> ValidationReport:
     """Exhaustive axiom check: canonical hypergroup (CH1..CH4), multiplication
     (HR2 and the abelian group on nonzero elements), distributivity (HR3).
 
-    Every triple is decided, but HR2, HR3 and CH1 visit O(n^2 |S|) of them,
-    by three lemmas on S, which is {0, 1} plus the greedy unit generators
-    (`_greedy_generators`), so every element is a product of members of S.
+    Every triple is decided, but no scan visits more than O(n^2 |S|) of
+    them, by lemmas on the rows of 0, 1 and S, the `_generators` of the
+    units (one when the units are cyclic), whose `_products` reach every
+    unit.  Each lemma needs row 1 of mul to be the identity, checked first.
     - HR2 (Light): the a with (xa)y = x(ay) for all x, y are closed under
-      products, so the middle element a in S suffices.  The scan checks
-      that 0 absorbs and that mul commutes for every pair, so 0 passes,
-      (x0)y = 0 = x(0y), and when row 1 is the identity so does 1, as
-      x1 = 1x = x: then the generators suffice.
+      products, as (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+      The scan checks that row and column 0 are 0, so a = 0 passes, that
+      column 1 is the identity, so a = 1 passes, and a in S: every unit is
+      a product of S, so mul is associative.  Then the a commuting with a
+      given x are closed under products too, as x(ab) = (ax)b = a(bx), and
+      0 and 1 commute with every x: so the scan's check that the members
+      of S commute pairwise makes each of them, and then every product of
+      them, commute with every element.
     - HR3, once HR2 holds: the x with x(y+z) = xy + xz are closed under
       products, as (ab)(y+z) = a(b(y+z)), so x in S suffices.  Row 1 the
       identity gives x = 1; at x = 0 the sides are 0(y+z) = {0} (no cell
       is empty) and 0 + 0, so x = 0 holds iff 0 + 0 = {0}, checked first.
-    - CH1, once HR2, HF and HR3 hold: a unit u maps (x+y)+z onto
-      (ux+uy)+uz and x+(y+z) onto ux+(uy+uz), injectively, so CH1 at
-      (x, y, z) with x != 0 is CH1 at (1, y/x, z/x): x in {0, 1} suffices.
-      When row 0 is neutral, 0 + b = {b}, both sides at x = 0 are y + z.
-    When a prerequisite or a reduced scan fails, the full scan runs, so each
-    witness is the first failing tuple in x, y, z order."""
-    n, mul, add, cells = F.size, F.mul, F._add, _decoded(F._add)
+    - Scaling, once HR2, HF and HR3 hold: for a unit x and any y,
+      x + y = x(1 + x^-1 y), by HR3 at (x, 1, x^-1 y).  So each unit x maps
+      row 1 onto row x, and CH1..CH4 are decided on the rows x in {0, 1}:
+      CH2: a failure (x, y) is one at (y, x), and for units x, y it gives
+      x(1 + x^-1 y) != x(x^-1 y + 1), a failure at (1, x^-1 y).
+      CH3: as xc = 0 only for c = 0, 0 lies in x + y iff it lies in
+      1 + x^-1 y, and y -> x^-1 y permutes the elements, so rows x and 1
+      hold equally many zeros.
+      CH4, once CH3 holds: 0 lies in x + x(-1) = x(1 - 1), so -x = x(-1);
+      with y = xb and z = xc, z in x + y reads c in 1 + b, and y in
+      z + (-x) = x(c - 1) reads b in c - 1: CH4 at (x, y, z) is CH4 at
+      (1, b, c).
+      CH1: a unit u maps (x+y)+z onto (ux+uy)+uz and x+(y+z) onto
+      ux+(uy+uz), injectively, so CH1 at (x, y, z) with x != 0 is CH1 at
+      (1, y/x, z/x).  When row 0 is neutral, 0 + b = {b}, both sides at
+      x = 0 are y + z, and the row x = 1 alone decides CH1.
+    Rows 0 and 1 come first in x order, so these scans report the full
+    scan's first witness.  When HR2's or HR3's reduced scan or one of its
+    prerequisites fails, the full scan runs, so each witness is the first
+    failing tuple in x, y, z order."""
+    n, mul, add = F.size, F.mul, F._add
     rep = ValidationReport(subject=repr(F), mode="proof by exhaustion")
 
-    w = next(((x, y) for x in range(n) for y in range(n)
-              if add[x][y] != add[y][x]), None)
+    gens = _generators(mul)
+    # row 1 the identity is every lemma's prerequisite; a failed reduced
+    # scan or prerequisite (a truthy witness) runs the full scan
+    off = mul[ONE] != tuple(range(n))
+    hr2 = (off or _hr2_lemma_witness(mul, gens)) and _hr2_witness(mul)
+    hf = next(((x,) for x in F.units if mul[ONE][x] != x
+               or ONE not in mul[x][1:] or ZERO in mul[x][1:]), None)
+    hr3 = ((off or hr2 or add[ZERO][ZERO] != 1 or _hr3_witness(mul, add, gens))
+           and _hr3_witness(mul, add))
+    scaled = not (hr2 or hf or hr3)  # x + y = x(1 + x^-1 y): the scaling lemma
+    rows = (ZERO, ONE) if scaled else range(n)
+
+    w = _ch2_witness(add, rows)
     rep.add("CH2", w is None, w)
 
-    zeros = [tuple(y for y in range(n) if add[x][y] & 1) for x in range(n)]
+    zeros = _zeros(add, rows)
     w = next(((x, c) for x, c in enumerate(zeros) if len(c) != 1), None)
     rep.add("CH3", w is None, w)
 
     if w is None:
-        w = _ch4_witness(add, cells, [c[0] for c in zeros])
+        w = _ch4_witness(add, [c[0] for c in zeros])
         rep.add("CH4", w is None, w)
     else:
         rep.skipped.append("CH4 (needs CH3 to define -x)")
 
-    gens = _greedy_generators(mul)[0]
-    rows = gens if mul[ONE] == tuple(range(n)) else (ZERO, ONE, *gens)
-    # a failed reduced scan or prerequisite (a truthy witness) runs the full scan
-    hr2 = _hr2_witness(mul, rows) and _hr2_witness(mul)
-    hf = next(((x,) for x in F.units if mul[ONE][x] != x
-               or ONE not in mul[x][1:] or ZERO in mul[x][1:]), None)
-    hr3 = (hr2 or add[ZERO][ZERO] != 1 or _hr3_witness(mul, add, rows)) and _hr3_witness(mul, add)
     neutral = all(m == 1 << b for b, m in enumerate(add[ZERO]))
-    ch1 = ((hr2 or hf or hr3 or _ch1_witness(add, cells, (ONE,) if neutral else (ZERO, ONE)))
-           and _ch1_witness(add, cells))
+    ch1 = _ch1_witness(add, (ONE,) if scaled and neutral else rows)
     rep.add("CH1", ch1 is None, ch1)
     w = next((x for x in range(n) if add[x][ZERO] != 1 << x), None)
     rep.add("NEUTRAL", w is None, w, note="x+0={x}; derived from CH2..CH4 but checked directly")
@@ -521,7 +620,10 @@ def _unit_group_isos(fmul, gmul):
     from 1; a choice is kept when it gives a bijection that respects every
     product.  Every index below g_k is a product of g1 .. g_{k-1}, so the
     first generator image where two maps differ decides their order, and
-    taking the images in increasing order yields the maps in order."""
+    taking the images in increasing order yields the maps in order.  That
+    argument is why this reads `_greedy_generators`, not `validate`'s
+    `_generators`: below a least cyclic generator g may lie units that are
+    no earlier product, so two maps could first differ at one of those."""
     n = len(fmul)
     if n != len(gmul):
         return
@@ -796,7 +898,6 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
         raise ValueError(f"order {order} above the enumeration cap 6")
     m, units = order - 1, range(1, order)
     names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
-    bits = [tuple(_bits(mask)) for mask in range(1 << order)]
     found: list[FiniteHyperfield] = []
     for divisors in _abelian_groups(m):
         mul = _group_mul_table(divisors, m)
@@ -811,8 +912,7 @@ def enumerate_hyperfields(order: int) -> list[FiniteHyperfield]:
                     continue
                 cand = [[1 << y for y in range(order)]] + [  # x+y = x h(x^-1 y)
                     [1 << x] + [img[x][h[mul[inv[x]][y]]] for y in units] for x in units]
-                if _ch1_witness(cand, [[bits[c] for c in row] for row in cand],
-                                (ONE,)) is not None:
+                if _ch1_witness(cand, (ONE,)) is not None:
                     continue
                 H = FiniteHyperfield._from_masks(names, mul, cand,
                                                  {"label": f"order{order}"})

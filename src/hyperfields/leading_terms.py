@@ -43,15 +43,19 @@ of full depth):
   cancellation, y = -x, by one lookup and one tuple compare.
 * `CompositeContext` keeps its window's coefficient pairs, which depend
   on p alone (a few dozen ``Fraction`` reductions, a set and a sort).
+* `LTContext` keeps the full-cancellation ray of each value it has met,
+  and `CompositeContext` that of each X-order: x + (-x) is one object per
+  value, so ``valuation.induced_ring``'s verdicts and ``_Window.intern``
+  find it by identity rather than by comparing a fresh nested tuple.
 
-They depend on (q, k), on one coefficient window or on p alone, never on
-a hypersum or a window bound, so keeping them for the carrier's life
-carries no verdict from one check to the next: -w is a fact of F_q, read
-the same whichever check asked first.  A cold call gains too: a window
-builds its unit windows once rather than once per value, a window's
-negation is computed at most once however often x - x is asked, and a
-cancelling sum enumerates its depth's tails no more often than it must to
-list its members.
+They depend on (q, k), on one coefficient window, on one value (and the
+level) or on p alone, never on a hypersum or a window bound, so keeping
+them for the carrier's life carries no verdict from one check to the
+next: -w is a fact of F_q, read the same whichever check asked first.  A
+cold call gains too: a window builds its unit windows once rather than
+once per value, a window's negation is computed at most once however
+often x - x is asked, and a cancelling sum enumerates its depth's tails
+no more often than it must to list its members.
 """
 
 from __future__ import annotations
@@ -91,6 +95,19 @@ class _Negations(dict):
         return negated
 
 
+class _Rays(dict):
+    """value -> the full-cancellation ray at that value: AboveValue of the
+    rank-`rank` cut {m <= value + shift}, each built on first use."""
+
+    def __init__(self, rank, shift):
+        self.rank, self.shift = rank, shift
+
+    def __missing__(self, v):
+        new = tuple.__new__
+        ray = self[v] = new(hs.AboveValue, (new(Cut, (self.rank, 1, (v + self.shift,), True)),))
+        return ray
+
+
 class LTContext:
     """Truncated leading-term arithmetic for F_q((t)) at unit level [0, level]."""
 
@@ -109,6 +126,7 @@ class LTContext:
         self._tails: dict = {}  # k -> the q^k tails of depth k, built on first use
         self._char2 = self.gf.p == 2
         self._negs = _Negations(self.gf.neg)  # window -> -window, filled on first use
+        self._rays = _Rays(1, level)  # value v -> x - x at v(x) = v, filled on first use
 
     def elem(self, value: int, coeffs) -> LTElement:
         coeffs = tuple(int(c) for c in coeffs)
@@ -158,7 +176,8 @@ class LTContext:
         Distinct values: the smaller-value operand absorbs the other's
         window (a singleton); a gap wider than the level leaves it unseen.
         Equal values: full cancellation, y = -x, read off the negated
-        window, yields everything of value above level+value; otherwise the
+        window, yields everything of value above level+value (the kept ray
+        of that value, one object per value); otherwise the
         coefficientwise sum, where cancellation to depth k frees the k
         trailing window slots of the result (q^k members).
         """
@@ -179,8 +198,7 @@ class LTContext:
                 merged[i] = g.add[merged[i]][y.coeffs[i - d]]
             return new(hs.Singleton, (new(LTElement, (x.value, tuple(merged))),))
         if y.coeffs == (x.coeffs if self._char2 else self._negs[x.coeffs]):
-            # the norm {m <= level} shifted by the value, built normalised
-            return new(hs.AboveValue, (new(Cut, (1, 1, (x.value + self.level,), True)),))
+            return self._rays[x.value]  # the norm {m <= level} shifted by the value
         s = tuple(map(list.__getitem__, map(g.add.__getitem__, x.coeffs), y.coeffs))
         if s[0]:
             return new(hs.Singleton, (new(LTElement, (x.value, s)),))
@@ -265,6 +283,7 @@ class CompositeContext:
         # first coordinate at most 0; invariant under the second coordinate
         self._norm = Cut.le(2, (0,))
         self._coeffs: Optional[tuple] = None  # the window's c, built on first use
+        self._rays = _Rays(2, 0)  # X-order n -> x - x at order n, filled on first use
 
     def elem(self, n: int, c) -> CompositeElement:
         c = Fraction(c)
@@ -307,7 +326,7 @@ class CompositeContext:
             g = gcd(num, den)
             return new(hs.Singleton, (new(CompositeElement, (x.n, (num // g, den // g))),))
         # the norm bounds the X-order alone: its shift by v(x) is {m <= n}
-        return new(hs.AboveValue, (new(Cut, (2, 1, (x.n,), True)),))
+        return self._rays[x.n]
 
     def value_of(self, x) -> Value:
         return None if x is None else (x.n, ord_p(x.c, self.p))

@@ -671,7 +671,11 @@ def induced_ring(backend) -> RingPredicate:
     It still computes x - x for each element it is asked about, and does
     not key by v(x): x - x = x(1 - 1) is HR3, and HR3 has not been checked
     on the leading-term or composite carriers (ROADMAP item 3), so keying
-    by v(x) would rest on an axiom nothing has verified there."""
+    by v(x) would rest on an axiom nothing has verified there.  Those
+    carriers return one kept ray object per value for a full cancellation
+    (``leading_terms``), so the lookup of x - x meets that same object and
+    its key compare ends at identity; that is the carrier's arithmetic,
+    not an assumption about HR3."""
     add, neg = backend.add, backend.neg
     one_minus_one = add(backend.one, neg(backend.one))
     known: dict = {}  # x - x -> whether it lies inside 1 - 1

@@ -59,11 +59,16 @@ def _ref_mul_mask(row, mask):
 
 
 def _ref_witnesses(F):
-    """(passed, witness) of CH4 (when CH3 holds), CH1, HR2, HF and HR3 by full
-    scans, first witness in x, y, z order."""
+    """(passed, witness) of CH2, CH3, CH4 (when CH3 holds), CH1, HR2, HF and
+    HR3 by full scans, first witness in x, y, z order."""
     n, add, mul = F.size, F._add, F.mul
     triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
     out = {}
+    w = next(((x, y) for x in range(n) for y in range(n) if add[x][y] != add[y][x]), None)
+    out["CH2"] = (w is None, w)
+    zeros = [tuple(y for y in range(n) if add[x][y] & 1) for x in range(n)]
+    w = next(((x, c) for x, c in enumerate(zeros) if len(c) != 1), None)
+    out["CH3"] = (w is None, w)
     # HR2 and HF as validate scanned them before the reduced scans
     w = None
     for x in range(n):
@@ -127,9 +132,10 @@ SMALL_HYPERFIELDS = _small_hyperfields()
 def mask_tables(draw):
     """A table of order 2..8: a hyperfield with up to two add cells and one
     mul entry redrawn (often no longer a hyperfield); a hyperfield with the
-    cells add[ux][uy] = add[uy][ux] redrawn as uC for every unit u, which
-    keeps distributivity but often breaks associativity; or an arbitrary
-    table."""
+    cells add[ux][uy] (and add[uy][ux], half the time) redrawn as uC for
+    every unit u, which keeps distributivity but often breaks associativity,
+    and without the mirror cells commutativity, the unique inverse or
+    reversibility, on row 1 as on every row; or an arbitrary table."""
     kind = draw(st.sampled_from(("redrawn", "orbit", "arbitrary")))
     if kind != "arbitrary":
         base = draw(st.sampled_from(SMALL_HYPERFIELDS))
@@ -146,9 +152,12 @@ def mask_tables(draw):
     elif kind == "orbit":
         x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         cell = draw(st.integers(1, (1 << n) - 1))
+        mirror = draw(st.booleans())
         for u in range(1, n):
             image = _ref_mul_mask(mul[u], cell)
-            add[mul[u][x]][mul[u][y]] = add[mul[u][y]][mul[u][x]] = image
+            add[mul[u][x]][mul[u][y]] = image
+            if mirror:
+                add[mul[u][y]][mul[u][x]] = image
     else:
         n = draw(st.integers(2, 8))
         mul = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
@@ -504,19 +513,33 @@ def test_validate_f64_fast():
 # Light's associativity test: the a with (xa)y = x(ay) for all x, y are
 # closed under products, so checking a in a generating set decides the rest.
 
+_S3 = list(itertools.permutations(range(3)))  # _S3[0] is the identity
+
+
+def _s3_with_zero(x, y, n):
+    """The symmetric group S3 on 1..6, 1 its identity, and 0 absorbing
+    (n = 7): associative, with row 1 the identity, not commutative."""
+    if not x or not y:
+        return 0
+    a, b = _S3[x - 1], _S3[y - 1]
+    return _S3.index(tuple(a[i] for i in b)) + 1
+
+
 _ASSOCIATIVE_OPS = (lambda x, y, n: x * y % n,  # Z/n under multiplication
                     lambda x, y, n: max(x, y),  # a semilattice
-                    lambda x, y, n: x)  # left zero: associative, not commutative
+                    lambda x, y, n: x,  # left zero: associative, not commutative
+                    _s3_with_zero)
 
 
 @st.composite
 def mul_tables(draw):
     """A mul table of order 2..7: an associative operation relabelled by a
-    bijection fixing 0 and 1, the same with one entry redrawn (and its
-    mirror, half the time), or an arbitrary table."""
+    bijection fixing 0 and 1 (S3 with a zero at order 7), the same with one
+    entry redrawn (and its mirror, half the time), or an arbitrary table."""
     n = draw(st.integers(2, 7))
     if draw(st.booleans()):
         op = draw(st.sampled_from(_ASSOCIATIVE_OPS))
+        n = 7 if op is _s3_with_zero else n
         p = [0, 1] + draw(st.permutations(range(2, n)))
         mul = [[0] * n for _ in range(n)]
         for x in range(n):
@@ -543,8 +566,9 @@ def _associative_at(mul, middles):
 @given(mul_tables())
 def test_lights_lemma_on_the_generating_rows(F):
     n, mul = F.size, F.mul
-    rows = (0, 1, *finite._greedy_generators(mul)[0])
-    assert rows[:2] == (0, 1) and all(1 < g < n for g in rows[2:])
+    gens = finite._generators(mul)
+    rows = (0, 1, *gens)
+    assert all(1 < g < n for g in gens)
     closure = set(rows)
     while True:
         products = {mul[a][b] for a in closure for b in closure}
@@ -553,21 +577,64 @@ def test_lights_lemma_on_the_generating_rows(F):
         closure |= products
     assert closure == set(range(n))
     assert _associative_at(mul, rows) == _associative_at(mul, range(n))
-    assert (finite._hr2_witness(mul, rows) is None) == \
-        (finite._hr2_witness(mul) is None)
+    if mul[ONE] == tuple(range(n)):  # the lemma scan's prerequisite
+        assert (finite._hr2_lemma_witness(mul, gens) is None) == \
+            (finite._hr2_witness(mul) is None)
 
 
-# validate's reduced scans need three prerequisites: row 1 of mul the
-# identity (HR2's middles and HR3's rows are then the generators), 0 + 0 =
-# {0} (HR3 at x = 0) and row 0 of add neutral (CH1 on the row x = 1 alone).
+def _ref_generators(mul):
+    """The least unit of multiplicative order n - 1 but 1, as a list, else
+    None (the units are no cyclic group, or 1 is their only member)."""
+    n = len(mul)
+    return next(([g] for g in range(2, n) if finite._mult_order(mul, g) == n - 1), None)
+
+
+def test_generators_are_one_least_cyclic_generator_when_there_is_one():
+    tables = [build_finite_field(q) for q in range(2, 65) if prime_power(q)]
+    tables += [Q for F in (build_finite_field(q) for q in (13, 16, 25))
+               for Q in map(lambda u: quotient_hyperfield(F, [u]), F.units)]
+    tables += [F for order in (2, 3, 4, 5, 6) for F in enumerate_hyperfields(order)]
+    seen = set()
+    for F in tables:
+        ref = _ref_generators(F.mul)
+        gens = finite._generators(F.mul)
+        assert gens == (ref or finite._greedy_generators(F.mul)[0]), F
+        seen.add((ref is None, len(gens)))
+    # K and F2 (no unit but 1), one generator, and the greedy pair on the
+    # Klein four-group
+    assert seen == {(True, 0), (False, 1), (True, 2)}
+
+
+def test_generators_test_every_unit_not_the_count_of_products():
+    # the products of 2 are 1, 2, 0: three keys, as many as the units, but
+    # not the unit 3, so 2 alone does not generate and the greedy set runs
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 3], [0, 3, 3, 3]]
+    assert set(finite._products(mul, [2])) == {0, 1, 2}
+    assert finite._generators(mul) == [2, 3] == finite._greedy_generators(mul)[0]
+
+
+# validate's reduced scans need these prerequisites: row 1 of mul the
+# identity (every lemma; HR2's middles and HR3's rows are then the
+# generators), HR2 itself (HR3's lemma), 0 + 0 = {0} (HR3 at x = 0), HR2, HF
+# and HR3 (the scaling lemma: CH1..CH4 on the rows 0 and 1), CH3 (CH4 by
+# scaling) and row 0 of add neutral (CH1 on the row x = 1 alone).
+
+_KERNELS = {  # the rows each kernel scans, None for a full scan
+    "_hr2_lemma_witness": lambda mul, gens: tuple(gens),
+    "_hr2_witness": lambda mul: None,
+    "_hr3_witness": lambda mul, add, rows=None: None if rows is None else tuple(rows),
+    "_ch2_witness": lambda add, rows: tuple(rows),
+    "_zeros": lambda add, rows: tuple(rows),
+    "_ch4_witness": lambda add, neg: tuple(range(len(neg))),
+    "_ch1_witness": lambda add, rows=None: None if rows is None else tuple(rows)}
+
 
 def _scans(F, monkeypatch):
-    """The (kernel, rows) of each HR2, HR3 and CH1 scan validate(F) runs, in
-    order, rows None for a full scan."""
+    """The (kernel, rows) of each scan validate(F) runs, in order."""
     calls = []
-    for name, k in (("_hr2_witness", 1), ("_hr3_witness", 2), ("_ch1_witness", 2)):
-        def recorded(*args, name=name, k=k, original=getattr(finite, name)):
-            calls.append((name, tuple(args[k]) if len(args) > k else None))
+    for name, rows in _KERNELS.items():
+        def recorded(*args, name=name, rows=rows, original=getattr(finite, name)):
+            calls.append((name, rows(*args)))
             return original(*args)
         monkeypatch.setattr(finite, name, recorded)
     validate(F)
@@ -576,21 +643,34 @@ def _scans(F, monkeypatch):
 
 
 def test_validate_takes_the_reduced_scans_on_hyperfields(monkeypatch):
-    tables = SMALL_HYPERFIELDS + [build_finite_field(q) for q in (9, 16, 27, 32)] + \
+    tables = SMALL_HYPERFIELDS + [build_finite_field(q) for q in (9, 16, 27, 32, 49)] + \
         [F for order in (4, 5, 6) for F in enumerate_hyperfields(order)]
     for F in tables:
-        gens = tuple(finite._greedy_generators(F.mul)[0])
-        assert _scans(F, monkeypatch) == [("_hr2_witness", gens), ("_hr3_witness", gens),
-                                          ("_ch1_witness", (ONE,))], F
+        gens = tuple(finite._generators(F.mul))
+        scans = _scans(F, monkeypatch)
+        assert scans == [("_hr2_lemma_witness", gens), ("_hr3_witness", gens),
+                         ("_ch2_witness", (ZERO, ONE)), ("_zeros", (ZERO, ONE)),
+                         ("_ch4_witness", (ZERO, ONE)), ("_ch1_witness", (ONE,))], F
+        # no scan is a full one (on K and F2 the rows 0 and 1 are all rows)
+        assert F.size == 2 or all(rows is not None and len(rows) < F.size
+                                  for _, rows in scans)
+
+
+# the order-5 classes whose units, the Klein four-group, are not cyclic
+NONCYCLIC = [F for F in enumerate_hyperfields(5) if len(finite._generators(F.mul)) > 1]
 
 
 @st.composite
 def fallback_tables(draw):
-    """A table of SMALL_HYPERFIELDS with one prerequisite of validate's
-    reduced scans broken: half the time a cell or entry anywhere redrawn,
-    then an entry of row 1 of mul, a cell of row 0 of add (each with its
-    mirror half the time) or the cell 0 + 0 redrawn."""
-    base = draw(st.sampled_from(SMALL_HYPERFIELDS))
+    """A hyperfield with one prerequisite of validate's reduced scans
+    broken: half the time a cell or entry anywhere redrawn, then, on a table
+    of SMALL_HYPERFIELDS, an entry of row 1 of mul, a cell of row 0 of add
+    (each with its mirror half the time), the cell 0 + 0, an entry of column
+    1 or of row 0 of mul, or a cell of row 1 of add against its mirror
+    redrawn, or on one of NONCYCLIC the product of its two generators in one
+    order."""
+    kind = draw(st.sampled_from(("mul1", "row0", "zero", "col1", "mul0", "add1", "commute")))
+    base = draw(st.sampled_from(NONCYCLIC if kind == "commute" else SMALL_HYPERFIELDS))
     n = base.size
     mul = [list(row) for row in base.mul]
     add = [list(row) for row in base._add]
@@ -600,7 +680,6 @@ def fallback_tables(draw):
             mul[x][y] = draw(st.integers(0, n - 1))
         else:
             add[x][y] = draw(st.integers(1, (1 << n) - 1))
-    kind = draw(st.sampled_from(("mul1", "row0", "zero")))
     b = draw(st.integers(0, n - 1))
     if kind == "mul1":
         mul[ONE][b] = draw(st.integers(0, n - 1).filter(lambda v: v != b))
@@ -610,8 +689,18 @@ def fallback_tables(draw):
         add[ZERO][b] = draw(st.integers(1, (1 << n) - 1).filter(lambda m: m != 1 << b))
         if draw(st.booleans()):
             add[b][ZERO] = add[ZERO][b]
-    else:
+    elif kind == "zero":
         add[ZERO][ZERO] = draw(st.integers(2, (1 << n) - 1))
+    elif kind == "col1":
+        mul[b][ONE] = draw(st.integers(0, n - 1).filter(lambda v: v != b))
+    elif kind == "mul0":
+        mul[ZERO][b] = draw(st.integers(1, n - 1))
+    elif kind == "add1":
+        b = draw(st.integers(0, n - 1).filter(lambda v: v != ONE))
+        add[ONE][b] = draw(st.integers(1, (1 << n) - 1).filter(lambda m: m != add[b][ONE]))
+    else:
+        g, h = finite._generators(base.mul)[:2]
+        mul[g][h] = draw(st.integers(0, n - 1).filter(lambda v: v != mul[h][g]))
     return kind, FiniteHyperfield._from_masks(base.names, mul, add)
 
 
@@ -620,9 +709,15 @@ def fallback_tables(draw):
 def test_validate_falls_back_when_a_prerequisite_fails(kind_and_table):
     kind, F = kind_and_table
     n, mul, add = F.size, F.mul, F._add
+    gens = finite._generators(mul)
     broken = {"mul1": mul[ONE] != tuple(range(n)),
               "row0": any(add[ZERO][b] != 1 << b for b in range(n)),
-              "zero": add[ZERO][ZERO] != 1}
+              "zero": add[ZERO][ZERO] != 1,
+              "col1": any(mul[b][ONE] != b for b in range(n)),
+              "mul0": any(mul[ZERO][b] != ZERO for b in range(n)),
+              "add1": any(add[ONE][b] != add[b][ONE] for b in range(n)),
+              "commute": any(mul[g][h] != mul[h][g] for g in gens for h in gens)
+              or len(gens) < 2}
     assert broken[kind]
     ref = _ref_witnesses(F)
     got = {c.axiom: (c.passed, c.witness) for c in validate(F).checks
@@ -1377,7 +1472,7 @@ def _unit_groups(order):
 def _ref_reversible_tables(order, mul, inv, iota):
     neg = [mul[iota][x] for x in range(order)]
     return [cand for cand in _ref_candidate_tables(order, mul, inv, iota)
-            if finite._ch4_witness(cand, finite._decoded(cand), neg) is None]
+            if finite._ch4_witness(cand, neg) is None]
 
 
 # The enumerator before the orbit rule: each table that validates is
@@ -1387,7 +1482,7 @@ def _ref_enumerate(order):
     found = []
     for mul, inv, iota in _unit_groups(order):
         for cand in _ref_reversible_tables(order, mul, inv, iota):
-            if finite._ch1_witness(cand, finite._decoded(cand)) is not None:
+            if finite._ch1_witness(cand) is not None:
                 continue
             names = ["0", "1"] + [f"a{i}" for i in range(2, order)]
             add = [[finite._mask_to_cell(cand[x][y]) for y in range(order)]
@@ -1416,11 +1511,11 @@ def test_row_level_ch4_keeps_exactly_the_reversible_tables(order, monkeypatch):
             for h in finite._candidate_rows(mul, inv, _images(mul), iota)]
     assert rows == [tuple(cand[ONE]) for cand in ref]
     # Let every candidate past the orbit rule: the enumerator must turn each
-    # one into its reversible table, and decode that table's cells.
+    # one into its reversible table, and test it on the row x = 1.
     tables = []
 
-    def rejecting_ch1(add, cells, rows=None):
-        assert cells == finite._decoded(add) and rows == (ONE,)
+    def rejecting_ch1(add, rows=None):
+        assert rows == (ONE,)
         tables.append(add)
         return (0, 0, 0)
 

@@ -175,18 +175,23 @@ def test_each_cancellation_depth_frees_product_many_tails(q):
         assert_built_as_checked(got)
 
 
-@pytest.mark.parametrize("q,level", [(2, 2), (3, 1), (4, 2), (5, 1), (9, 1)])
-def test_a_used_context_answers_as_a_fresh_one(q, level):
-    used = LTContext(q, level)
+@pytest.mark.parametrize("fresh", [lambda: LTContext(2, 2), lambda: LTContext(3, 1),
+                                   lambda: LTContext(4, 2), lambda: LTContext(5, 1),
+                                   lambda: LTContext(9, 1), lambda: CompositeContext(2),
+                                   lambda: CompositeContext(3)],
+                         ids=["2-2", "3-1", "4-2", "5-1", "9-1", "composite-2", "composite-3"])
+def test_a_used_context_answers_as_a_fresh_one(fresh):
+    used = fresh()
     U = used.elements(1)
     sums = {(x, y): used.add(x, y) for x in U for y in U}
     negs = {x: used.neg(x) for x in U}
-    assert used.elements(1) == LTContext(q, level).elements(1) == U
-    assert used.elements_with_value(3) == LTContext(q, level).elements_with_value(3)
+    assert used.elements(1) == fresh().elements(1) == U
+    if isinstance(used, LTContext):
+        assert used.elements_with_value(3) == fresh().elements_with_value(3)
     for (x, y), s in sums.items():
-        assert used.add(x, y) == s == LTContext(q, level).add(x, y), (x, y)
+        assert used.add(x, y) == s == fresh().add(x, y), (x, y)
     for x, n in negs.items():
-        assert used.neg(x) == n == LTContext(q, level).neg(x), x
+        assert used.neg(x) == n == fresh().neg(x), x
 
 
 def test_tails_are_built_on_first_use_and_once_per_depth():
@@ -220,6 +225,44 @@ def test_full_cancellation_is_the_shifted_norm(q, gamma):
         assert got == hs.AboveValue(want)
         assert got.cut == want and hash(got.cut) == hash(want)
         assert hash(got) == hash(hs.AboveValue(want))
+
+
+def _ray_contexts():
+    return [LTContext(2, 0), LTContext(3, 1), LTContext(4, 2), LTContext(9, 1),
+            CompositeContext(2), CompositeContext(5)]
+
+
+@pytest.mark.parametrize("ctx", _ray_contexts(), ids=["lt-2-0", "lt-3-1", "lt-4-2", "lt-9-1",
+                                                     "composite-2", "composite-5"])
+def test_full_cancellation_keeps_one_ray_per_value(ctx):
+    assert ctx._rays == {}  # nothing is built in __init__
+    U = ctx.elements(1)[1:]
+    rays = {}
+    for x in U:
+        got = ctx.add(x, ctx.neg(x))
+        v = ctx.value_of(x)[0]  # the level's shift is of the first coordinate
+        assert got is rays.setdefault(v, got), x  # one object per value
+        want = hs.AboveValue(Cut.le(ctx.value_rank, (v + getattr(ctx, "level", 0),)))
+        assert got == want and hash(got) == hash(want)
+        assert got == hs.AboveValue(ctx.norm_cut().shift(ctx.value_of(x)))
+        assert_built_as_checked(got)
+    assert ctx._rays == rays and set(rays) == {-1, 0, 1}
+    assert all(type(k) is int for k in ctx._rays)
+
+
+def test_rays_are_built_on_first_use_only():
+    ctx = LTContext(3, 10)
+    assert ctx._rays == {}
+    x = ctx.elem(4, (1,) + (0,) * 10)
+    ctx.add(x, x)  # no cancellation: no ray
+    assert ctx._rays == {}
+    ray = ctx.add(x, ctx.neg(x))
+    assert ctx._rays == {4: ray} and ray.cut == Cut.le(1, (14,))
+    comp = CompositeContext(3)
+    y = comp.elem(-2, 5)
+    comp.add(y, y)
+    assert comp._rays == {}
+    assert comp.add(y, comp.neg(y)) is comp._rays[-2] == hs.AboveValue(Cut.le(2, (-2,)))
 
 
 def test_negations_are_kept_one_window_at_a_time():
