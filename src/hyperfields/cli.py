@@ -373,18 +373,10 @@ def scenario_kgamma(args) -> tuple[dict, list]:
     return {"q": args.q, "gamma": args.gamma, "window_bound": B}, claims
 
 
-def _krasner_sweep(backend, v, bound: int) -> list:
-    """Is v Krasner with norm {m <= b} on the window, for b = 0..bound?"""
-    from . import valuation as vn
-    from .ordgroup import Cut
-    return [vn.check_krasner(backend, v, Cut.le(1, (b,)), bound).ok
-            for b in range(bound + 1)]
-
-
 def scenario_no_kraval(args) -> tuple[dict, list]:
     from . import valuation as vn
     from .finite import build_K, find_isomorphism, is_field
-    ctx, v, _ = _carrier("collapsed", args)
+    ctx, v, rho = _carrier("collapsed", args)
     B = args.window_bound
     claims = []
     _claim(claims, "the collapsed-constants map is a valuation",
@@ -394,33 +386,35 @@ def scenario_no_kraval(args) -> tuple[dict, list]:
     _claim(claims, "the residue hyperfield is isomorphic to K",
            iso is not None)
     _claim(claims, "the residue hyperfield is not a field", not is_field(R))
-    sweep = _krasner_sweep(ctx, v, B)  # its first norm, {m <= 0}, is the carrier's
-    _claim(claims, "the natural candidate norm fails the Krasner conditions", not sweep[0])
-    _claim(claims, f"every initial-segment norm with bound in [0, {B}] fails", not any(sweep))
+    # 1 lies in 1 - 1, so KVH2 fails for every norm holding 0 (induced_norm_cut)
+    no_norm = not vn.induced_norm_cut(ctx).contains((0,))
+    _claim(claims, "the natural candidate norm fails the Krasner conditions",
+           rho.contains((0,)) and no_norm)
+    _claim(claims, f"every initial-segment norm with bound in [0, {B}] fails", no_norm)
     return {"window_bound": B}, claims
 
 
 def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
     from . import valuation as vn
-    from .ordgroup import Cut
     from .tropical import TropicalHyperfield
     B = args.window_bound
     incl = TropicalHyperfield(1, strict=False)
     strict = TropicalHyperfield(1, strict=True)
-    vi = vn.intrinsic_valuation(incl)
-    vs = vn.intrinsic_valuation(strict)
     claims = []
     screp = vn.check_superiorly_canonical(incl, B)
     _claim(claims, "inclusive T(Z) fails superior canonicity at SCH1",
            not screp.check("SCH1").passed, screp.check("SCH1").witness)
+    # 1 lies in 1 - 1, so KVH2 fails for every norm holding 0 (induced_norm_cut)
     _claim(claims,
            f"no initial-segment norm with bound in [0, {B}] makes the "
-           "identity on T(Z) a Krasner valuation", not any(_krasner_sweep(incl, vi, B)))
+           "identity on T(Z) a Krasner valuation",
+           not vn.induced_norm_cut(incl).contains((0,)))
     _claim(claims, "strict T'(Z) is superiorly canonical on the window",
            vn.check_superiorly_canonical(strict, B).ok)
     _claim(claims, "the identity on strict T'(Z) is a Krasner valuation "
            "with norm {m <= 0}",
-           vn.check_krasner(strict, vs, Cut.le(1, (0,)), B).ok)
+           vn.check_krasner(strict, vn.intrinsic_valuation(strict),
+                            vn.induced_norm_cut(strict), B).ok)
     return {"window_bound": B}, claims
 
 

@@ -468,7 +468,7 @@ def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> Validation
         raise ValueError("check_krasner runs against the intrinsic valuation")
     if rho.rank != v.rank:
         raise ValueError("norm rank mismatch")
-    if not (rho.is_whole or rho.contains(gzero(rho.rank))) or rho.is_empty:
+    if not rho.contains(gzero(rho.rank)):  # a whole cut holds 0, an empty cut nothing
         raise ValueError("the norm must be an initial segment containing 0")
 
     win = _Window(backend, bound)
@@ -691,8 +691,16 @@ def induced_ring(backend) -> RingPredicate:
 
 
 def induced_norm_cut(backend) -> Cut:
-    """Complement of the value set of 1-1, as a cut (the norm the induced
-    valuation carries); only meaningful when 1-1 is an AboveValue set."""
+    """The cut rho_F of 1-1: the only norm a Krasner valuation can carry.
+
+    KVH2 at x = 1, y = -1, z = 0 fixes the norm.  0 lies in 1 - 1 (CH3) and
+    v(1) = v(-1) = 0, so for every t: t lies in 1 - 1 iff v(0 - t) = v(t)
+    lies above rho.  So 1 - 1 = {t : v(t) > rho}, and rho is the cut of
+    1 - 1 when v is onto the value group.  Every norm contains 0, so if
+    rho_F misses 0 (equivalently, 1 lies in 1 - 1), no norm satisfies
+    KVH2: it fails at (1, -1, 0, t = 1), in every window.  Raises
+    ValueError when 1 - 1 is not a full-cancellation set (a ray above a
+    cut)."""
     s = backend.add(backend.one, backend.neg(backend.one))
     if not isinstance(s, hs.AboveValue):
         raise ValueError("1-1 is not a full-cancellation set")

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -469,16 +468,30 @@ def test_scenario_kgamma_fails_a_residue_of_another_order(monkeypatch, capsys):
         "the residue hyperfield is the field of order 3"]
 
 
-def test_no_kraval_natural_norm_opens_the_sweep(monkeypatch, capsys):
-    # the scenario reads the natural norm's verdict from the sweep's first norm
-    assert lt.CollapsedConstantsContext().norm_cut() == Cut.le(1, (0,))
-    # so when {m <= 1} alone passes, only the "every norm fails" claim fails
-    monkeypatch.setattr(valuation, "check_krasner", lambda backend, v, rho, bound:
-                        types.SimpleNamespace(ok=rho == Cut.le(1, (1,))))
+def test_krasner_scenarios_read_the_norm_off_one_minus_one(monkeypatch, capsys):
+    # the norm is forced by 1 - 1 (induced_norm_cut): no-kraval runs no
+    # windowed Krasner check, tropical-not-krasner one, with that cut
+    calls = []
+    real = valuation.check_krasner
+    monkeypatch.setattr(valuation, "check_krasner",
+                        lambda *args: calls.append(args) or real(*args))
+    for name, made in (("no-kraval", 0), ("tropical-not-krasner", 1)):
+        calls.clear()
+        code, _ = run(capsys, "scenario", name, "--window-bound", "2")
+        assert (code, len(calls)) == (0, made), name
+    assert calls[0][2] == Cut.le(1, (0,))
+    # were 0 in the cut of 1 - 1, every norm claim built on it would fail
+    monkeypatch.setattr(valuation, "induced_norm_cut", lambda backend: Cut.le(1, (0,)))
     code, rep = run(capsys, "scenario", "no-kraval", "--window-bound", "1")
     assert code == 1
     assert [c["claim"] for c in rep["claims"] if not c["passed"]] == [
+        "the natural candidate norm fails the Krasner conditions",
         "every initial-segment norm with bound in [0, 1] fails"]
+    code, rep = run(capsys, "scenario", "tropical-not-krasner", "--window-bound", "1")
+    assert code == 1
+    assert [c["claim"] for c in rep["claims"] if not c["passed"]] == [
+        "no initial-segment norm with bound in [0, 1] makes the identity on T(Z) "
+        "a Krasner valuation"]
 
 
 def _run_cli(*argv) -> bytes:

@@ -305,6 +305,11 @@ def test_krasner_preconditions():
         check_krasner(ctx, intrinsic_valuation(ctx), Cut.le(1, (-1,)))
     with pytest.raises(ValueError):
         check_krasner(ctx, intrinsic_valuation(ctx), Cut.empty(1))
+    # on a rank-0 value group the whole cut is the one norm, the empty cut none
+    backend = FiniteBackend(build_finite_field(3))
+    assert check_krasner(backend, trivial_valuation(backend), Cut.whole(0)).ok
+    with pytest.raises(ValueError, match="initial segment containing 0"):
+        check_krasner(backend, trivial_valuation(backend), Cut.empty(0))
 
 
 def test_krasner_refuses_a_norm_of_another_rank():
@@ -407,11 +412,46 @@ def test_induced_ring_of_leading_terms_is_the_valuation_ring():
         O = valuation_ring(ctx, intrinsic_valuation(ctx))
         assert compare_rings(ctx, O, induced_ring(ctx), 2).ok
         assert induced_norm_cut(ctx) == ctx.norm_cut()
+    for p in (2, 3):
+        ctx = CompositeContext(p)
+        assert induced_norm_cut(ctx) == ctx.norm_cut()
+    # the cut of 1 - 1 misses 0 exactly where 1 lies in 1 - 1
+    assert induced_norm_cut(TropicalHyperfield(1, strict=True)) == Cut.le(1, (0,))
+    for ctx in (TropicalHyperfield(1), CollapsedConstantsContext()):
+        assert induced_norm_cut(ctx) == Cut.le(1, (-1,))
 
 
 def test_induced_norm_needs_full_cancellation():
     with pytest.raises(ValueError):
         induced_norm_cut(FiniteBackend(build_finite_field(3)))
+
+
+def test_krasner_norm_is_exactly_the_cut_of_one_minus_one():
+    # a norm one step below the forced one calls some t close that x + y
+    # lacks; one step above, some member of x + y is not close
+    ctx = LTContext(3, 1)
+    v, rho = intrinsic_valuation(ctx), induced_norm_cut(ctx)
+    assert rho == Cut.le(1, (1,)) and check_krasner(ctx, v, rho, 1).ok
+    for b, note in ((0, "distance bound without membership"),
+                    (2, "membership without the distance bound")):
+        kvh2 = check_krasner(ctx, v, Cut.le(1, (b,)), 1).check("KVH2")
+        assert not kvh2.passed and kvh2.note == note, b
+
+def test_windowed_norm_sweep_agrees_with_the_cut_of_one_minus_one():
+    # the windowed reference for the exact verdict: where the cut of 1 - 1
+    # misses 0, every norm {m <= b} fails KVH2 in every window
+    for ctx in (CollapsedConstantsContext(), TropicalHyperfield(1)):
+        v = intrinsic_valuation(ctx)
+        exact = induced_norm_cut(ctx).contains((0,))
+        assert exact is False
+        for B in range(6):
+            for b in range(B + 1):
+                rep = check_krasner(ctx, v, Cut.le(1, (b,)), B)
+                assert rep.ok is exact and not rep.check("KVH2").passed, (ctx, B, b)
+    strict = TropicalHyperfield(1, strict=True)
+    rho = induced_norm_cut(strict)
+    for B in range(6):
+        assert check_krasner(strict, intrinsic_valuation(strict), rho, B).ok, B
 
 
 def test_coarsening_projects_the_value():
