@@ -2,7 +2,9 @@
 
 The finite tables store each addition cell this way, and the compiled
 window stores the window members of each hyperset.  A leaf module, so
-either layer can read masks without compiling the other.
+either layer can read masks without compiling the other.  It also holds
+``_Kept``, the one first-use table of the window, the valuation checkers
+and the leading-term carriers.
 """
 
 from __future__ import annotations
@@ -33,3 +35,21 @@ def _masks_by(keys) -> dict:
     for k, key in enumerate(keys):
         masks[key] = masks.get(key, 0) | 1 << k
     return masks
+
+
+class _Kept(dict):
+    """A dict whose missing value is ``make(key)``, made on the first read
+    of key and kept.  ``get``, ``in`` and iteration make nothing, and a make
+    that raises stores nothing, so it raises again on the next read.  A
+    make that referred back to the table's owner would make a reference
+    cycle, and the owner would wait for the garbage collector."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, items=()):
+        super().__init__(items)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value

@@ -325,7 +325,7 @@ def _claim(claims: list, text: str, passed: bool, witness=None) -> None:
     claims.append(c)
 
 
-def scenario_example_last(args) -> tuple[dict, list]:
+def scenario_example_last(args) -> list:
     from . import valuation as vn
     from .ordgroup import invariance_group
     ctx, w, rho = _carrier("composite", args)
@@ -348,10 +348,10 @@ def scenario_example_last(args) -> tuple[dict, list]:
     _claim(claims, "w and u are inequivalent",
            not vn.compare_rings(ctx, vn.valuation_ring(ctx, w),
                                 vn.valuation_ring(ctx, u), B).ok)
-    return {"p": args.p, "window_bound": B}, claims
+    return claims
 
 
-def scenario_kgamma(args) -> tuple[dict, list]:
+def scenario_kgamma(args) -> list:
     from . import valuation as vn
     from .finite import is_field
     ctx, v, rho = _carrier("kgamma", args)
@@ -370,10 +370,10 @@ def scenario_kgamma(args) -> tuple[dict, list]:
            vn.ultrametric_report(ctx, v, rho, B).ok)
     _claim(claims, "the induced ring equals the valuation ring",
            vn.compare_rings(ctx, vn.valuation_ring(ctx, v), vn.induced_ring(ctx), B).ok)
-    return {"q": args.q, "gamma": args.gamma, "window_bound": B}, claims
+    return claims
 
 
-def scenario_no_kraval(args) -> tuple[dict, list]:
+def scenario_no_kraval(args) -> list:
     from . import valuation as vn
     from .finite import build_K, find_isomorphism, is_field
     ctx, v, rho = _carrier("collapsed", args)
@@ -391,10 +391,10 @@ def scenario_no_kraval(args) -> tuple[dict, list]:
     _claim(claims, "the natural candidate norm fails the Krasner conditions",
            rho.contains((0,)) and no_norm)
     _claim(claims, f"every initial-segment norm with bound in [0, {B}] fails", no_norm)
-    return {"window_bound": B}, claims
+    return claims
 
 
-def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
+def scenario_tropical_not_krasner(args) -> list:
     from . import valuation as vn
     from .tropical import TropicalHyperfield
     B = args.window_bound
@@ -415,10 +415,10 @@ def scenario_tropical_not_krasner(args) -> tuple[dict, list]:
            "with norm {m <= 0}",
            vn.check_krasner(strict, vn.intrinsic_valuation(strict),
                             vn.induced_norm_cut(strict), B).ok)
-    return {"window_bound": B}, claims
+    return claims
 
 
-def scenario_coarsening_theorem(args) -> tuple[dict, list]:
+def scenario_coarsening_theorem(args) -> list:
     from . import valuation as vn
     from .ordgroup import invariance_group
     ctx, v, rho = _carrier("composite", args)
@@ -434,7 +434,7 @@ def scenario_coarsening_theorem(args) -> tuple[dict, list]:
     w = ctx.elem(0, f"1/{args.p}")
     _claim(claims, "the induced ring strictly contains O_v",
            ir.contains(w) and not v.ge_zero(w), ctx.elem_json(w))
-    return {"p": args.p, "window_bound": B}, claims
+    return claims
 
 
 SCENARIOS = {
@@ -454,7 +454,8 @@ def cmd_scenario(args) -> dict:
                            + ", ".join(sorted(SCENARIOS)))
     func, defaults = SCENARIOS[args.name]
     _resolve_flags(args, defaults, f"scenario {args.name!r}")
-    params, claims = func(args)
+    claims = func(args)
+    params = {key: getattr(args, key) for key in defaults}
     return _report("scenario", params, {"scenario": args.name, "claims": claims},
                    all(c["passed"] for c in claims))
 

@@ -28,34 +28,23 @@ return with ``tuple.__new__``, skipping the named tuples' Python-level
 ``__new__`` (a frame per tuple); -x is x itself in characteristic 2, and a
 level-0 product is one table lookup.
 
-Each carrier builds its constants once, on first use, never in
-``__init__`` (``LTContext(2, 16)`` is a valid context with 65,536 tails
-of full depth):
-
-* `LTContext` keeps F_q^k, in ``itertools.product`` order, for each depth
-  k it has met: the freed slots of a sum that cancels to depth k, and at
-  k = level the tails of the unit windows.  A window builds its
-  (q-1) q^level unit windows once and stamps each value with them.
-* `LTContext` keeps the negation of each coefficient window it has
-  negated, one entry per window on first use (never the whole
-  (q-1) q^level table at once; none in characteristic 2, where -x is x).
-  ``neg`` is one lookup, and an equal-value ``add`` spots full
-  cancellation, y = -x, by one lookup and one tuple compare.
-* `CompositeContext` keeps its window's coefficient pairs, which depend
-  on p alone (a few dozen ``Fraction`` reductions, a set and a sort).
-* `LTContext` keeps the full-cancellation ray of each value it has met,
-  and `CompositeContext` that of each X-order: x + (-x) is one object per
-  value, so ``valuation.induced_ring``'s verdicts and ``_Window.intern``
-  find it by identity rather than by comparing a fresh nested tuple.
-
-They depend on (q, k), on one coefficient window, on one value (and the
-level) or on p alone, never on a hypersum or a window bound, so keeping
-them for the carrier's life carries no verdict from one check to the
-next: -w is a fact of F_q, read the same whichever check asked first.  A
-cold call gains too: a window builds its unit windows once rather than
-once per value, a window's negation is computed at most once however
-often x - x is asked, and a cancelling sum enumerates its depth's tails
-no more often than it must to list its members.
+Each carrier keeps its constants in ``bitmask._Kept`` tables, an entry
+made on the first read of its key, never in ``__init__`` (``LTContext(2,
+16)`` is a valid context with 65,536 tails of full depth).  `LTContext`
+keeps F_q^k in ``itertools.product`` order for each depth k it has met
+(the freed slots of a sum that cancels to depth k; at k = level the tails
+of the unit windows, so a window builds them once and stamps each value
+with them) and the negation of each coefficient window it has negated
+(none in characteristic 2), so ``neg`` is one lookup and an equal-value
+``add`` spots full cancellation, y = -x, by one lookup and one tuple
+compare.  Both carriers keep the full-cancellation ray of each value (the
+X-order for `CompositeContext`): x + (-x) is one object per value, so
+``valuation.induced_ring`` and ``_Window.intern`` find it by identity.
+`CompositeContext` also keeps its window's coefficient pairs, which
+depend on p alone.  Each entry is a function of its key and of the
+carrier's own parameters, never of a hypersum or a window bound, so
+keeping it for the carrier's life carries no verdict from one check to
+the next: -w is a fact of F_q, read the same whichever check asked first.
 """
 
 from __future__ import annotations
@@ -66,6 +55,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from . import hypersets as hs
+from .bitmask import _Kept
 from .galois import GaloisField, is_prime
 from .ordgroup import Cut, Value, check_window
 from .tropical import TropicalHyperfield, t_add, t_mul
@@ -84,28 +74,11 @@ class CompositeElement(NamedTuple):
     c: tuple[int, int]
 
 
-class _Negations(dict):
-    """coefficient window -> its negation, each computed on first use."""
-
-    def __init__(self, neg):
-        self.neg = neg  # F_q's negation table
-
-    def __missing__(self, coeffs):
-        negated = self[coeffs] = tuple(map(self.neg.__getitem__, coeffs))
-        return negated
-
-
-class _Rays(dict):
+def _ray_table(rank: int, shift: int) -> _Kept:
     """value -> the full-cancellation ray at that value: AboveValue of the
-    rank-`rank` cut {m <= value + shift}, each built on first use."""
-
-    def __init__(self, rank, shift):
-        self.rank, self.shift = rank, shift
-
-    def __missing__(self, v):
-        new = tuple.__new__
-        ray = self[v] = new(hs.AboveValue, (new(Cut, (self.rank, 1, (v + self.shift,), True)),))
-        return ray
+    rank-`rank` cut {m <= value + shift}."""
+    new = tuple.__new__
+    return _Kept(lambda v: new(hs.AboveValue, (new(Cut, (rank, 1, (v + shift,), True)),)))
 
 
 class LTContext:
@@ -123,10 +96,13 @@ class LTContext:
         self.one = LTElement(0, (1,) + (0,) * level)
         self.value_rank = 1
         self._norm = Cut.le(1, (level,))
-        self._tails: dict = {}  # k -> the q^k tails of depth k, built on first use
+        # k -> F_q^k in product order: the freed slots of a sum that cancels
+        # to depth k, and (at k = level) the tails of the unit windows
+        self._tails = _Kept(lambda k: tuple(itertools.product(range(q), repeat=k)))
         self._char2 = self.gf.p == 2
-        self._negs = _Negations(self.gf.neg)  # window -> -window, filled on first use
-        self._rays = _Rays(1, level)  # value v -> x - x at v(x) = v, filled on first use
+        neg = self.gf.neg
+        self._negs = _Kept(lambda coeffs: tuple(map(neg.__getitem__, coeffs)))  # window -> -window
+        self._rays = _ray_table(1, level)  # value v -> x - x at v(x) = v
 
     def elem(self, value: int, coeffs) -> LTElement:
         coeffs = tuple(int(c) for c in coeffs)
@@ -206,20 +182,12 @@ class LTContext:
         v, forced = x.value + k, s[k:]
         return new(hs.FiniteSet, (frozenset(
             new(LTElement, (v, forced + tail))
-            for tail in self._tails_of(k)),))
-
-    def _tails_of(self, k: int) -> tuple:
-        """F_q^k in ``itertools.product`` order: the freed slots of a sum
-        that cancels to depth k, and (at k = level) the tails of the units."""
-        tails = self._tails.get(k)
-        if tails is None:
-            tails = self._tails[k] = tuple(itertools.product(range(self.q), repeat=k))
-        return tails
+            for tail in self._tails[k]),))
 
     def _units(self) -> list:
         """The (q-1) q^level coefficient windows of one value: by c_0, then
         the tail in product order."""
-        tails = self._tails_of(self.level)
+        tails = self._tails[self.level]
         return [(c0,) + t for c0 in range(1, self.q) for t in tails]
 
     def value_of(self, x) -> Value:
@@ -283,7 +251,7 @@ class CompositeContext:
         # first coordinate at most 0; invariant under the second coordinate
         self._norm = Cut.le(2, (0,))
         self._coeffs: Optional[tuple] = None  # the window's c, built on first use
-        self._rays = _Rays(2, 0)  # X-order n -> x - x at order n, filled on first use
+        self._rays = _ray_table(2, 0)  # X-order n -> x - x at order n
 
     def elem(self, n: int, c) -> CompositeElement:
         c = Fraction(c)

@@ -16,7 +16,7 @@ from operator import or_
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import hypersets as hs
-from .bitmask import _low_bit, _masks_by
+from .bitmask import _Kept, _low_bit, _masks_by
 from .ordgroup import (Cut, ConvexSubgroup, Value, WindowTooLarge, gzero,
                        invariance_group, value_gt_cut, vadd, vmin, vneg,
                        window)
@@ -231,20 +231,16 @@ def valuation_ring(backend, v: Valuation) -> RingPredicate:
     it lives; a value whose routes disagree raises each time it is met."""
     zero = gzero(v.rank)
     target = t_add(zero, zero)
-    known: dict = {}  # v(x) -> whether x lies in O_v
     func, below_zero = v.func, v._zero_cuts[0]
 
-    def pred(x):
-        val = func(x)
-        primary = known.get(val)
-        if primary is None:
-            primary = value_gt_cut(val, below_zero)
-            if primary != hs.contains(target, val, t_value):
-                raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
-            known[val] = primary
+    def decide(val) -> bool:
+        primary = value_gt_cut(val, below_zero)
+        if primary != hs.contains(target, val, t_value):
+            raise RuntimeError("O_v disagrees with the preimage of v(1)+v(1)")
         return primary
 
-    return RingPredicate(backend, pred, f"valuation ring of {v.label}")
+    known = _Kept(decide)  # v(x) -> whether x lies in O_v
+    return RingPredicate(backend, lambda x: known[func(x)], f"valuation ring of {v.label}")
 
 
 def maximal_ideal(backend, v: Valuation) -> RingPredicate:
@@ -434,17 +430,13 @@ def _balls(row, inside, radii, ranked):
             by_reach[reach(key)] |= g
         return [*itertools.accumulate(reversed(by_reach), or_)][::-1]
 
-    made: dict = {}
+    def make(km) -> int:
+        k, m = km
+        fast = within(k)
+        return fast[at[m]] if fast else sum(g for key, g in groups(k).items() if inside(key, m))
 
-    def ball(k, m) -> int:
-        mask = made.get((k, m))
-        if mask is None:
-            fast = within(k)
-            mask = made[k, m] = fast[at[m]] if fast else sum(
-                g for key, g in groups(k).items() if inside(key, m))
-        return mask
-
-    return ball, made
+    made = _Kept(make)
+    return lambda k, m: made[k, m], made
 
 
 def check_krasner(backend, v: Valuation, rho: Cut, bound: int = 2) -> ValidationReport:
@@ -601,12 +593,8 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
         lv = [0] * (top + 1)
         for z, r in enumerate(row):
             lv[r] |= 1 << z
-        above, acc = [0] * (top + 1), 0
-        for r in range(top, -1, -1):
-            above[r] = acc
-            acc |= lv[r]
         level.append(lv)
-        beyond.append(above)
+        beyond.append([*itertools.accumulate(reversed(lv), or_, initial=0)][-2::-1])
     w = None
     for i in range(n):
         lv, row = level[i], R[i]
@@ -666,7 +654,8 @@ def induced_ring(backend) -> RingPredicate:
 
     Inclusion in 1 - 1 depends on x only through the hyperset x - x, so
     the predicate decides it once per distinct x - x (equal hypersets are
-    equal named tuples) and keeps the verdict for as long as it lives.
+    equal named tuples) and keeps the verdict in a ``bitmask._Kept`` table
+    for as long as it lives.
 
     It still computes x - x for each element it is asked about, and does
     not key by v(x): x - x = x(1 - 1) is HR3, and HR3 has not been checked
@@ -676,18 +665,11 @@ def induced_ring(backend) -> RingPredicate:
     (``leading_terms``), so the lookup of x - x meets that same object and
     its key compare ends at identity; that is the carrier's arithmetic,
     not an assumption about HR3."""
-    add, neg = backend.add, backend.neg
+    add, neg, val = backend.add, backend.neg, backend.value_of
     one_minus_one = add(backend.one, neg(backend.one))
-    known: dict = {}  # x - x -> whether it lies inside 1 - 1
-
-    def pred(x):
-        s = add(x, neg(x))
-        inside = known.get(s)
-        if inside is None:
-            inside = known[s] = hs.subset(s, one_minus_one, backend.value_of)
-        return inside
-
-    return RingPredicate(backend, pred, "induced ring (x-x inside 1-1)")
+    known = _Kept(lambda s: hs.subset(s, one_minus_one, val))  # x - x -> inside 1 - 1?
+    return RingPredicate(backend, lambda x: known[add(x, neg(x))],
+                         "induced ring (x-x inside 1-1)")
 
 
 def induced_norm_cut(backend) -> Cut:

@@ -34,7 +34,7 @@ from operator import or_
 from typing import TYPE_CHECKING
 
 from . import hypersets as hs
-from .bitmask import _bits, _cell_to_mask, _low_bit, _masks_by
+from .bitmask import _bits, _cell_to_mask, _Kept, _low_bit, _masks_by
 from .ordgroup import Value, value_gt_cut
 from .report import ValidationReport
 
@@ -50,9 +50,7 @@ class FiniteBackend:
     def __init__(self, F: FiniteHyperfield):
         self.F = F
         # one hyperset per cell, shared by the cells with the same members
-        self._cell = cell = functools.cache(lambda mask: hs.finite(_bits(mask)))
-        self._sums = [[cell(F.add_mask(x, y)) for y in range(F.size)]
-                      for x in range(F.size)]
+        self._cells = _Kept(lambda mask: hs.finite(_bits(mask)))
 
     def mul(self, x, y):
         return self.F.mul[x][y]
@@ -64,12 +62,12 @@ class FiniteBackend:
         return self.F.inv(x)
 
     def add(self, x, y):
-        return self._sums[x][y]
+        return self._cells[self.F.add_mask(x, y)]
 
     def sum_sets(self, a, b):
         """The union of the sums of their members, as a cell."""
         mask = lambda s: _cell_to_mask(hs.members(s, (), None))
-        return self._cell(self.F.sumset(mask(a), mask(b)))
+        return self._cells[self.F.sumset(mask(a), mask(b))]
 
     def value_of(self, x) -> Value:
         return None if x == 0 else ()
@@ -105,15 +103,26 @@ def _j(backend, *elems):
     return tuple(backend.elem_json(x) for x in elems)
 
 
+def _appender(items: list):
+    """The make of a table of first-seen indices: append key, return its index."""
+    def make(key) -> int:
+        items.append(key)
+        return len(items) - 1
+    return make
+
+
 class _Window:
     """The window of one checker call, with its sums, interned once.
 
-    Element k is ``elems[k]``.  The window comes first, in window order, and
-    owns bit k of every mask.  A member outside the window (LT cancellation
-    can land at value bound+k) gets the next index when first indexed and
-    never sets a bit.  Hyperset h is ``sets[h]``, keyed by itself: equal
-    hypersets are equal named tuples, and two shapes never collide (see
-    ``hypersets``), so equal ids mean equal hypersets.  ``sums[a][b]`` is
+    Element k is ``elems[k]``, and ``index(x)`` its k.  The window comes
+    first, in window order, and owns bit k of every mask.  A member outside
+    the window (LT cancellation can land at value bound+k) gets the next
+    index when first indexed and never sets a bit.  Hyperset h is
+    ``sets[h]``, and ``intern(s)`` its h, keyed by s itself: equal hypersets
+    are equal named tuples, and two shapes never collide (see
+    ``hypersets``), so equal ids mean equal hypersets, the first standing
+    for all.  ``index`` and ``intern`` read ``_Kept`` tables that append to
+    ``elems`` and ``sets``, so a hit is one dict lookup.  ``sums[a][b]`` is
     the id of U[a] + U[b], ``minus(k)`` the ids of elems[k] - U[t], and
     ``mask_of(h)`` the window members of h, made on first read; a ray's is
     a suffix of the window's value levels, sorted once (``ordgroup``), found
@@ -121,32 +130,17 @@ class _Window:
 
     def __init__(self, backend, bound: int):
         self.value_of, self._add, self._neg = backend.value_of, backend.add, backend.neg
-        self.elems = list(backend.elements(bound))
-        self.n = len(self.elems)
-        self.window = U = self.elems[:self.n]
-        self._index = {x: k for k, x in enumerate(self.elems)}
-        self.sets: list = []
-        self._ids: dict = {}    # hyperset -> id
+        self.elems = elems = list(backend.elements(bound))
+        self.n = len(elems)
+        self.window = U = elems[:self.n]
+        self.sets = sets = []
+        self._index = _Kept(_appender(elems), {x: k for k, x in enumerate(elems)})
+        self.index, self.intern = self._index.__getitem__, _Kept(_appender(sets)).__getitem__
         self._masks: dict = {}  # id -> mask, for the ids read so far
         self._levels = None     # (value, mask) by value, suffix ORs, ranks; on the first ray
         self._negs = None       # indices of -U[t], made on the first minus
         add, intern = backend.add, self.intern
         self.sums = [[intern(add(x, y)) for y in U] for x in U]
-
-    def index(self, x) -> int:
-        k = self._index.get(x)
-        if k is None:
-            k = self._index[x] = len(self.elems)
-            self.elems.append(x)
-        return k
-
-    def intern(self, s) -> int:
-        """The id of hyperset s, shared by equal ones (the first stands for all)."""
-        h = self._ids.get(s)
-        if h is None:
-            h = self._ids[s] = len(self.sets)
-            self.sets.append(s)
-        return h
 
     def minus(self, k) -> list:
         """The ids of elems[k] - U[t] for t over the window: row k of

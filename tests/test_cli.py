@@ -381,6 +381,10 @@ def test_unread_carrier_flags_exit_2(argv, capsys):
      {"backend": "tropical:1", "window_bound": 1}),
     (("krasner", "tropical-strict:1", "--window-bound", "1"),
      {"backend": "tropical-strict:1", "window_bound": 1, "norm_bound": 0}),
+    (("scenario", "kgamma", "--q", "2", "--gamma", "0", "--window-bound", "1"),
+     {"q": 2, "gamma": 0, "window_bound": 1}),
+    (("scenario", "coarsening-theorem", "--p", "3", "--window-bound", "1"),
+     {"p": 3, "window_bound": 1}),
 ])
 def test_params_echo_the_flags_the_backend_reads(argv, params, capsys):
     assert run(capsys, *argv)[1]["params"] == params

@@ -132,6 +132,10 @@ def test_window_budgets_are_exact_at_the_limit():
     # 200,000-element limit, where six or four would fit
     with pytest.raises(WindowTooLarge):
         LTContext(2, 15).elements(3)
+    # 2^17 units of one value fit (c_0 = 0 is no unit), 2^18 do not
+    assert LTContext(2, 17).level == 17
+    with pytest.raises(WindowTooLarge):
+        LTContext(2, 18)
     # 100,001 values of one unit each fit; twice as many would not
     assert len(LTContext(2, 0).elements(50_000)) == 1 + 100_001
     # 22 coefficients at p = 2: 9,091 values make 200,002 elements

@@ -605,6 +605,27 @@ def test_valuation_ring_cross_checks_each_value_once(monkeypatch):
     assert calls[0] == len({v(x) for x in U})
 
 
+def test_valuation_ring_raises_on_every_read_of_a_disputed_value(monkeypatch):
+    """A value whose two routes disagree keeps no verdict: each read asks
+    both routes again and raises, while an agreed value is asked once."""
+    ctx = LTContext(2, 0)
+    v = intrinsic_valuation(ctx)
+    contains, asked = hs.contains, []
+
+    def disputed(s, val, value_of):
+        asked.append(val)
+        return contains(s, val, value_of) != (val == (1,))
+
+    monkeypatch.setattr(hs, "contains", disputed)
+    O = valuation_ring(ctx, v)
+    x, y = ctx.elem(1, (1,)), ctx.elem(-1, (1,))
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="O_v disagrees"):
+            O.contains(x)
+        assert O.contains(y) is False
+    assert asked == [(1,), (-1,), (1,), (1,)]
+
+
 def test_residue_cells_that_are_rays_need_the_intrinsic_valuation():
     # the identity map, but not the backend's own value_of: 1 + 1 is a ray
     T = TropicalHyperfield(1)
