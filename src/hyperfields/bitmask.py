@@ -4,7 +4,9 @@ The finite tables store each addition cell this way, and the compiled
 window stores the window members of each hyperset.  A leaf module, so
 either layer can read masks without compiling the other.  It also holds
 ``_Kept``, the one first-use table of the window, the valuation checkers
-and the leading-term carriers.
+and the leading-term carriers, and the size limit both layers build to:
+``check_window`` refuses a window or a field table above ``WINDOW_LIMIT``
+elements with ``WindowTooLarge``, before it is built.
 """
 
 from __future__ import annotations
@@ -53,3 +55,23 @@ class _Kept(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
+
+
+# Largest window a carrier builds, and largest field table: F_q holds q x q
+# cells, so q <= 447.  The checkers visit |U|^2 to |U|^4 tuples of a window
+# U, so even this is far beyond what they finish.
+WINDOW_LIMIT = 200_000
+
+
+class WindowTooLarge(ValueError):
+    """A window above WINDOW_LIMIT elements, refused before it is built; the
+    base of every input asking for more than a window or a table may hold."""
+
+
+def check_window(factor: int, base: int, exp: int) -> None:
+    """Refuse a window of factor * base**exp elements above WINDOW_LIMIT."""
+    # base**bits > WINDOW_LIMIT for base >= 2, so capping the exponent there
+    # keeps the verdict and a huge exponent costs nothing.
+    if factor * base ** min(exp, WINDOW_LIMIT.bit_length()) > WINDOW_LIMIT:
+        raise WindowTooLarge(f"window too large ({factor} * {base}^{exp} "
+                             f"elements, limit {WINDOW_LIMIT})")

@@ -74,12 +74,9 @@ def load_finite(spec: str) -> FiniteHyperfield:
                          build_W, build_finite_field)
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
-        if name == "K":
-            return build_K()
-        if name == "S":
-            return build_S()
-        if name == "W":
-            return build_W()
+        small = {"K": build_K, "S": build_S, "W": build_W}
+        if name in small:
+            return small[name]()
         if name.startswith("F"):
             try:
                 q = int(name[1:])
@@ -589,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # The layers' own bad-input errors, and the stderr prefix of each.  Only a
 # layer's code raises its error, so the layer is loaded when one is caught:
 # looked up, never imported here.  ResidueOutOfReach is a WindowTooLarge.
-_BAD_INPUT = (("ordgroup", "WindowTooLarge", ""),
+_BAD_INPUT = (("bitmask", "WindowTooLarge", ""),
               ("finite", "MalformedTableError", "malformed table: "))
 
 

@@ -65,15 +65,25 @@ def _inverses(mul) -> list:
     return [None] + [next((b for b in units if mul[a][b] == ONE), None) for a in units]
 
 
-class _MaskImages(dict):
-    """mask -> its image under a -> row[a], each computed on first use."""
+class _Unions(dict):
+    """mask -> the union of cells[b] over the bits b of mask, each computed
+    on first use: x + mask for the add row of x, the image of mask under
+    a -> row[a] for the bit cells [1 << v for v in row].  The loop stays
+    inline, so a miss costs one Python frame."""
 
-    def __init__(self, row):
-        self.row = row
+    __slots__ = ("cells",)
 
-    def __missing__(self, mask):
-        img = self[mask] = _mul_mask(self.row, mask)
-        return img
+    def __init__(self, cells):
+        self.cells = cells
+
+    def __missing__(self, key):
+        out, mask, cells = 0, key, self.cells
+        while mask:
+            low = mask & -mask
+            out |= cells[low.bit_length() - 1]
+            mask ^= low
+        self[key] = out
+        return out
 
 
 def _hr2_witness(mul):
@@ -126,28 +136,13 @@ def _hr3_witness(mul, add, rows=None):
     distinct cell masks, so each one's image under x is computed once per x."""
     n = len(add)
     for x in range(n) if rows is None else rows:
-        row, image = mul[x], _MaskImages(mul[x])
+        row, image = mul[x], _Unions([1 << v for v in mul[x]])
         for y in range(n):
             cells, target = add[y], add[row[y]]
             for z in range(n):
                 if image[cells[z]] != target[row[z]]:
                     return (x, y, z)
     return None
-
-
-class _RowSums(dict):
-    """mask -> x + mask, the union of row[b] over b in mask for the add row
-    of x, each computed on first use."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def __missing__(self, mask):
-        out = 0
-        for b in _bits(mask):
-            out |= self.row[b]
-        self[mask] = out
-        return out
 
 
 def _ch2_witness(add, rows):
@@ -199,7 +194,7 @@ def _ch1_witness(add, rows=None):
     n = len(add)
     for x in range(n) if rows is None else rows:
         row_x = add[x]
-        right = _RowSums(row_x)
+        right = _Unions(row_x)
         for y in range(n):
             left, cells_y = _sum_row(add, row_x[y]), add[y]
             for z in range(n):
@@ -572,7 +567,7 @@ def is_homomorphism(m: Morphism) -> bool:
     """s(xy) = s(x)s(y), s(x+y) inside s(x)+s(y), s(1/x) = 1/s(x); the image
     of each distinct add mask is computed once per call."""
     F, G, s = m.source, m.target, m.map
-    image = _MaskImages(s)
+    image = _Unions([1 << v for v in s])
     for x in range(F.size):
         fmul, gmul, gadd = F.mul[x], G.mul[s[x]], G._add[s[x]]
         for y, cell in enumerate(F._add[x]):
@@ -586,7 +581,7 @@ def is_homomorphism(m: Morphism) -> bool:
 
 def _em1_holds(F: FiniteHyperfield, G: FiniteHyperfield, s) -> bool:
     """sigma(x+y) = sigma x + sigma y: the embedding condition of a bijection s."""
-    gadd, image = G._add, _MaskImages(s)
+    gadd, image = G._add, _Unions([1 << v for v in s])
     for x, row in enumerate(F._add):
         grow = gadd[s[x]]
         for y, cell in enumerate(row):
@@ -800,47 +795,25 @@ def _pow(F: FiniteHyperfield, x: int, e: int) -> int:
 # -- enumeration -----------------------------------------------------------------
 
 def _abelian_groups(order: int) -> list[tuple[int, ...]]:
-    """Invariant-factor style descriptors (as elementary divisor multisets)
-    of all abelian groups of the given order."""
+    """Every abelian group of the given order, as its elementary divisors:
+    a sorted tuple of prime powers, the tuples sorted.  Each group is one
+    cyclic factor p^a, for p the least prime factor of order, times a group
+    of order / p^a."""
     if order == 1:
         return [()]
-    factors = {}
-    m = order
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-
-    def partitions(k):
-        if k == 0:
-            yield ()
-            return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or first >= rest[0]:
-                    yield (first,) + rest
-
-    per_prime = []
-    for p, e in sorted(factors.items()):
-        per_prime.append([tuple(p ** a for a in part) for part in partitions(e)])
-    out = []
-    for combo in itertools.product(*per_prime):
-        divisors = tuple(sorted(d for group in combo for d in group))
-        out.append(divisors)
-    return sorted(set(out))
+    p = next(d for d in range(2, order + 1) if order % d == 0)
+    out, d = set(), p
+    while order % d == 0:
+        out.update(tuple(sorted((d, *g))) for g in _abelian_groups(order // d))
+        d *= p
+    return sorted(out)
 
 
 def _group_mul_table(divisors: tuple[int, ...], order: int) -> list[list[int]]:
     """The (order+1) x (order+1) multiplication table of 0 and the direct
     product of cyclic groups on unit indices 1..order: index 1 is the
     identity, and row and column 0 hold 0."""
-    tuples = list(itertools.product(*[range(d) for d in divisors]))
-    tuples.sort()
-    assert tuples[0] == tuple(0 for _ in divisors)
+    tuples = list(itertools.product(*[range(d) for d in divisors]))  # lex, 0 first
     idx = {t: i + 1 for i, t in enumerate(tuples)}
     table = [[0] * (order + 1) for _ in range(order + 1)]
     for a in tuples:

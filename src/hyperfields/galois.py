@@ -12,6 +12,7 @@ least index g of multiplicative order q-1, and addition is digitwise.
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 from operator import itemgetter
 
 
@@ -27,40 +28,28 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int):
-    """(p, k) with q = p^k, or None."""
+    """(p, k) with q = p^k, or None.  q's least divisor d > 1 is prime and
+    decides: it is at most isqrt(q) unless q is prime, so d = q then."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p:
-            continue
-        k, m = 0, q
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None  # q's least prime factor decides
-
-
-def _poly_trim(f: tuple[int, ...]) -> tuple[int, ...]:
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    return (p, k) if m == 1 else None
 
 
 def _poly_mod(f, g, p):
-    """f mod g over F_p; g monic."""
-    f = [c % p for c in f]
-    dg = len(g) - 1
-    while True:
-        f = list(_poly_trim(tuple(f)))
-        if not f or len(f) - 1 < dg:
-            break
-        lead = f[-1]
-        shift = len(f) - 1 - dg
+    """f mod g over F_p; g monic: long division from the top coefficient."""
+    f, dg = [c % p for c in f], len(g) - 1
+    for top in range(len(f) - 1, dg - 1, -1):
+        lead, shift = f[top], top - dg
         for i, c in enumerate(g):
             f[shift + i] = (f[shift + i] - lead * c) % p
-    return _poly_trim(tuple(f))
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
 
 
 def _monic_polys(p: int, deg: int):
@@ -89,9 +78,12 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
 
 
 class GaloisField:
-    """F_q with full add/mul/neg/inv tables (q kept at desk scale)."""
+    """F_q with full add/mul/neg/inv tables, for q x q within WINDOW_LIMIT
+    (q <= 447): a larger q raises WindowTooLarge before any table is built."""
 
     def __init__(self, q: int, modulus: tuple[int, ...] | None = None):
+        from .bitmask import check_window  # so --q's prime test compiles galois alone
+        check_window(q, q, 1)  # the add and mul tables hold q x q cells
         pk = prime_power(q)
         if pk is None:
             raise ValueError(f"{q} is not a prime power")

@@ -32,6 +32,8 @@ from collections import namedtuple
 from operator import add
 from typing import Optional
 
+from .bitmask import WINDOW_LIMIT, WindowTooLarge, check_window  # noqa: F401  re-exported
+
 GroupElem = tuple[int, ...]
 Value = Optional[GroupElem]  # None encodes infinity
 
@@ -225,25 +227,6 @@ def invariance_group(cut: Cut) -> ConvexSubgroup:
     whole/empty segments are fixed by everything).
     """
     return ConvexSubgroup(cut.rank, cut.prefix_len)
-
-
-# Largest window a carrier builds.  The checkers visit |U|^2 to |U|^4 tuples
-# of a window U, so even this is far beyond what they finish.
-WINDOW_LIMIT = 200_000
-
-
-class WindowTooLarge(ValueError):
-    """A window above WINDOW_LIMIT elements, refused before it is built; the
-    base of every input asking for more than a window or a table may hold."""
-
-
-def check_window(factor: int, base: int, exp: int) -> None:
-    """Refuse a window of factor * base**exp elements above WINDOW_LIMIT."""
-    # base**bits > WINDOW_LIMIT for base >= 2, so capping the exponent there
-    # keeps the verdict and a huge exponent costs nothing.
-    if factor * base ** min(exp, WINDOW_LIMIT.bit_length()) > WINDOW_LIMIT:
-        raise WindowTooLarge(f"window too large ({factor} * {base}^{exp} "
-                             f"elements, limit {WINDOW_LIMIT})")
 
 
 def window(rank: int, bound: int) -> list[GroupElem]:

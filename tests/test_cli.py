@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import leading_terms as lt
-from hyperfields import cli, finite, tropical, valuation
+from hyperfields import cli, finite, galois, tropical, valuation
 from hyperfields.cli import SCENARIOS, load_finite, main
 from hyperfields.ordgroup import WINDOW_LIMIT, Cut, gzero
 
@@ -187,6 +187,23 @@ def test_oversize_windows_exit_2(argv, capsys, monkeypatch):
     monkeypatch.setattr(lt, "CompositeElement", composite_element)
     monkeypatch.setattr(tropical, "window", built)
     monkeypatch.setattr(tropical, "gzero", unit)
+    t0 = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "window too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("axioms", "builtin:F10007"),
+    ("quotient", "--field", "10007", "--subgroup", "squares"),
+    ("krasner", "kgamma", "--q", "10007", "--gamma", "0", "--window-bound", "0"),
+    ("krasner", "kgamma", "--q", "10000019"),
+])
+def test_oversize_fields_exit_2(argv, capsys, monkeypatch):
+    def built(self):
+        raise AssertionError("field table built before the size check")
+
+    monkeypatch.setattr(galois.GaloisField, "_build_tables", built)
     t0 = time.perf_counter()
     assert main(list(argv)) == 2
     assert time.perf_counter() - t0 < 1.0

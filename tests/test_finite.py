@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -448,6 +449,15 @@ def test_validate_pins_a_ch1_witness_on_a_multivalued_sum():
         ("CH4", (1, 1, 1)), ("CH1", (1, 2, 2)), ("HR3", (2, 1, 2))]
 
 
+class _Counted(list):
+    """A list that counts the reads of its items."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 @settings(max_examples=200, deadline=None)
 @given(mask_tables(), st.data())
 def test_set_bit_kernels_match_full_scans(F, data):
@@ -458,6 +468,16 @@ def test_set_bit_kernels_match_full_scans(F, data):
     assert finite._sumset(F._add, a, b) == _ref_sumset(F._add, a, b)
     assert finite._mul_mask(F.mul[x], a) == _ref_mul_mask(F.mul[x], a)
     assert finite._mask_to_cell(a) == _ref_mask_to_cell(a, n)
+    # _Unions over the bit cells of a mul row and over an add row: each key
+    # read twice, each made once, on its first read
+    keys = data.draw(st.lists(masks, max_size=8))
+    for cells, union in ((_Counted(1 << v for v in F.mul[x]),
+                          lambda m: finite._mul_mask(F.mul[x], m)),
+                         (_Counted(F._add[x]), lambda m: _ref_sumset(F._add, 1 << x, m))):
+        unions = finite._Unions(cells)
+        assert [unions[m] for m in keys + keys] == [union(m) for m in keys + keys]
+        assert list(unions) == list(dict.fromkeys(keys))
+        assert cells.reads == sum(m.bit_count() for m in set(keys))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1442,6 +1462,28 @@ def _ref_candidate_tables(order, mul, inv, iota):
                     continue
                 add[x][y] = img[x][h[mul[inv[x]][y]]]
         yield add
+
+
+def test_abelian_groups_are_the_partitions_of_each_prime_exponent():
+    # a group of order n is one of p(e) groups of order p^e for each p^e || n
+    partitions = [1] + [0] * 9  # p(e) for e <= 9, as 2^9 > 500
+    for part in range(1, 10):
+        for e in range(part, 10):
+            partitions[e] += partitions[e - part]
+    for n in range(1, 501):
+        exponents, m = [], n
+        for p in range(2, n + 1):
+            e = 0
+            while m % p == 0:
+                m, e = m // p, e + 1
+            exponents += [e] if e else []
+        groups = finite._abelian_groups(n)
+        assert len(groups) == math.prod(partitions[e] for e in exponents), n
+        assert groups == sorted(set(groups)), n  # sorted, no tuple twice
+        for divisors in groups:
+            assert list(divisors) == sorted(divisors), (n, divisors)
+            assert all(prime_power(d) for d in divisors), (n, divisors)
+            assert math.prod(divisors) == n, (n, divisors)
 
 
 def _unit_tables(order):

@@ -4,7 +4,11 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperfields import galois
+from hyperfields.bitmask import WindowTooLarge
 from hyperfields.galois import (GaloisField, default_modulus, is_irreducible,
                                 prime_power)
 
@@ -193,3 +197,44 @@ def test_a_prime_field_takes_no_modulus():
 def test_constants_are_not_irreducible():
     assert not is_irreducible((1,), 2)
     assert not is_irreducible((), 3)
+
+
+def test_prime_power_matches_a_sieve():
+    powers, composite = {}, set()
+    for p in range(2, 3000):
+        if p not in composite:
+            composite.update(range(p * p, 3000, p))
+            k, pk = 1, p
+            while pk < 3000:
+                powers[pk], k, pk = (p, k), k + 1, pk * p
+    assert [prime_power(q) for q in range(-3, 3000)] == [powers.get(q) for q in range(-3, 3000)]
+    t0 = time.perf_counter()
+    assert prime_power(1000000000039) == (1000000000039, 1)  # a 13-digit prime
+    assert time.perf_counter() - t0 < 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_poly_mod_leaves_the_remainder(p, data):
+    coeffs = st.integers(0, p - 1)
+    g = (*data.draw(st.lists(coeffs, max_size=4)), 1)
+    h = data.draw(st.lists(coeffs, max_size=6))
+    r = data.draw(st.lists(coeffs, max_size=len(g) - 1))
+    gh = list(_poly_mul(g, tuple(h), p))
+    f = [(a + b) % p for a, b in itertools.zip_longest(gh, r, fillvalue=0)]
+    assert galois._poly_mod(f, g, p) == _poly_trim(tuple(r))
+
+
+def test_a_field_above_the_window_limit_is_refused_before_any_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(GaloisField, "_build_tables", lambda self: built.append(self.q))
+    assert GaloisField(443).p == 443  # 443^2 = 196,249 cells
+    assert built == [443]
+
+    def refuse(q):
+        raise AssertionError("the size check comes first")
+
+    monkeypatch.setattr(galois, "prime_power", refuse)
+    with pytest.raises(WindowTooLarge, match=r"449 \* 449\^1"):
+        GaloisField(449)  # 449^2 = 201,601 cells
+    assert built == [443]

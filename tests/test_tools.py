@@ -2,6 +2,8 @@
 repository copy or a pytest subprocess."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,16 @@ def test_mutate_refuses_a_target_without_mutation_sites(target, monkeypatch, cap
     assert capsys.readouterr().out == f"{target}: no mutation sites\n"
     # a target with sites is counted from the same source the mutants come from
     assert mutate._site_count("window.check_axioms") > 0
+
+
+def test_mutate_caps_the_memory_of_each_test_run():
+    mutate = _load("mutate")
+    # read back in a child: the cap never touches this process
+    out = subprocess.run([sys.executable, "-c", "import resource; "
+                          "print(*resource.getrlimit(resource.RLIMIT_AS))"],
+                         capture_output=True, text=True, check=True, timeout=60,
+                         preexec_fn=mutate._cap_memory).stdout
+    assert out == f"{2 << 30} {2 << 30}\n"
 
 
 def test_linecov_leaves_out_blocks_that_never_run_by_design():

@@ -12,14 +12,18 @@ a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
 ``isinstance(...)`` call negated, or an int constant moved by one.  Each
 mutant is written over the copy's module (through ``ast.unparse``, so
 first the unmutated module is run the same way), and the test files run
-on it with ``pytest -x``, one mutant after another.  A mutant the tests
-pass survives.  Prints each survivor and each function's score; exits 1 if
-a mutant survives, and 2, before any copy or test run, if a target is not
-found or has no mutation site.  Stdlib only.
+on it with ``pytest -x``, one mutant after another, each run in a child
+whose address space is capped at ``MEMORY_CAP``: a mutant that allocates
+without bound fails there, as one that hangs fails its timeout, and counts
+as killed.  A mutant the tests pass survives.  Prints each survivor and
+each function's score; exits 1 if a mutant survives, and 2, before any
+copy or test run, if a target is not found or has no mutation site.
+Stdlib only.
 """
 
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -30,6 +34,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SWAP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
         ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
         ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And}
+MEMORY_CAP = 2 << 30  # bytes of address space for each pytest child
+
+
+def _cap_memory() -> None:
+    """Cap the calling process's address space at MEMORY_CAP (run in each
+    pytest child, before it starts)."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def _negate(owner, field, i) -> None:
@@ -107,7 +118,8 @@ def main(argv) -> int:
             try:
                 return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
                                        "no:cacheprovider", *tests], cwd=copy, env=env,
-                                      capture_output=True, timeout=900).returncode == 0
+                                      capture_output=True, timeout=900,
+                                      preexec_fn=_cap_memory).returncode == 0
             except subprocess.TimeoutExpired:
                 return False  # a mutant that hangs is caught
 
