@@ -227,11 +227,8 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_quotient(args) -> dict:
-    from .finite import build_finite_field, quotient_hyperfield
-    try:
-        F = build_finite_field(args.field)
-    except ValueError as e:
-        raise ParseFailure(str(e))
+    from .finite import quotient_hyperfield
+    F = load_finite(f"builtin:F{args.field}")
     T = _subgroup(F, args.subgroup)
     H = quotient_hyperfield(F, T)  # F is a field and T a unit subgroup: no ValueError
     payload = {"table": H.to_json(),

@@ -18,11 +18,11 @@ last coordinate), so strict cuts are normalized away at construction:
 ``Cut(n, k, b, False)`` is ``Cut.lt(n, b)``, b's lower neighbour inclusive.
 After normalization, equality and inclusion of cuts are structural tests.
 
-The windowed checkers rest on one lemma: cuts are initial segments of a
+Two windowed shortcuts rest on one lemma: cuts are initial segments of a
 chain, so two cuts of one rank are nested, rho + m grows with m, and
-``value_gt_cut(v, c)`` is monotone in v, antitone in c.  So the values above
-a cut are a suffix of the sorted values, and the radii m with v above rho + m
-a prefix of the sorted radii, each found by bisection (if the ranks agree).
+``value_gt_cut(v, c)`` is antitone in c.  So the radii m with v above rho + m
+are a prefix of the sorted radii, found by bisection (if the ranks agree) in
+``valuation._balls``, and SCH4 orders its rays z - z as a chain of cuts.
 """
 
 from __future__ import annotations

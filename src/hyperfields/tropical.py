@@ -77,10 +77,7 @@ class TropicalHyperfield:
         self.one: TropElem = gzero(rank)
         self.value_rank = rank
 
-    mul, neg = staticmethod(t_mul), staticmethod(t_neg)
-
-    def inv(self, x):
-        return t_inv(x)
+    mul, neg, inv = staticmethod(t_mul), staticmethod(t_neg), staticmethod(t_inv)
 
     def add(self, x, y):
         return t_add(x, y, self.strict)

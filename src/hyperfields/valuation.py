@@ -22,7 +22,7 @@ from .ordgroup import (Cut, ConvexSubgroup, Value, WindowTooLarge, gzero,
                        window)
 from .report import ValidationReport
 from .tropical import t_add, t_value
-from .window import (FiniteBackend, _j, _mode, _report, _Window,
+from .window import (FiniteBackend, _j, _report, _Window,
                      check_superiorly_canonical)
 
 if TYPE_CHECKING:
@@ -292,10 +292,9 @@ def compare_rings(backend, r1: RingPredicate, r2: RingPredicate, bound: int) -> 
     U = backend.elements(bound)
     p1, p2 = r1.pred, r2.pred
     diff = [x for x in U if p1(x) != p2(x)]
-    rep = ValidationReport(subject=f"{r1.describe()} against {r2.describe()} "
-                                   f"on {backend.describe()}",
-                           mode=_mode(backend),
-                           window={"bound": bound, "elements": len(U)})
+    rep = _report(f"{r1.describe()} against {r2.describe()} on {backend.describe()}",
+                  backend, bound)
+    rep.window = {"bound": bound, "elements": len(U)}
     rep.add("SAME-RING", not diff, backend.elem_json(diff[0]) if diff else None,
             note="membership agrees on every window element")
     return rep
@@ -628,9 +627,7 @@ def ultrametric_report(backend, v: Valuation, rho: Cut, bound: int = 2) -> Valid
 
     w = None
     chain = {(k, cut_of[m]): mask for (k, m), mask in balls.items()}
-    seen = sorted(((backend.sort_key(win.elems[k]), k, cut) for k, cut in chain),
-                  key=lambda item: (item[0], item[2].prefix_len,
-                                    item[2].bound, item[2].inclusive))[:40]
+    seen = sorted((backend.sort_key(win.elems[k]), k, cut) for k, cut in chain)[:40]
     for i, (_, k1, c1) in enumerate(seen):
         b1 = chain[k1, c1]
         for (_, k2, c2) in seen[i + 1:]:

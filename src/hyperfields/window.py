@@ -28,9 +28,6 @@ shapes compare equal, so one id per key is one id per hyperset.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
-from itertools import accumulate
-from operator import or_
 from typing import TYPE_CHECKING
 
 from . import hypersets as hs
@@ -125,8 +122,8 @@ class _Window:
     ``elems`` and ``sets``, so a hit is one dict lookup.  ``sums[a][b]`` is
     the id of U[a] + U[b], ``minus(k)`` the ids of elems[k] - U[t], and
     ``mask_of(h)`` the window members of h, made on first read; a ray's is
-    a suffix of the window's value levels, sorted once (``ordgroup``), found
-    by bisection.  Each checker call builds its own."""
+    the OR of the window's value levels above its cut.  Each checker call
+    builds its own."""
 
     def __init__(self, backend, bound: int):
         self.value_of, self._add, self._neg = backend.value_of, backend.add, backend.neg
@@ -137,7 +134,7 @@ class _Window:
         self._index = _Kept(_appender(elems), {x: k for k, x in enumerate(elems)})
         self.index, self.intern = self._index.__getitem__, _Kept(_appender(sets)).__getitem__
         self._masks: dict = {}  # id -> mask, for the ids read so far
-        self._levels = None     # (value, mask) by value, suffix ORs, ranks; on the first ray
+        self._levels = None     # (value, mask of the window with it), on the first ray
         self._negs = None       # indices of -U[t], made on the first minus
         add, intern = backend.add, self.intern
         self.sums = [[intern(add(x, y)) for y in U] for x in U]
@@ -156,20 +153,16 @@ class _Window:
                 for j in self._negs]
 
     def mask_of(self, h) -> int:
-        """The window members of hyperset h, as bits."""
+        """The window members of hyperset h, as bits.  A ray's are the
+        window's value levels above its cut, one ``value_gt_cut`` per level;
+        a level of another rank raises ValueError."""
         m = self._masks.get(h)
         if m is None:
             s = self.sets[h]
             if isinstance(s, hs.AboveValue):
                 if self._levels is None:
-                    by = _masks_by(map(self.value_of, self.window))
-                    levels = sorted(by.items(), key=lambda vg: (vg[0] is None, vg[0]))
-                    above = accumulate((g for _, g in reversed(levels)), or_, initial=0)
-                    self._levels = levels, [*above][::-1], {len(v) for v in by if v is not None}
-                (levels, above, ranks), cut = self._levels, s.cut
-                if not ranks <= {cut.rank}:  # the scan raised at a level of another rank
-                    raise ValueError("rank mismatch")
-                m = above[bisect_left(levels, True, key=lambda vg: value_gt_cut(vg[0], cut))]
+                    self._levels = _masks_by(map(self.value_of, self.window)).items()
+                m = sum(g for v, g in self._levels if value_gt_cut(v, s.cut))
             elif isinstance(s, (hs.Singleton, hs.FiniteSet)):
                 m = 0
                 for x in (s.elem,) if isinstance(s, hs.Singleton) else s.elems:
@@ -205,8 +198,9 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
 
     The window sums, the differences and the self-differences z - z are
     interned once, so equal hypersets share an id.  Window membership is
-    read from masks.  SCH2 reads member bits but of pairs of rays; SCH4 sorts
-    the rays z - z by cut and asks ``hypersets.subset`` of the rest per pair."""
+    read from masks.  SCH2 compares the member bits of every pair of sums;
+    SCH4 sorts the rays z - z by cut and asks ``hypersets.subset`` of the rest
+    per pair."""
     win = _Window(backend, bound)
     U, n, sets, mask_of = win.window, win.n, win.sets, win.mask_of
     val = backend.value_of
@@ -225,12 +219,11 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
     # fail.  Their shapes: a finite sum's bits, or a ray's window mask and
     # the indexed elements above its cut, plus a bit no finite sum has.  Two
     # sums meet iff their shapes share a bit, and are nested iff one shape
-    # holds the other; two rays always are, as their cuts are, so pairs of
-    # rays (the first r items) are skipped.  The ids are the window sums'.
+    # holds the other.  Rays sort first; two rays are always nested, as their
+    # cuts are, so no witness is a pair of rays.  The ids are the window sums'.
     items = sorted((_hs_key(s), h) for h, s in enumerate(sets)
                    if not isinstance(s, hs.Singleton))
     shape = {h: bits(h) for _, h in items if not isinstance(sets[h], hs.AboveValue)}
-    r = len(items) - len(shape)
     ray = 1 << len(win.elems)
     for _, h in items:
         if h not in shape:
@@ -238,7 +231,7 @@ def check_superiorly_canonical(backend, bound: int = 2) -> ValidationReport:
                                               if value_gt_cut(val(x), sets[h].cut))
     shapes = [(shape[h], h) for _, h in items]
     w = next(((repr(sets[g]), repr(sets[h])) for i, (a, g) in enumerate(shapes)
-              for b, h in shapes[max(i + 1, r):] if a & b and a & ~b and b & ~a), None)
+              for b, h in shapes[i + 1:] if a & b and a & ~b and b & ~a), None)
     rep.add("SCH2", w is None, w, note="meeting hypersums are nested")
 
     @functools.cache

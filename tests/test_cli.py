@@ -321,7 +321,9 @@ def test_quotient_of_units_is_K(capsys):
 
 def test_quotient_rejects_bad_subgroups(capsys):
     assert main(["quotient", "--field", "7", "--subgroup", "0"]) == 2
-    assert main(["quotient", "--field", "6", "--subgroup", "units"]) == 2
+    for q in ("6", "-5"):  # a field size that is no prime power, negative too
+        assert main(["quotient", "--field", q, "--subgroup", "units"]) == 2
+        assert capsys.readouterr().err.endswith(f"hyperval: {q} is not a prime power\n")
     assert main(["quotient", "--field", "7", "--subgroup", "x,y"]) == 2
     assert main(["quotient", "--field", "7", "--subgroup", ","]) == 2
     assert capsys.readouterr().err.endswith("hyperval: empty generator list\n")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hyperfields import galois
 from hyperfields.bitmask import WindowTooLarge
 from hyperfields.galois import (GaloisField, default_modulus, is_irreducible,
-                                prime_power)
+                                is_prime, prime_power)
 
 # -- polynomial reference ----------------------------------------------------------
 # The tables as they were once built: each of the q^2 products by polynomial
@@ -208,6 +208,8 @@ def test_prime_power_matches_a_sieve():
             while pk < 3000:
                 powers[pk], k, pk = (p, k), k + 1, pk * p
     assert [prime_power(q) for q in range(-3, 3000)] == [powers.get(q) for q in range(-3, 3000)]
+    primes = [q >= 2 and q not in composite for q in range(-3, 3000)]
+    assert [is_prime(q) for q in range(-3, 3000)] == primes
     t0 = time.perf_counter()
     assert prime_power(1000000000039) == (1000000000039, 1)  # a 13-digit prime
     assert time.perf_counter() - t0 < 0.5

@@ -34,6 +34,33 @@ def test_mutate_refuses_a_target_without_mutation_sites(target, monkeypatch, cap
     assert mutate._site_count("window.check_axioms") > 0
 
 
+def test_mutate_times_each_mutant_by_the_unmutated_run(monkeypatch):
+    """Each mutant's run gets ten times the unmutated run's time, at least
+    60 s and at most 900 s; the unmutated run itself gets 900 s."""
+    mutate = _load("mutate")
+    targets = ["galois.is_prime", "tropical.t_inv"]
+    sites = [mutate._site_count(target) for target in targets]
+    unmutated = {1: 2.0, 2 + sites[0]: 30.0}  # the call number of each, and its seconds
+    clock, timeouts = [0.0], []
+
+    def copy_modules(src, dst, ignore):  # the target modules only, no repository
+        for target in targets:
+            name = Path("src", "hyperfields", f"{target.split('.')[0]}.py")
+            (dst / name).parent.mkdir(parents=True, exist_ok=True)
+            (dst / name).write_text((src / name).read_text())
+
+    def run(cmd, timeout, **kwargs):
+        timeouts.append(timeout)
+        clock[0] += unmutated.get(len(timeouts), 0)
+        return subprocess.CompletedProcess(cmd, 0 if len(timeouts) in unmutated else 1)
+
+    monkeypatch.setattr(mutate.shutil, "copytree", copy_modules)
+    monkeypatch.setattr(mutate.subprocess, "run", run)
+    monkeypatch.setattr(mutate.time, "monotonic", lambda: clock[0])
+    assert mutate.main([*targets, "--", "tests/test_galois.py"]) == 0  # every mutant killed
+    assert timeouts == [900] + [60] * sites[0] + [900] + [300] * sites[1]
+
+
 def test_mutate_caps_the_memory_of_each_test_run():
     mutate = _load("mutate")
     # read back in a child: the cap never touches this process

@@ -15,7 +15,10 @@ first the unmutated module is run the same way), and the test files run
 on it with ``pytest -x``, one mutant after another, each run in a child
 whose address space is capped at ``MEMORY_CAP``: a mutant that allocates
 without bound fails there, as one that hangs fails its timeout, and counts
-as killed.  A mutant the tests pass survives.  Prints each survivor and
+as killed.  The unmutated run is timed, t seconds, and each mutant's run
+gets ``min(900, max(60, 10 t))``: a mutant ten times slower than the tests
+is as good as hung, and no mutant waits out 900 s on a quick suite.  A
+mutant the tests pass survives.  Prints each survivor and
 each function's score; exits 1 if a mutant survives, and 2, before any
 copy or test run, if a target is not found or has no mutation site.
 Stdlib only.
@@ -28,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,12 +117,12 @@ def main(argv) -> int:
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
 
-        def passes(path, tree) -> bool:
+        def passes(path, tree, timeout) -> bool:
             path.write_text(ast.unparse(tree))
             try:
                 return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
                                        "no:cacheprovider", *tests], cwd=copy, env=env,
-                                      capture_output=True, timeout=900,
+                                      capture_output=True, timeout=timeout,
                                       preexec_fn=_cap_memory).returncode == 0
             except subprocess.TimeoutExpired:
                 return False  # a mutant that hangs is caught
@@ -127,15 +131,17 @@ def main(argv) -> int:
             module, name = target.split(".", 1)
             path = copy / "src" / "hyperfields" / f"{module}.py"
             source = path.read_text()
-            if not passes(path, ast.parse(source)):
+            start = time.monotonic()
+            if not passes(path, ast.parse(source), 900):
                 print(f"{target}: the tests fail on the unmutated module")
                 return 2
+            timeout = min(900, max(60, 10 * (time.monotonic() - start)))
             alive = 0
             for j in range(len(mutants(ast.parse(source), name))):
                 tree = ast.parse(source)
                 line, label, apply = mutants(tree, name)[j]
                 apply()
-                if passes(path, tree):
+                if passes(path, tree, timeout):
                     alive += 1
                     print(f"  survivor: {module}.py:{line} in {name}: {label}", flush=True)
             path.write_text(source)
