@@ -12,25 +12,65 @@ least index g of multiplicative order q-1, and addition is digitwise.
 from __future__ import annotations
 
 import itertools
-from math import isqrt
 from operator import itemgetter
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below _EXACT_BELOW, the least composite that passes all 13 (Sorenson and
+# Webster, Math. Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return prime_power(n) == (n, 1)
+    """Deterministic Miller-Rabin on _BASES: exact for every n below
+    _EXACT_BELOW, and a ValueError naming that bound for any larger n."""
+    if n >= _EXACT_BELOW:
+        raise ValueError(f"{n} is not below {_EXACT_BELOW}, the bound up to which "
+                         "the prime test is exact")
+    if n < 2:
+        return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0  # n - 1 = d 2^s with d odd
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power(q: int):
-    """(p, k) with q = p^k, or None.  q's least divisor d > 1 is prime and
-    decides: it is at most isqrt(q) unless q is prime, so d = q then."""
+    """(p, k) with q = p^k, or None.  The largest k with q an exact k-th
+    power decides: an exact root of p^m is p^(m/j), prime only at j = m, so
+    q is a prime power iff that root is prime.  One prime test, so is_prime's
+    ValueError for a root at or above its bound."""
     if q < 2:
         return None
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    k, m = 0, q
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return (r, k) if is_prime(r) else None
 
 
 def _poly_mod(f, g, p):

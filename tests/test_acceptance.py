@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from hyperfields import hypersets as hs
-from hyperfields.cli import SCENARIOS
+from hyperfields.cli_scenarios import SCENARIOS
 from hyperfields.finite import (build_K, build_S, build_W, build_finite_field,
                                 classify, enumerate_hyperfields,
                                 find_isomorphism, is_field,

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfields import leading_terms as lt
-from hyperfields import cli, finite, galois, tropical, valuation
-from hyperfields.cli import SCENARIOS, load_finite, main
+from hyperfields import cli, cli_carriers, cli_tables, finite, galois, tropical, valuation
+from hyperfields.cli import main
+from hyperfields.cli_scenarios import SCENARIOS
+from hyperfields.cli_tables import load_finite
 from hyperfields.ordgroup import WINDOW_LIMIT, Cut, gzero
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,7 +40,7 @@ def test_axioms_pass_on_builtins(capsys, monkeypatch):
         assert rep["report"]["mode"] == "proof by exhaustion"
     # so the hyperfield gate returns a builtin without validating it
     monkeypatch.setattr(finite, "validate", lambda F: pytest.fail("validate ran"))
-    assert cli.load_hyperfield("builtin:F7").size == 7
+    assert cli_tables.load_hyperfield("builtin:F7").size == 7
 
 
 def test_axioms_on_tropical_carriers(capsys):
@@ -107,7 +109,7 @@ def _raising(exc):
 def test_main_maps_a_malformed_table_to_exit_2(monkeypatch, capsys):
     # No input reaches this branch today: a table file without inverses
     # stops at validate or load_hyperfield first, so a verb raises it here.
-    monkeypatch.setattr(cli, "cmd_classify",
+    monkeypatch.setattr(cli_tables, "cmd_classify",
                         _raising(finite.MalformedTableError("no inverse of 2")))
     assert main(["classify", "builtin:K"]) == 2
     captured = capsys.readouterr()
@@ -116,7 +118,7 @@ def test_main_maps_a_malformed_table_to_exit_2(monkeypatch, capsys):
 
 
 def test_main_maps_any_other_exception_to_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cmd_krasner", _raising(RuntimeError("boom")))
+    monkeypatch.setattr(cli_carriers, "cmd_krasner", _raising(RuntimeError("boom")))
     assert main(["krasner", "kgamma"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -196,8 +198,7 @@ def test_oversize_windows_exit_2(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("axioms", "builtin:F10007"),
     ("quotient", "--field", "10007", "--subgroup", "squares"),
-    ("krasner", "kgamma", "--q", "10007", "--gamma", "0", "--window-bound", "0"),
-    ("krasner", "kgamma", "--q", "10000019"),
+    ("axioms", "builtin:F100000000000000003"),
 ])
 def test_oversize_fields_exit_2(argv, capsys, monkeypatch):
     def built(self):
@@ -208,6 +209,54 @@ def test_oversize_fields_exit_2(argv, capsys, monkeypatch):
     assert main(list(argv)) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "window too large" in capsys.readouterr().err
+
+
+# A --q whose q x q field table is above the window limit is refused by the
+# parser, before any prime test; a --p at or above the prime test's exact
+# bound is refused naming that bound.  Each of the 18-digit ones stalled in
+# trial division before.
+@pytest.mark.parametrize("argv, message", [
+    (("krasner", "kgamma", "--q", "10007", "--gamma", "0", "--window-bound", "0"),
+     "argument --q: 10007 is above 447, "),
+    (("krasner", "kgamma", "--q", "10000019"), "argument --q: 10000019 is above 447, "),
+    (("krasner", "kgamma", "--q", "448"), "argument --q: 448 is above 447, "),
+    (("krasner", "kgamma", "--q", "100000000000000003"),
+     "argument --q: 100000000000000003 is above 447, "),
+    (("scenario", "kgamma", "--q", "100000000000000003"), "argument --q: "),
+    (("krasner", "composite", "--p", str(galois._EXACT_BELOW)),
+     f"argument --p: {galois._EXACT_BELOW} is not below {galois._EXACT_BELOW}, "),
+    (("coarsen", "--p", str(10 ** 30 + 57)), f"is not below {galois._EXACT_BELOW}, "),
+])
+def test_oversize_field_sizes_and_primes_are_refused_by_the_parser(argv, message,
+                                                                   capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("prime test on a q above the window limit")
+
+    if "--q" in argv:
+        monkeypatch.setattr(galois, "prime_power", refuse)
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_q_and_p_at_the_edges_of_the_parser(capsys):
+    t0 = time.perf_counter()
+    code, rep = run(capsys, "krasner", "composite", "--p", "100000000000000003",
+                    "--window-bound", "0")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and rep["params"]["p"] == 100000000000000003
+    # 447 = 3 * 149, the largest q the window limit allows, is no prime power
+    assert cli._Q_MAX ** 2 <= WINDOW_LIMIT < (cli._Q_MAX + 1) ** 2
+    for argv, message in ((("krasner", "kgamma", "--q", "447"), "447 is not a prime power"),
+                          (("krasner", "composite", "--p", "3215031751"),  # a strong
+                           "3215031751 is not a prime")):  # pseudoprime to 2, 3, 5, 7
+        with pytest.raises(SystemExit) as e:
+            main(list(argv))
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {argv[2]}: {message}\n")
 
 
 def test_classify_reports_the_flag_vector(capsys):
@@ -528,6 +577,11 @@ def test_scenario_output_is_deterministic_across_processes():
     a = _run_cli("scenario", "no-kraval", "--window-bound", "2")
     b = _run_cli("scenario", "no-kraval", "--window-bound", "2")
     assert a == b
+
+
+def test_the_parser_names_every_scenario():
+    # the front end lists the names so that its parser compiles no scenario
+    assert cli._SCENARIO_NAMES == tuple(sorted(SCENARIOS))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

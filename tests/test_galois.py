@@ -215,6 +215,48 @@ def test_prime_power_matches_a_sieve():
     assert time.perf_counter() - t0 < 0.5
 
 
+# The least strong pseudoprimes to the first k prime bases, k = 1..12 (one
+# number is least for k = 7, 8 and one for k = 9..11): Miller-Rabin on fewer
+# than 13 bases calls one of them prime.  PSI_13, the least to all 13, is the
+# bound.
+PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 318665857834031151167461]
+PSI_13 = 3317044064679887385961981
+MERSENNE = [2 ** 31 - 1, 2 ** 61 - 1]  # primes
+
+
+def test_primality_is_exact_below_its_bound():
+    t0 = time.perf_counter()
+    assert not any(is_prime(n) for n in PSEUDOPRIMES)
+    assert not any(prime_power(n) for n in PSEUDOPRIMES)
+    assert [is_prime(n) for n in MERSENNE] == [True, True]
+    assert is_prime(100000000000000003)
+    assert not is_prime(MERSENNE[0] * 1000000000039)
+    assert not is_prime(PSI_13 - 1)  # even: the largest n the test decides
+    assert galois._EXACT_BELOW == PSI_13
+    for n in (PSI_13, PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"{n} is not below {PSI_13}, "):
+            is_prime(n)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_prime_power_takes_the_largest_exact_root():
+    p, r = MERSENNE
+    assert prime_power(p ** 2) == (p, 2)
+    assert prime_power(r ** 3) == (r, 3)
+    assert prime_power(3 ** 45) == (3, 45)
+    assert prime_power(2 ** 200) == (2, 200)  # above is_prime's bound, its root below
+    for q in (p * 1000000000039, p ** 2 * 3, 6 ** 20, 10 ** 30, 2 ** 70 * 3):
+        assert prime_power(q) is None, q
+    assert prime_power(100000000000000003) == (100000000000000003, 1)
+    for q in (PSI_13 + 2, PSI_13 ** 2):  # the root decides, at or above the bound
+        with pytest.raises(ValueError, match=f"is not below {PSI_13}, "):
+            prime_power(q)
+    assert [galois._iroot(n, k) for n, k in ((1, 3), (7, 3), (8, 3), (9, 3), (10 ** 40, 5),
+                                             (10 ** 40 - 1, 5), (PSI_13, 1))] == [
+        1, 1, 2, 2, 10 ** 8, 10 ** 8 - 1, PSI_13]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
 def test_poly_mod_leaves_the_remainder(p, data):

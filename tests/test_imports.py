@@ -1,7 +1,8 @@
 """What a process imports: the package's public surface resolves lazily,
 a bare CLI import loads no other module of the package, the CLI's finite
 verbs never load the symbolic layer, and its symbolic verbs load the
-finite-table layer only to build a table."""
+finite-table layer only to build a table.  Of the CLI, a process loads the
+front end and its verb's family, and compiles ``cli.py`` once."""
 
 import json
 import os
@@ -88,6 +89,8 @@ STEPS = {
                                       "--window-bound", "1"),
     "residue kgamma": ("residue", "kgamma", "--window-bound", "1"),
     "scenario kgamma": ("scenario", "kgamma", "--window-bound", "1"),
+    "scenario no-kraval": ("scenario", "no-kraval", "--window-bound", "1"),
+    "krasner builtin:K": ("krasner", "builtin:K", "--window-bound", "1"),
 }
 
 import hyperfields.cli
@@ -144,23 +147,103 @@ def test_each_verb_compiles_galois_and_ordgroup_only_when_it_runs_them():
     assert _layers("version", "bad-q", watch=watch) == {
         "import": [None, bare], "version": [0, bare],
         "bad-q": [2, _modules("cli", "galois")]}  # refused by the --q type
-    tables = _modules("cli", "bitmask", "finite", "report")
+    tables = _modules("cli", "cli_tables", "bitmask", "finite", "report")
     assert _layers("axioms", "iso", "classify", "classify F7", watch=watch) == {
         "import": [None, bare], "axioms": [0, tables], "iso": [1, tables],
         "classify": [0, tables], "classify F7": [0, sorted(tables + ["hyperfields.galois"])]}
     assert _layers("quotient", watch=watch)["quotient"] == [
         0, sorted(tables + ["hyperfields.galois"])]
-    tropical = _modules("cli", "bitmask", "hypersets", "ordgroup", "report", "tropical",
-                        "window")
-    valued = sorted(tropical + ["hyperfields.valuation"])
-    assert _layers("axioms tropical:1", "krasner tropical:1",
-                   "scenario tropical-not-krasner", watch=watch) == {
-        "import": [None, bare], "axioms tropical:1": [0, tropical],
-        "krasner tropical:1": [1, valued], "scenario tropical-not-krasner": [0, valued]}
+    tropical = _modules("cli", "cli_tables", "bitmask", "hypersets", "ordgroup", "report",
+                        "tropical", "window")
+    assert _layers("axioms tropical:1", watch=watch)["axioms tropical:1"] == [0, tropical]
+    valued = _modules("cli", "cli_carriers", "bitmask", "hypersets", "ordgroup", "report",
+                      "tropical", "valuation", "window")
+    assert _layers("krasner tropical:1", "scenario tropical-not-krasner", watch=watch) == {
+        "import": [None, bare], "krasner tropical:1": [1, valued],
+        "scenario tropical-not-krasner": [0, sorted(valued + ["hyperfields.cli_scenarios"])]}
     # leading_terms imports galois (for kgamma) whatever its carrier
-    carriers = [m for m in watch if m != "hyperfields.finite"]
+    carriers = [m for m in watch if m not in _modules("cli_scenarios", "cli_tables", "finite")]
     for step, code in (("krasner", 0), ("krasner composite", 0), ("krasner collapsed", 1)):
         assert _layers(step, watch=watch)[step] == [code, carriers], step
+
+
+# The front end and its three verb modules.
+FRONT = _modules("cli", "cli_carriers", "cli_scenarios", "cli_tables")
+
+
+def test_each_verb_loads_its_own_family_of_the_front_end():
+    # a finite verb, on a table or on a tropical carrier, never loads the
+    # carrier or scenario verbs
+    finite_verbs = ("axioms", "iso", "quotient", "enumerate", "hyperideals", "classify",
+                    "axioms tropical:1")
+    steps = _layers(*finite_verbs, watch=FRONT)
+    assert steps.pop("import") == [None, _modules("cli")]
+    assert {step: mods for step, (_, mods) in steps.items()} == {
+        step: _modules("cli", "cli_tables") for step in finite_verbs}
+    # a verb on a carrier loads the table verbs only to read a table
+    carrier_verbs = ("krasner", "krasner composite", "krasner collapsed",
+                     "krasner tropical:1", "coarsen", "residue kgamma")
+    steps = _layers(*carrier_verbs, "krasner builtin:K", watch=FRONT)
+    assert {step: steps[step][1] for step in carrier_verbs} == {
+        step: _modules("cli", "cli_carriers") for step in carrier_verbs}
+    assert steps["krasner builtin:K"] == [1, _modules("cli", "cli_carriers", "cli_tables")]
+    scenarios = ("scenario tropical-not-krasner", "scenario kgamma", "scenario no-kraval")
+    steps = _layers(*scenarios, watch=FRONT)
+    assert {step: steps[step] for step in scenarios} == {
+        step: [0, _modules("cli", "cli_carriers", "cli_scenarios")] for step in scenarios}
+
+
+# Run hyperval as ``python -m hyperfields.cli`` does, counting the calls of
+# compile() per package file; the last stderr line is the count.
+COMPILES = """
+import builtins, collections, json, os, runpy, sys
+package = os.path.join(sys.argv[1], "hyperfields")
+counts = collections.Counter()
+real = builtins.compile
+
+def counting(source, filename, *args, **kwargs):
+    if os.path.dirname(str(filename)) == package:
+        counts[os.path.basename(filename)] += 1
+    return real(source, filename, *args, **kwargs)
+
+builtins.compile = counting
+sys.argv = sys.argv[1:]
+try:
+    runpy._run_module_as_main("hyperfields.cli")
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, counts]), file=sys.stderr)
+"""
+
+
+def _compiles(tmp_path, *argv) -> tuple:
+    """(exit code, compile() calls per package file, stderr) of one fresh
+    hyperval process with no usable bytecode cache."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", COMPILES, str(SRC), *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    *err, last = proc.stderr.splitlines()
+    code, counts = json.loads(last)
+    return code, counts, "\n".join(err)
+
+
+def test_a_hyperval_process_compiles_cli_once(tmp_path):
+    verb_modules = {"cli_carriers.py", "cli_scenarios.py", "cli_tables.py"}
+    for argv, family in ((("--version",), set()),
+                         (("axioms", "builtin:F7"), {"cli_tables.py"}),
+                         (("coarsen", "--window-bound", "1"), {"cli_carriers.py"}),
+                         (("scenario", "tropical-not-krasner", "--window-bound", "1"),
+                          {"cli_carriers.py", "cli_scenarios.py"})):
+        code, counts, _ = _compiles(tmp_path, *argv)
+        assert code == 0, argv
+        assert counts["__init__.py"] == counts["cli.py"] == 1, argv
+        assert max(counts.values()) == 1, argv  # no file twice
+        assert verb_modules & set(counts) == family, argv
+    # a verb module raises the front end's one ParseFailure: exit 2
+    code, counts, err = _compiles(tmp_path, "krasner", "tropical:1", "--q", "3")
+    assert code == 2 and counts["cli.py"] == counts["cli_carriers.py"] == 1
+    assert err == "hyperval: --q does not apply to backend 'tropical:1'"
 
 
 def test_public_surface_is_unchanged():
